@@ -39,23 +39,14 @@ fn bench_run_job(c: &mut Criterion) {
                     let store = build_store(&cluster, vec![("t".into(), rows.clone())]);
                     let mut udfs = UdfRegistry::new();
                     udfs.register(0, Arc::new(DigestUdf { out_bytes: 256 }));
-                    let job = JobSpec {
-                        cluster: cluster.clone(),
-                        optimizer: OptimizerConfig::for_strategy(strategy),
-                        feed: FeedMode::Batch { window: 128 },
-                        plan: JobPlan::single(0, 0),
-                        seed: 3,
-                        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-                        policy: None,
-                        decision_sink: None,
-                        faults: None,
-                        retry: None,
-                        telemetry: None,
-                        overload: None,
-                        shed_policy: None,
-                        membership: None,
-                        autoscale_policy: None,
-                    };
+                    let job = JobSpec::new(
+                        cluster.clone(),
+                        OptimizerConfig::for_strategy(strategy),
+                        FeedMode::Batch { window: 128 },
+                        JobPlan::single(0, 0),
+                        3,
+                        spec.udf_cpu.as_secs_f64(),
+                    );
                     run_job(&job, store, udfs, tuples.clone(), vec![])
                 })
             },

@@ -2,60 +2,24 @@
 //! dynamic batch sizing).
 
 use jl_bench::output::FigTable;
-use jl_bench::parse_args;
-use jl_core::{OptimizerConfig, Strategy};
-use jl_engine::plan::{JobPlan, JobTuple};
-use jl_engine::{build_store, run_job, ClusterSpec, FeedMode, JobSpec};
-use jl_simkit::rng::stream_rng;
-use jl_simkit::time::{SimDuration, SimTime};
-use jl_store::{DigestUdf, RowKey, UdfRegistry};
+use jl_bench::{ablation_inputs, parse_args_full, scaled, SyntheticCell};
+use jl_engine::{run_job, ClusterSpec};
+use jl_simkit::time::SimDuration;
 use jl_workloads::SyntheticSpec;
-use std::sync::Arc;
 
 fn main() {
-    let (scale, seed) = parse_args(1.0);
-    let mut spec = SyntheticSpec::dh();
-    spec.n_tuples = ((spec.n_tuples as f64 * scale) as u64).max(1000);
-    let cluster = ClusterSpec::default();
+    let args = parse_args_full(1.0);
+    let cell = SyntheticCell {
+        cluster: ClusterSpec::default(),
+        ..SyntheticCell::new(scaled(SyntheticSpec::dh(), args.scale), 0.5, args.seed)
+    };
     let mut rows = Vec::new();
     for batch in [1usize, 8, 32, 64, 128, 256] {
         let mut vals = Vec::new();
         for wait_ms in [1u64, 5, 50] {
-            let store = build_store(&cluster, vec![("t".into(), spec.rows(1).collect())]);
-            let mut rng = stream_rng(seed, "tuples");
-            let tuples: Vec<JobTuple> = spec
-                .tuples(0.5, 1, &mut rng, seed)
-                .into_iter()
-                .map(|t| JobTuple {
-                    seq: t.seq,
-                    keys: vec![RowKey::from_u64(t.key)],
-                    params_size: t.params_size,
-                    arrival: SimTime::ZERO,
-                })
-                .collect();
-            let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
-            optimizer.batch_size = batch;
-            optimizer.batch_max_wait = SimDuration::from_millis(wait_ms);
-            optimizer.mem_cache_bytes = 32 << 20;
-            let mut udfs = UdfRegistry::new();
-            udfs.register(0, Arc::new(DigestUdf { out_bytes: 256 }));
-            let job = JobSpec {
-                cluster: cluster.clone(),
-                optimizer,
-                feed: FeedMode::Batch { window: 256 },
-                plan: JobPlan::single(0, 0),
-                seed,
-                udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-                policy: None,
-                decision_sink: None,
-                faults: None,
-                retry: None,
-                telemetry: None,
-                overload: None,
-                shed_policy: None,
-                membership: None,
-                autoscale_policy: None,
-            };
+            let (mut job, store, udfs, tuples) = ablation_inputs(&cell);
+            job.optimizer.batch_size = batch;
+            job.optimizer.batch_max_wait = SimDuration::from_millis(wait_ms);
             let r = run_job(&job, store, udfs, tuples, vec![]);
             vals.push(r.duration.as_secs_f64());
         }
@@ -68,5 +32,5 @@ fn main() {
         rows,
     };
     println!("{}", t.render());
-    jl_bench::write_trace_if_requested(scale, seed);
+    args.write_trace();
 }

@@ -5,22 +5,19 @@
 //!
 //! Admission: ski-rental-gated buying (the paper) vs an eager always-buy
 //! policy vs never buying, each plugged into the runtime as a
-//! [`PlacementPolicy`] object via [`JobSpec::policy`]. `EagerBuyPolicy` is
+//! [`PlacementPolicy`] object via [`JobSpec::policy`](jl_engine::JobSpec::policy). `EagerBuyPolicy` is
 //! defined in this binary — extending the decision plane requires no
 //! `jl-core` edit.
 
 use jl_bench::output::FigTable;
-use jl_bench::parse_args;
+use jl_bench::{ablation_inputs, parse_args_full, scaled, BenchArgs, SyntheticCell};
 use jl_cache::{BenefitPolicy, Lfu, LfuDa, Lru, SizeMode, TieredCache};
 use jl_core::{
     CacheIntent, DataSidePolicy, DecisionCtx, OptimizerConfig, Placement, PlacementPolicy,
-    SkiRentalPolicy, Strategy,
+    SkiRentalPolicy,
 };
-use jl_engine::plan::{JobPlan, JobTuple};
-use jl_engine::{build_store, run_job, ClusterSpec, FeedMode, JobSpec, PolicyFactory};
+use jl_engine::{run_job, ClusterSpec, PolicyFactory};
 use jl_simkit::rng::stream_rng;
-use jl_simkit::time::SimTime;
-use jl_store::{DigestUdf, RowKey, UdfRegistry};
 use jl_workloads::{KeyStream, SyntheticSpec};
 use std::sync::Arc;
 
@@ -68,7 +65,8 @@ fn run_policy<P: BenefitPolicy<u64>>(policy: P, trace: &[u64]) -> (f64, f64) {
 }
 
 fn main() {
-    let (scale, seed) = parse_args(1.0);
+    let args = parse_args_full(1.0);
+    let (scale, seed) = (args.scale, args.seed);
     let n = (500_000.0 * scale) as usize;
     let mut ks = KeyStream::shifting(10_000, 1.0, (n as u64 / 5).max(1), seed);
     let mut rng = stream_rng(seed, "cache");
@@ -88,14 +86,15 @@ fn main() {
     };
     println!("{}", t.render());
     println!();
-    admission(scale, seed);
+    admission(&args);
 }
 
 /// Run the DCH job once per admission policy object.
-fn admission(scale: f64, seed: u64) {
-    let mut spec = SyntheticSpec::dch();
-    spec.n_tuples = ((spec.n_tuples as f64 * scale) as u64).max(1000);
-    let cluster = ClusterSpec::default();
+fn admission(args: &BenchArgs) {
+    let cell = SyntheticCell {
+        cluster: ClusterSpec::default(),
+        ..SyntheticCell::new(scaled(SyntheticSpec::dch(), args.scale), 1.0, args.seed)
+    };
     let factories: Vec<(&str, PolicyFactory)> = vec![
         (
             "ski-rental (paper)",
@@ -112,39 +111,8 @@ fn admission(scale: f64, seed: u64) {
     ];
     let mut rows = Vec::new();
     for (label, factory) in factories {
-        let store = build_store(&cluster, vec![("t".into(), spec.rows(1).collect())]);
-        let mut rng = stream_rng(seed, "tuples");
-        let tuples: Vec<JobTuple> = spec
-            .tuples(1.0, 1, &mut rng, seed)
-            .into_iter()
-            .map(|t| JobTuple {
-                seq: t.seq,
-                keys: vec![RowKey::from_u64(t.key)],
-                params_size: t.params_size,
-                arrival: SimTime::ZERO,
-            })
-            .collect();
-        let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
-        optimizer.mem_cache_bytes = 32 << 20;
-        let mut udfs = UdfRegistry::new();
-        udfs.register(0, Arc::new(DigestUdf { out_bytes: 256 }));
-        let job = JobSpec {
-            cluster: cluster.clone(),
-            optimizer,
-            feed: FeedMode::Batch { window: 256 },
-            plan: JobPlan::single(0, 0),
-            seed,
-            udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-            policy: Some(factory),
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+        let (mut job, store, udfs, tuples) = ablation_inputs(&cell);
+        job.policy = Some(factory);
         let r = run_job(&job, store, udfs, tuples, vec![]);
         rows.push((
             label.to_string(),
@@ -162,5 +130,5 @@ fn admission(scale: f64, seed: u64) {
         rows,
     };
     println!("{}", t.render());
-    jl_bench::write_trace_if_requested(scale, seed);
+    args.write_trace();
 }

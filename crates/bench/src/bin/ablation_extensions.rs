@@ -4,85 +4,34 @@
 //! problem point (z = 1.5, where FO left data nodes underutilized).
 
 use jl_bench::output::FigTable;
-use jl_bench::parse_args;
-use jl_core::{OptimizerConfig, Strategy};
-use jl_engine::plan::{JobPlan, JobTuple};
-use jl_engine::{build_store, run_job, ClusterSpec, FeedMode, JobSpec};
-use jl_simkit::rng::stream_rng;
-use jl_simkit::time::SimTime;
-use jl_store::{DigestUdf, RowKey, UdfRegistry};
+use jl_bench::{ablation_inputs, parse_args_full, scaled, SyntheticCell};
+use jl_engine::run_job;
 use jl_workloads::SyntheticSpec;
-use std::sync::Arc;
 
-fn run(
-    offload: Option<u64>,
-    dyn_batch: Option<usize>,
-    spec: &SyntheticSpec,
-    seed: u64,
-) -> (f64, u64) {
-    let cluster = ClusterSpec {
-        block_cache_bytes: 0,
-        ..ClusterSpec::default()
-    };
-    let store = build_store(&cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let mut rng = stream_rng(seed, "tuples");
-    let tuples: Vec<JobTuple> = spec
-        .tuples(1.5, 1, &mut rng, seed)
-        .into_iter()
-        .map(|t| JobTuple {
-            seq: t.seq,
-            keys: vec![RowKey::from_u64(t.key)],
-            params_size: t.params_size,
-            arrival: SimTime::ZERO,
-        })
-        .collect();
-    let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
-    optimizer.mem_cache_bytes = 32 << 20;
-    optimizer.offload_cached_above = offload;
+fn run(offload: Option<u64>, dyn_batch: Option<usize>, cell: &SyntheticCell) -> (f64, u64) {
+    let (mut job, store, udfs, tuples) = ablation_inputs(cell);
+    job.optimizer.offload_cached_above = offload;
     if let Some(max) = dyn_batch {
-        optimizer.batch_size = 8;
-        optimizer.dynamic_batch_max = Some(max);
+        job.optimizer.batch_size = 8;
+        job.optimizer.dynamic_batch_max = Some(max);
     }
-    let mut udfs = UdfRegistry::new();
-    udfs.register(
-        0,
-        Arc::new(DigestUdf {
-            out_bytes: spec.output_size as usize,
-        }),
-    );
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer,
-        feed: FeedMode::Batch { window: 256 },
-        plan: JobPlan::single(0, 0),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
     let r = run_job(&job, store, udfs, tuples, vec![]);
     (r.duration.as_secs_f64(), r.decisions.offloaded_hits)
 }
 
 fn main() {
-    let (scale, seed) = parse_args(1.0);
-    let mut spec = SyntheticSpec::ch();
-    spec.n_tuples = ((spec.n_tuples as f64 * scale) as u64).max(1000);
+    let args = parse_args_full(1.0);
+    // The figure-standard cell already runs the §9.3 cluster (block cache
+    // off), which is the regime this ablation wants.
+    let cell = SyntheticCell::new(scaled(SyntheticSpec::ch(), args.scale), 1.5, args.seed);
     let mut rows = Vec::new();
-    let (base, _) = run(None, None, &spec, seed);
+    let (base, _) = run(None, None, &cell);
     rows.push(("FO (paper)".to_string(), vec![base, 0.0]));
     for thr in [32u64, 64, 128] {
-        let (t, off) = run(Some(thr), None, &spec, seed);
+        let (t, off) = run(Some(thr), None, &cell);
         rows.push((format!("FO + offload>{thr}"), vec![t, off as f64]));
     }
-    let (t, _) = run(None, Some(256), &spec, seed);
+    let (t, _) = run(None, Some(256), &cell);
     rows.push(("FO + dynamic batch".to_string(), vec![t, 0.0]));
     let table = FigTable {
         title: "Ablation — future-work extensions (CH, z=1.5)".into(),
@@ -91,5 +40,5 @@ fn main() {
         rows,
     };
     println!("{}", table.render());
-    jl_bench::write_trace_if_requested(scale, seed);
+    args.write_trace();
 }

@@ -4,18 +4,15 @@
 //! Two views: offline accuracy/space on a raw Zipf stream, and an
 //! end-to-end run where each estimator is plugged into the ski-rental
 //! placement policy ([`SkiRentalPolicy::with_estimator`] via
-//! [`JobSpec::policy`]) so estimation error shows up as runtime, not just
+//! [`JobSpec::policy`](jl_engine::JobSpec::policy)) so estimation error shows up as runtime, not just
 //! as counting error.
 
 use jl_bench::output::FigTable;
-use jl_bench::parse_args;
-use jl_core::{OptimizerConfig, SkiRentalPolicy, Strategy};
-use jl_engine::plan::{JobPlan, JobTuple};
-use jl_engine::{build_store, run_job, ClusterSpec, EKey, FeedMode, JobSpec, PolicyFactory};
+use jl_bench::{ablation_inputs, parse_args_full, scaled, BenchArgs, SyntheticCell};
+use jl_core::{OptimizerConfig, SkiRentalPolicy};
+use jl_engine::{run_job, ClusterSpec, EKey, PolicyFactory};
 use jl_freq::{ExactCounter, FrequencyEstimator, LossyCounter, SpaceSaving};
 use jl_simkit::rng::stream_rng;
-use jl_simkit::time::SimTime;
-use jl_store::{DigestUdf, RowKey, UdfRegistry};
 use jl_workloads::{SyntheticSpec, Zipf};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,7 +53,8 @@ fn evaluate<E: FrequencyEstimator<u64>>(
 }
 
 fn main() {
-    let (scale, seed) = parse_args(1.0);
+    let args = parse_args_full(1.0);
+    let (scale, seed) = (args.scale, args.seed);
     let n = (1_000_000.0 * scale) as usize;
     let zipf = Zipf::new(100_000, 1.1);
     let mut rng = stream_rng(seed, "freq");
@@ -91,15 +89,16 @@ fn main() {
     };
     println!("{}", t.render());
     println!();
-    end_to_end(scale, seed);
+    end_to_end(&args);
 }
 
 /// Run the DCH job once per estimator, plugged directly into the
 /// ski-rental policy.
-fn end_to_end(scale: f64, seed: u64) {
-    let mut spec = SyntheticSpec::dch();
-    spec.n_tuples = ((spec.n_tuples as f64 * scale) as u64).max(1000);
-    let cluster = ClusterSpec::default();
+fn end_to_end(args: &BenchArgs) {
+    let cell = SyntheticCell {
+        cluster: ClusterSpec::default(),
+        ..SyntheticCell::new(scaled(SyntheticSpec::dch(), args.scale), 1.0, args.seed)
+    };
     let factories: Vec<(&str, PolicyFactory)> = vec![
         (
             "lossy (paper)",
@@ -131,39 +130,8 @@ fn end_to_end(scale: f64, seed: u64) {
     ];
     let mut rows = Vec::new();
     for (label, factory) in factories {
-        let store = build_store(&cluster, vec![("t".into(), spec.rows(1).collect())]);
-        let mut rng = stream_rng(seed, "tuples");
-        let tuples: Vec<JobTuple> = spec
-            .tuples(1.0, 1, &mut rng, seed)
-            .into_iter()
-            .map(|t| JobTuple {
-                seq: t.seq,
-                keys: vec![RowKey::from_u64(t.key)],
-                params_size: t.params_size,
-                arrival: SimTime::ZERO,
-            })
-            .collect();
-        let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
-        optimizer.mem_cache_bytes = 32 << 20;
-        let mut udfs = UdfRegistry::new();
-        udfs.register(0, Arc::new(DigestUdf { out_bytes: 256 }));
-        let job = JobSpec {
-            cluster: cluster.clone(),
-            optimizer,
-            feed: FeedMode::Batch { window: 256 },
-            plan: JobPlan::single(0, 0),
-            seed,
-            udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-            policy: Some(factory),
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+        let (mut job, store, udfs, tuples) = ablation_inputs(&cell);
+        job.policy = Some(factory);
         let r = run_job(&job, store, udfs, tuples, vec![]);
         rows.push((
             label.to_string(),
@@ -181,5 +149,5 @@ fn end_to_end(scale: f64, seed: u64) {
         rows,
     };
     println!("{}", t.render());
-    jl_bench::write_trace_if_requested(scale, seed);
+    args.write_trace();
 }

@@ -5,70 +5,31 @@
 //! This compares end-to-end job time and the objective gap.
 
 use jl_bench::output::FigTable;
-use jl_bench::parse_args;
-use jl_core::{LbSolver, OptimizerConfig, Strategy};
-use jl_engine::plan::{JobPlan, JobTuple};
-use jl_engine::{build_store, run_job, ClusterSpec, FeedMode, JobSpec};
-use jl_simkit::rng::stream_rng;
-use jl_simkit::time::SimTime;
-use jl_store::{DigestUdf, RowKey, UdfRegistry};
+use jl_bench::{ablation_inputs, parse_args_full, scaled, SyntheticCell};
+use jl_core::LbSolver;
+use jl_engine::{run_job, ClusterSpec};
 use jl_workloads::SyntheticSpec;
-use std::sync::Arc;
 
-fn run(solver: LbSolver, spec: &SyntheticSpec, z: f64, seed: u64) -> f64 {
-    let cluster = ClusterSpec::default();
-    let store = build_store(&cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let mut rng = stream_rng(seed, "tuples");
-    let tuples: Vec<JobTuple> = spec
-        .tuples(z, 1, &mut rng, seed)
-        .into_iter()
-        .map(|t| JobTuple {
-            seq: t.seq,
-            keys: vec![RowKey::from_u64(t.key)],
-            params_size: t.params_size,
-            arrival: SimTime::ZERO,
-        })
-        .collect();
-    let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
-    optimizer.lb_solver = solver;
-    optimizer.mem_cache_bytes = 32 << 20;
-    let mut udfs = UdfRegistry::new();
-    udfs.register(
-        0,
-        Arc::new(DigestUdf {
-            out_bytes: spec.output_size as usize,
-        }),
-    );
-    let job = JobSpec {
-        cluster,
-        optimizer,
-        feed: FeedMode::Batch { window: 256 },
-        plan: JobPlan::single(0, 0),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
+fn run(solver: LbSolver, cell: &SyntheticCell) -> f64 {
+    let (mut job, store, udfs, tuples) = ablation_inputs(cell);
+    job.optimizer.lb_solver = solver;
     run_job(&job, store, udfs, tuples, vec![])
         .duration
         .as_secs_f64()
 }
 
 fn main() {
-    let (scale, seed) = parse_args(1.0);
+    let args = parse_args_full(1.0);
     let mut rows = Vec::new();
-    for mut spec in [SyntheticSpec::ch(), SyntheticSpec::dch()] {
-        spec.n_tuples = ((spec.n_tuples as f64 * scale) as u64).max(1000);
+    for spec in [SyntheticSpec::ch(), SyntheticSpec::dch()] {
+        let spec = scaled(spec, args.scale);
         for z in [0.0, 1.0] {
-            let gd = run(LbSolver::GradientDescent, &spec, z, seed);
-            let exact = run(LbSolver::Exact, &spec, z, seed);
+            let cell = SyntheticCell {
+                cluster: ClusterSpec::default(),
+                ..SyntheticCell::new(spec.clone(), z, args.seed)
+            };
+            let gd = run(LbSolver::GradientDescent, &cell);
+            let exact = run(LbSolver::Exact, &cell);
             rows.push((format!("{} z={z}", spec.name), vec![gd, exact, gd / exact]));
         }
     }
@@ -79,5 +40,5 @@ fn main() {
         rows,
     };
     println!("{}", t.render());
-    jl_bench::write_trace_if_requested(scale, seed);
+    args.write_trace();
 }

@@ -5,60 +5,28 @@
 //! rents). The sweep parameterizes the policy object directly
 //! ([`SkiRentalPolicy::with_scale`] via [`JobSpec::policy`]) instead of
 //! round-tripping the scale through a config field.
+//!
+//! [`JobSpec::policy`]: jl_engine::JobSpec::policy
 
 use jl_bench::output::FigTable;
-use jl_bench::parse_args;
-use jl_core::{OptimizerConfig, SkiRentalPolicy, Strategy};
-use jl_engine::plan::{JobPlan, JobTuple};
-use jl_engine::{build_store, run_job, ClusterSpec, FeedMode, JobSpec, PolicyFactory};
-use jl_simkit::rng::stream_rng;
-use jl_simkit::time::SimTime;
-use jl_store::{DigestUdf, RowKey, UdfRegistry};
+use jl_bench::{ablation_inputs, parse_args_full, scaled, SyntheticCell};
+use jl_core::SkiRentalPolicy;
+use jl_engine::{run_job, ClusterSpec};
 use jl_workloads::SyntheticSpec;
 use std::sync::Arc;
 
 fn main() {
-    let (scale, seed) = parse_args(1.0);
-    let mut spec = SyntheticSpec::dch();
-    spec.n_tuples = ((spec.n_tuples as f64 * scale) as u64).max(1000);
-    let cluster = ClusterSpec::default();
+    let args = parse_args_full(1.0);
+    let cell = SyntheticCell {
+        cluster: ClusterSpec::default(),
+        ..SyntheticCell::new(scaled(SyntheticSpec::dch(), args.scale), 1.0, args.seed)
+    };
     let mut rows = Vec::new();
     for ski_scale in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let store = build_store(&cluster, vec![("t".into(), spec.rows(1).collect())]);
-        let mut rng = stream_rng(seed, "tuples");
-        let tuples: Vec<JobTuple> = spec
-            .tuples(1.0, 1, &mut rng, seed)
-            .into_iter()
-            .map(|t| JobTuple {
-                seq: t.seq,
-                keys: vec![RowKey::from_u64(t.key)],
-                params_size: t.params_size,
-                arrival: SimTime::ZERO,
-            })
-            .collect();
-        let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
-        optimizer.mem_cache_bytes = 32 << 20;
-        let mut udfs = UdfRegistry::new();
-        udfs.register(0, Arc::new(DigestUdf { out_bytes: 256 }));
-        let policy: PolicyFactory =
-            Arc::new(move |cfg, _seed| Box::new(SkiRentalPolicy::with_scale(cfg, ski_scale)));
-        let job = JobSpec {
-            cluster: cluster.clone(),
-            optimizer,
-            feed: FeedMode::Batch { window: 256 },
-            plan: JobPlan::single(0, 0),
-            seed,
-            udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-            policy: Some(policy),
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+        let (mut job, store, udfs, tuples) = ablation_inputs(&cell);
+        job.policy = Some(Arc::new(move |cfg, _seed| {
+            Box::new(SkiRentalPolicy::with_scale(cfg, ski_scale))
+        }));
         let r = run_job(&job, store, udfs, tuples, vec![]);
         rows.push((
             format!("x{ski_scale}"),
@@ -76,5 +44,5 @@ fn main() {
         rows,
     };
     println!("{}", t.render());
-    jl_bench::write_trace_if_requested(scale, seed);
+    args.write_trace();
 }

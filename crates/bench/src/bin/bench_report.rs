@@ -36,20 +36,32 @@
 
 use std::time::Instant;
 
-use jl_bench::bench_threads;
-use jl_bench::experiments::{
-    bench_synthetic_report, bench_synthetic_report_parallel, bench_synthetic_report_real,
-    bench_synthetic_ring, bench_synthetic_traced, bench_synthetic_traced_parallel,
-    fig6_stream_report,
-};
+use jl_bench::experiments::fig6_stream_report;
+use jl_bench::{bench_cell, bench_threads, SyntheticCell};
 use jl_core::Strategy;
-use jl_engine::RunReport;
+use jl_engine::{Backend, RunReport};
+use jl_telemetry::{RunTelemetry, TelemetryConfig};
 
 /// Telemetry-overhead gate for `--check` in full mode: the traced DH cell
 /// must cost no more than this multiple of the untraced one. The shaved
 /// recorder measures ~1.05-1.10x on CI-class hosts; 1.15 leaves noise
 /// headroom while still catching a regression to pthread-mutex-era cost.
 const OVERHEAD_CEILING: f64 = 1.15;
+
+/// The pinned DH cell with the recorder armed, on `backend`.
+fn dh_traced(
+    scale: f64,
+    seed: u64,
+    telemetry: TelemetryConfig,
+    backend: Backend,
+) -> (RunReport, RunTelemetry) {
+    let cell = SyntheticCell {
+        telemetry: Some(telemetry),
+        ..bench_cell("DH", scale, seed)
+    };
+    let (report, tel) = cell.run(backend);
+    (report, tel.expect("telemetry was requested"))
+}
 
 /// One timed workload.
 struct Timing {
@@ -176,12 +188,12 @@ fn main() {
 
     // Warm-up (untimed): fault the binary in, size the allocator, and let
     // the CPU governor settle before anything is measured.
-    let _ = bench_synthetic_report("DH", (synth_scale * 0.1).max(0.01), seed);
+    let _ = bench_cell("DH", (synth_scale * 0.1).max(0.01), seed).run(Backend::Sim);
 
     let mut timings: Vec<Timing> = Vec::new();
     for name in ["DH", "CH", "DCH"] {
         let t0 = Instant::now();
-        let report = bench_synthetic_report(name, synth_scale, seed);
+        let report = bench_cell(name, synth_scale, seed).run(Backend::Sim).0;
         let wall = t0.elapsed().as_secs_f64();
         eprintln!(
             "bench_report: {name:4} wall={wall:.3}s sim_events={} ({:.0} ev/s)",
@@ -216,7 +228,7 @@ fn main() {
         // includes real event pacing, and the join result must be the
         // simulated one exactly (the runtime seam's parity contract).
         let t0 = Instant::now();
-        let report = bench_synthetic_report_real("DH", synth_scale, seed);
+        let report = bench_cell("DH", synth_scale, seed).run(Backend::Real).0;
         let wall = t0.elapsed().as_secs_f64();
         eprintln!(
             "bench_report: DH@real wall={wall:.3}s sim_events={} ({:.0} ev/s)",
@@ -240,7 +252,7 @@ fn main() {
         // to the serial cell — same fingerprint, same event count — so the
         // only thing this row adds is the wall-clock column.
         let t0 = Instant::now();
-        let report = bench_synthetic_report_parallel("DH", synth_scale, seed, 8);
+        let report = bench_cell("DH", synth_scale, seed).run(Backend::Par(8)).0;
         let wall = t0.elapsed().as_secs_f64();
         eprintln!(
             "bench_report: DH@par8 wall={wall:.3}s sim_events={} ({:.0} ev/s)",
@@ -273,11 +285,11 @@ fn main() {
     let mut telemetry_on_wall = f64::INFINITY;
     // Untimed warm-up pair: fault in the binary's pages and warm the
     // allocator so the first timed rep isn't charged for either.
-    bench_synthetic_report("DH", synth_scale, seed);
-    let mut last_tel = bench_synthetic_traced("DH", synth_scale, seed).1;
+    bench_cell("DH", synth_scale, seed).run(Backend::Sim);
+    let mut last_tel = dh_traced(synth_scale, seed, TelemetryConfig::default(), Backend::Sim).1;
     for _ in 0..5 {
         let t0 = Instant::now();
-        let off_report = bench_synthetic_report("DH", synth_scale, seed);
+        let off_report = bench_cell("DH", synth_scale, seed).run(Backend::Sim).0;
         let off = t0.elapsed().as_secs_f64();
         telemetry_off_wall = telemetry_off_wall.min(off);
         // Drop the previous traced run's buffers *before* timing the next
@@ -286,7 +298,8 @@ fn main() {
         // run-to-run noise floor).
         drop(last_tel);
         let t0 = Instant::now();
-        let (traced_report, tel) = bench_synthetic_traced("DH", synth_scale, seed);
+        let (traced_report, tel) =
+            dh_traced(synth_scale, seed, TelemetryConfig::default(), Backend::Sim);
         let on = t0.elapsed().as_secs_f64();
         telemetry_on_wall = telemetry_on_wall.min(on);
         assert_eq!(
@@ -314,12 +327,13 @@ fn main() {
     // the same way (best-of-five against the already-measured untraced
     // floor); the ring must not perturb the simulation, and its marginal
     // cost is gated by the same ceiling as full tracing.
+    let ring = TelemetryConfig::flight_only(jl_telemetry::DEFAULT_FLIGHT_CAPACITY);
     let mut ring_wall = f64::INFINITY;
-    let mut last_ring = bench_synthetic_ring("DH", synth_scale, seed).1;
+    let mut last_ring = dh_traced(synth_scale, seed, ring, Backend::Sim).1;
     for _ in 0..5 {
         drop(last_ring);
         let t0 = Instant::now();
-        let (ring_report, tel) = bench_synthetic_ring("DH", synth_scale, seed);
+        let (ring_report, tel) = dh_traced(synth_scale, seed, ring, Backend::Sim);
         let on = t0.elapsed().as_secs_f64();
         ring_wall = ring_wall.min(on);
         assert_eq!(
@@ -351,7 +365,12 @@ fn main() {
     // report, not just in the determinism suite.
     {
         let t0 = Instant::now();
-        let (report, tel) = bench_synthetic_traced_parallel("DH", synth_scale, seed, 8);
+        let (report, tel) = dh_traced(
+            synth_scale,
+            seed,
+            TelemetryConfig::default(),
+            Backend::Par(8),
+        );
         let wall = t0.elapsed().as_secs_f64();
         eprintln!(
             "bench_report: DH@par8+trace wall={wall:.3}s sim_events={} ({} trace events)",

@@ -11,12 +11,10 @@
 //! `JL_TRACE_SHARDS=N`) hosts that traced run on the parallel kernel —
 //! same trace bytes, N worker shards.
 
-use jl_bench::{fig_chaos, parse_args_full, write_trace};
+use jl_bench::{fig_chaos, parse_args_full};
 
 fn main() {
     let args = parse_args_full(1.0);
     println!("{}", fig_chaos(args.scale, args.seed).render());
-    if let Some(path) = args.trace {
-        write_trace(&path, args.scale, args.seed, args.trace_shards);
-    }
+    args.write_trace();
 }

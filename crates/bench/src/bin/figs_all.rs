@@ -9,7 +9,7 @@
 //! the parallel kernel with N worker shards — the trace bytes are
 //! identical to the serial run's.
 
-use jl_bench::{fig11, fig5, fig6, fig7, fig8, fig9, fig_chaos, parse_args_full, write_trace};
+use jl_bench::{fig11, fig5, fig6, fig7, fig8, fig9, fig_chaos, parse_args_full};
 use jl_workloads::SyntheticSpec;
 
 fn main() {
@@ -29,7 +29,5 @@ fn main() {
     if faults {
         println!("{}", fig_chaos(scale, seed).render());
     }
-    if let Some(path) = args.trace {
-        write_trace(&path, scale, seed, args.trace_shards);
-    }
+    args.write_trace();
 }

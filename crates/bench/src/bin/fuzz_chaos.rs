@@ -41,9 +41,8 @@
 //! command.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use jl_bench::chaos_retry;
+use jl_bench::{chaos_retry, digest_udfs};
 use jl_core::{OptimizerConfig, ShedMode, Strategy};
 use jl_engine::{
     build_store, build_store_active, reference_run, run_job, ClusterSpec, FeedMode, JobPlan,
@@ -53,7 +52,7 @@ use jl_engine::{
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::rng::{splitmix64, stream_rng};
 use jl_simkit::time::{SimDuration, SimTime};
-use jl_store::{DigestUdf, RowKey, UdfRegistry};
+use jl_store::RowKey;
 use jl_workloads::SyntheticSpec;
 use rand::Rng;
 
@@ -182,17 +181,6 @@ fn fuzz_cluster() -> ClusterSpec {
         regions_per_node: 16,
         ..ClusterSpec::default()
     }
-}
-
-fn registry(spec: &SyntheticSpec) -> UdfRegistry {
-    let mut u = UdfRegistry::new();
-    u.register(
-        UDF,
-        Arc::new(DigestUdf {
-            out_bytes: spec.output_size as usize,
-        }),
-    );
-    u
 }
 
 fn make_tuples(spec: &SyntheticSpec, z: f64, seed: u64, gap: SimDuration) -> Vec<JobTuple> {
@@ -361,26 +349,29 @@ fn run_once(
     let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
     optimizer.batch_max_wait = SimDuration::from_millis(5);
     let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer,
-        feed: FeedMode::Stream {
-            horizon: SimDuration::from_secs(100_000),
-            window: case.window,
-        },
-        plan: JobPlan::single(0, UDF),
-        seed: case.seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
         faults,
         retry,
-        telemetry: None,
         overload: Some(overload),
-        shed_policy: None,
         membership,
-        autoscale_policy: None,
+        ..JobSpec::new(
+            cluster.clone(),
+            optimizer,
+            FeedMode::Stream {
+                horizon: SimDuration::from_secs(100_000),
+                window: case.window,
+            },
+            JobPlan::single(0, UDF),
+            case.seed,
+            spec.udf_cpu.as_secs_f64(),
+        )
     };
-    run_job(&job, store, registry(spec), tuples, vec![])
+    run_job(
+        &job,
+        store,
+        digest_udfs(spec.output_size as usize),
+        tuples,
+        vec![],
+    )
 }
 
 /// Reconcile one report against the per-tuple reference fingerprints.
@@ -464,7 +455,7 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
     // Reference: the whole job executed directly against the store, and
     // each tuple's individual contribution for outcome reconciliation.
     let ref_store = build_store(&cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let udfs = registry(&spec);
+    let udfs = digest_udfs(spec.output_size as usize);
     let plan = JobPlan::single(0, UDF);
     let reference = reference_run(&ref_store, &udfs, &plan, &tuples);
     let per_tuple: HashMap<u64, u64> = tuples

@@ -42,60 +42,71 @@ fn help_text() -> &'static str {
      \x20 printf 'DUMP\\n'    | nc 127.0.0.1 9901   # flight ring -> --dump-path (Chrome trace)"
 }
 
-fn usage() -> ! {
-    eprintln!("{}", help_text());
-    std::process::exit(2);
-}
+/// Everything the command line selects: the served cluster, the request
+/// and stats ports, and `--once`.
+type Parsed = (ServeConfig, Option<u16>, Option<u16>, bool);
 
-fn parse_config() -> (ServeConfig, Option<u16>, Option<u16>, bool) {
+/// Parse `args` (without the program name). Values come from outside the
+/// program, so every inconsistency is an `Err` for `main` to report —
+/// none may reach the engine's config assertions.
+fn parse_config(args: &[String]) -> Result<Parsed, String> {
     let mut cfg = ServeConfig::default();
     let mut port: Option<u16> = None;
     let mut stats_port: Option<u16> = None;
     let mut once = false;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    let num = |args: &[String], i: &mut usize| -> u64 {
-        *i += 1;
-        args.get(*i)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage())
-    };
+    let mut it = args.iter();
+    fn num<T: std::str::FromStr>(
+        flag: &str,
+        it: &mut std::slice::Iter<String>,
+    ) -> Result<T, String> {
+        let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        raw.parse()
+            .map_err(|_| format!("{flag} {raw:?}: not a valid number"))
+    }
     fn obs(cfg: &mut ServeConfig) -> &mut ObserveConfig {
         cfg.observe.get_or_insert_with(ObserveConfig::default)
     }
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(flag) = it.next() {
+        let it = &mut it;
+        match flag.as_str() {
             "--help" | "-h" => {
                 println!("{}", help_text());
                 std::process::exit(0);
             }
-            "--port" => port = Some(num(&args, &mut i) as u16),
+            "--port" => port = Some(num(flag, it)?),
             "--once" => once = true,
-            "--compute" => cfg.n_compute = num(&args, &mut i).max(1) as usize,
-            "--data" => cfg.n_data = num(&args, &mut i).max(1) as usize,
-            "--rows" => cfg.rows = num(&args, &mut i).max(1),
-            "--value-bytes" => cfg.value_size = num(&args, &mut i),
-            "--seed" => cfg.seed = num(&args, &mut i),
-            "--deadline-ms" => cfg.deadline_ms = Some(num(&args, &mut i)),
+            "--compute" => cfg.n_compute = num::<usize>(flag, it)?.max(1),
+            "--data" => cfg.n_data = num::<usize>(flag, it)?.max(1),
+            "--rows" => cfg.rows = num::<u64>(flag, it)?.max(1),
+            "--value-bytes" => cfg.value_size = num(flag, it)?,
+            "--seed" => cfg.seed = num(flag, it)?,
+            "--deadline-ms" => {
+                let ms: u64 = num(flag, it)?;
+                if ms == 0 {
+                    return Err("--deadline-ms 0: the deadline budget must be positive".into());
+                }
+                cfg.deadline_ms = Some(ms);
+            }
             "--no-retry" => cfg.retry = false,
             "--no-overload" => cfg.overload = false,
             "--stats-port" => {
-                stats_port = Some(num(&args, &mut i) as u16);
+                stats_port = Some(num(flag, it)?);
                 obs(&mut cfg);
             }
-            "--flight" => obs(&mut cfg).flight = num(&args, &mut i).max(1) as usize,
-            "--slo-ms" => obs(&mut cfg).slo_p99_ms = Some(num(&args, &mut i)),
-            "--sample-ms" => obs(&mut cfg).sample_ms = num(&args, &mut i).max(1),
+            "--flight" => obs(&mut cfg).flight = num::<usize>(flag, it)?.max(1),
+            "--slo-ms" => obs(&mut cfg).slo_p99_ms = Some(num(flag, it)?),
+            "--sample-ms" => obs(&mut cfg).sample_ms = num::<u64>(flag, it)?.max(1),
             "--dump-path" => {
-                i += 1;
-                let p = args.get(i).cloned().unwrap_or_else(|| usage());
+                let p = it.next().ok_or("--dump-path needs a value")?;
                 obs(&mut cfg).dump_path = Some(PathBuf::from(p));
             }
-            _ => usage(),
+            other => return Err(format!("unknown argument {other:?}")),
         }
-        i += 1;
     }
-    (cfg, port, stats_port, once)
+    if cfg.deadline_ms.is_some() && !cfg.overload {
+        return Err("--deadline-ms requires overload protection; drop --no-overload".into());
+    }
+    Ok((cfg, port, stats_port, once))
 }
 
 fn summarize(stats: &ServeStats) {
@@ -149,7 +160,11 @@ fn stats_listener(listener: TcpListener, shared: Arc<ServeShared>) {
 }
 
 fn main() -> std::io::Result<()> {
-    let (cfg, port, stats_port, once) = parse_config();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (cfg, port, stats_port, once) = parse_config(&args).unwrap_or_else(|e| {
+        eprintln!("jl-serve: {e}\n{}", help_text());
+        std::process::exit(2);
+    });
     let shared = Arc::new(ServeShared::new());
     if let Some(sp) = stats_port {
         let listener = TcpListener::bind(("127.0.0.1", sp))?;
@@ -188,4 +203,34 @@ fn main() -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Parsed, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_config(&args)
+    }
+
+    #[test]
+    fn deadline_flags_the_engine_would_assert_on_are_parse_errors() {
+        let (cfg, ..) = parse(&["--deadline-ms", "50", "--port", "0"]).unwrap();
+        assert_eq!(cfg.deadline_ms, Some(50));
+        assert!(parse(&["--deadline-ms", "0"])
+            .unwrap_err()
+            .contains("positive"));
+        // Either order: the budget would be silently dropped without the
+        // overload plane that enforces it.
+        for args in [
+            ["--no-overload", "--deadline-ms", "50"],
+            ["--deadline-ms", "50", "--no-overload"],
+        ] {
+            assert!(parse(&args).unwrap_err().contains("--no-overload"));
+        }
+        assert!(parse(&["--deadline-ms"]).is_err());
+        assert!(parse(&["--port", "70000"]).is_err());
+        assert!(parse(&["--bogus"]).is_err());
+    }
 }

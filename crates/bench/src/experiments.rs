@@ -15,9 +15,8 @@ use jl_engine::baselines::{run_reduce_side, ReduceSideKind};
 use jl_engine::plan::{JobPlan, JobTuple, StageSpec};
 use jl_engine::shuffle::run_shuffle_multijoin;
 use jl_engine::{
-    build_store, build_store_active, run_job, run_job_parallel, run_job_parallel_traced,
-    run_job_real_traced, run_job_traced, AutoscaleConfig, ClusterSpec, FeedMode, JobSpec,
-    MembershipConfig, MembershipEvent, OverloadConfig, RetryConfig, RunReport,
+    build_store, build_store_active, run_job, run_job_on, AutoscaleConfig, Backend, ClusterSpec,
+    FeedMode, JobSpec, MembershipConfig, MembershipEvent, OverloadConfig, RetryConfig, RunReport,
 };
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::rng::stream_rng;
@@ -111,7 +110,9 @@ fn build_model_store(cluster: &ClusterSpec, w: &AnnotationWorkload) -> StoreClus
     store
 }
 
-fn digest_udfs(out_bytes: usize) -> UdfRegistry {
+/// The single-UDF registry every synthetic experiment runs against: a
+/// [`DigestUdf`] emitting `out_bytes` per call, registered under id 0.
+pub fn digest_udfs(out_bytes: usize) -> UdfRegistry {
     let mut u = UdfRegistry::new();
     u.register(UDF, Arc::new(DigestUdf { out_bytes }));
     u
@@ -125,7 +126,22 @@ fn optimizer_for(strategy: Strategy, mem_cache: u64) -> OptimizerConfig {
     cfg
 }
 
-fn synthetic_tuples(spec: &SyntheticSpec, z: f64, shift_epochs: u64, seed: u64) -> Vec<JobTuple> {
+/// `spec` with its input volume scaled by `tuple_scale` (1.0 = figure
+/// scale), floored at 1000 tuples so a tiny scale still exercises every
+/// node.
+pub fn scaled(mut spec: SyntheticSpec, tuple_scale: f64) -> SyntheticSpec {
+    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
+    spec
+}
+
+/// The synthetic input stream as single-key job tuples, all arriving at
+/// time zero (streaming experiments re-pace them).
+pub fn synthetic_tuples(
+    spec: &SyntheticSpec,
+    z: f64,
+    shift_epochs: u64,
+    seed: u64,
+) -> Vec<JobTuple> {
     let mut rng = stream_rng(seed, "tuples");
     spec.tuples(z, shift_epochs, &mut rng, seed)
         .into_iter()
@@ -138,381 +154,157 @@ fn synthetic_tuples(spec: &SyntheticSpec, z: f64, shift_epochs: u64, seed: u64) 
         .collect()
 }
 
-/// Run one synthetic batch job, optionally with telemetry recording, and
-/// return its full [`RunReport`] plus the collected trace/metrics when
-/// tracing was requested. The telemetry-off path is the exact job the
-/// figures run; the recorder never perturbs the simulation (the runner's
-/// tests pin duration/fingerprint equality).
-#[allow(clippy::too_many_arguments)]
-fn run_synthetic_cell(
-    spec: &SyntheticSpec,
-    strategy: Strategy,
-    z: f64,
-    shift_epochs: u64,
-    freeze_frac: Option<f64>,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-    telemetry: Option<TelemetryConfig>,
-) -> (RunReport, Option<RunTelemetry>) {
-    run_synthetic_cell_on(
-        spec,
-        strategy,
-        z,
-        shift_epochs,
-        freeze_frac,
-        cluster,
-        mem_cache,
-        seed,
-        telemetry,
-        CellBackend::Sim,
-    )
-}
-
-/// Which runtime hosts a synthetic cell (see [`run_synthetic_cell_on`]).
-#[derive(Clone, Copy)]
-enum CellBackend {
-    /// The serial simulation kernel ([`run_job_traced`]).
-    Sim,
-    /// The wall-clock backend ([`run_job_real_traced`]).
-    Real,
-    /// The node-sharded parallel kernel with this many worker shards
-    /// ([`run_job_parallel_traced`]).
-    Par(usize),
-}
-
-/// [`run_synthetic_cell`] with a backend switch: the identical job hosted
-/// on the serial kernel, the wall-clock backend, or the parallel kernel —
-/// same construction, same policies, join results matching across all
-/// three (the parity and determinism suites pin it).
-#[allow(clippy::too_many_arguments)]
-fn run_synthetic_cell_on(
-    spec: &SyntheticSpec,
-    strategy: Strategy,
-    z: f64,
-    shift_epochs: u64,
-    freeze_frac: Option<f64>,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-    telemetry: Option<TelemetryConfig>,
-    backend: CellBackend,
-) -> (RunReport, Option<RunTelemetry>) {
-    let store = build_store(cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let tuples = synthetic_tuples(spec, z, shift_epochs, seed);
-    let mut optimizer = optimizer_for(strategy, mem_cache);
-    if let Some(frac) = freeze_frac {
-        // The freeze counter is per compute node.
-        let per_node = tuples.len() as f64 / cluster.n_compute as f64;
-        optimizer.freeze_cache_after = Some((per_node * frac) as u64);
+/// Space the tuples' arrivals: tuple `i` arrives `gap(i)` after tuple
+/// `i - 1` (the first one `gap(0)` after time zero).
+fn pace(tuples: &mut [JobTuple], gap: impl Fn(usize) -> SimDuration) {
+    let mut at = SimTime::ZERO;
+    for (i, t) in tuples.iter_mut().enumerate() {
+        at += gap(i);
+        t.arrival = at;
     }
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer,
-        feed: FeedMode::Batch {
-            window: window_for(strategy, cluster, tuples.len() / cluster.n_compute),
-        },
-        plan: JobPlan::single(0, UDF),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
-    let udfs = digest_udfs(spec.output_size as usize);
-    let (report, tel) = match backend {
-        CellBackend::Sim => run_job_traced(&job, store, udfs, tuples, vec![]),
-        CellBackend::Real => run_job_real_traced(&job, store, udfs, tuples, vec![]),
-        CellBackend::Par(threads) => {
-            run_job_parallel_traced(&job, store, udfs, tuples, vec![], threads)
+}
+
+/// Everything a synthetic job's run needs, in [`run_job_on`] order.
+pub type JobInputs = (JobSpec, StoreCluster, UdfRegistry, Vec<JobTuple>);
+
+/// One synthetic batch job, described by the knobs the figures move.
+/// Every synthetic experiment — figure cells, the kernel benchmark, the
+/// chaos/overload/elastic scenarios, the ablations — is this descriptor
+/// plus, at most, a few edits to the [`JobSpec`] it builds.
+#[derive(Clone)]
+pub struct SyntheticCell {
+    /// Store and input-stream shape.
+    pub spec: SyntheticSpec,
+    /// Placement strategy (also picks the issue window, see `window_for`).
+    pub strategy: Strategy,
+    /// Zipf skew of the key stream.
+    pub z: f64,
+    /// How many times the hot set shifts over the run (1 = static).
+    pub shift_epochs: u64,
+    /// Freeze the cache after this fraction of each compute node's input
+    /// (Figure 9's non-adaptive baseline); `None` keeps adapting.
+    pub freeze_frac: Option<f64>,
+    /// Cluster topology and hardware.
+    pub cluster: ClusterSpec,
+    /// Compute-side memory cache, bytes.
+    pub mem_cache: u64,
+    /// Root seed for the input stream and the run.
+    pub seed: u64,
+    /// Recorder configuration; `None` (what every figure runs) records
+    /// nothing. The recorder never perturbs the run (the runner's tests
+    /// pin report equality).
+    pub telemetry: Option<TelemetryConfig>,
+}
+
+impl SyntheticCell {
+    /// The figure-standard cell for `spec` at skew `z`: full optimizer,
+    /// static hot set, the §9.3 cluster, a 32 MB cache, tracing off.
+    pub fn new(spec: SyntheticSpec, z: f64, seed: u64) -> Self {
+        SyntheticCell {
+            spec,
+            strategy: Strategy::Full,
+            z,
+            shift_epochs: 1,
+            freeze_frac: None,
+            cluster: synthetic_cluster(),
+            mem_cache: 32 << 20,
+            seed,
+            telemetry: None,
         }
-    };
-    if std::env::var("JL_DEBUG").is_ok() {
-        eprintln!(
-            "syn {} z={z}: dur={:?} dec={:?} cache={:?}",
-            spec.name, report.duration, report.decisions, report.cache
-        );
     }
-    (report, tel)
-}
 
-/// Run one synthetic batch job and return its full [`RunReport`] (the
-/// bench harness reads simulated-event counts from it; figures only need
-/// the duration — see [`run_synthetic`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic_report(
-    spec: &SyntheticSpec,
-    strategy: Strategy,
-    z: f64,
-    shift_epochs: u64,
-    freeze_frac: Option<f64>,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-) -> RunReport {
-    run_synthetic_cell(
-        spec,
-        strategy,
-        z,
-        shift_epochs,
-        freeze_frac,
-        cluster,
-        mem_cache,
-        seed,
-        None,
-    )
-    .0
-}
+    /// The cell's job and inputs, every data node owning regions.
+    pub fn build(&self) -> JobInputs {
+        self.build_on(self.cluster.n_data)
+    }
 
-/// Run one synthetic batch job and return its duration in seconds.
-#[allow(clippy::too_many_arguments)]
-pub fn run_synthetic(
-    spec: &SyntheticSpec,
-    strategy: Strategy,
-    z: f64,
-    shift_epochs: u64,
-    freeze_frac: Option<f64>,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-) -> f64 {
-    run_synthetic_report(
-        spec,
-        strategy,
-        z,
-        shift_epochs,
-        freeze_frac,
-        cluster,
-        mem_cache,
-        seed,
-    )
-    .duration
-    .as_secs_f64()
+    /// [`build`](Self::build) with the store's regions placed on the first
+    /// `active` data nodes only (the layout an elastic run starts from).
+    pub fn build_on(&self, active: usize) -> JobInputs {
+        let (spec, cluster) = (&self.spec, &self.cluster);
+        let rows = vec![(spec.name.into(), spec.rows(1).collect())];
+        let store = build_store_active(cluster, rows, active);
+        let tuples = synthetic_tuples(spec, self.z, self.shift_epochs, self.seed);
+        let per_node = tuples.len() / cluster.n_compute;
+        let mut optimizer = optimizer_for(self.strategy, self.mem_cache);
+        // The freeze counter is per compute node.
+        optimizer.freeze_cache_after = self
+            .freeze_frac
+            .map(|f| (tuples.len() as f64 / cluster.n_compute as f64 * f) as u64);
+        let job = JobSpec {
+            telemetry: self.telemetry,
+            ..JobSpec::new(
+                cluster.clone(),
+                optimizer,
+                FeedMode::Batch {
+                    window: window_for(self.strategy, cluster, per_node),
+                },
+                JobPlan::single(0, UDF),
+                self.seed,
+                spec.udf_cpu.as_secs_f64(),
+            )
+        };
+        (job, store, digest_udfs(spec.output_size as usize), tuples)
+    }
+
+    /// Run the cell on `backend`: the identical job on the serial kernel,
+    /// the parallel kernel, or the wall clock — join results match across
+    /// all three, and the simulated two agree byte for byte (the parity
+    /// and determinism suites pin it).
+    pub fn run(&self, backend: Backend) -> (RunReport, Option<RunTelemetry>) {
+        let (job, store, udfs, tuples) = self.build();
+        run_job_on(&job, backend, store, udfs, tuples, vec![])
+    }
+
+    /// Simulated seconds the cell takes on the serial kernel.
+    fn sim_secs(&self) -> f64 {
+        self.run(Backend::Sim).0.duration.as_secs_f64()
+    }
 }
 
 /// One pinned workload of the tracked kernel benchmark (`bench_report`):
-/// the named synthetic spec ("DH" / "CH" / "DCH") at z = 1.0 under the
-/// full optimizer, on the §9.3 cluster with the figure-standard 32 MB
-/// cache. `tuple_scale` scales the input volume (1.0 = figure scale).
-pub fn bench_synthetic_report(spec_name: &str, tuple_scale: f64, seed: u64) -> RunReport {
-    let mut spec = match spec_name {
+/// the named synthetic spec ("DH" / "CH" / "DCH") as a figure-standard
+/// cell at z = 1.0. `tuple_scale` scales the input volume (1.0 = figure
+/// scale). Arm `telemetry` and pick a [`Backend`] on the returned cell.
+pub fn bench_cell(spec_name: &str, tuple_scale: f64, seed: u64) -> SyntheticCell {
+    let spec = match spec_name {
         "DH" => SyntheticSpec::dh(),
         "CH" => SyntheticSpec::ch(),
         "DCH" => SyntheticSpec::dch(),
         other => panic!("unknown bench workload {other:?} (expected DH, CH or DCH)"),
     };
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    run_synthetic_report(
-        &spec,
-        Strategy::Full,
-        1.0,
-        1,
-        None,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-    )
+    SyntheticCell::new(scaled(spec, tuple_scale), 1.0, seed)
 }
 
-/// The same pinned kernel workload as [`bench_synthetic_report`], run with
-/// telemetry recording on. `bench_report` times this against the untraced
-/// run to track the observability overhead (spans + metrics snapshot) in
-/// `BENCH_kernel.json`.
-pub fn bench_synthetic_traced(
-    spec_name: &str,
-    tuple_scale: f64,
-    seed: u64,
-) -> (RunReport, RunTelemetry) {
-    let mut spec = match spec_name {
-        "DH" => SyntheticSpec::dh(),
-        "CH" => SyntheticSpec::ch(),
-        "DCH" => SyntheticSpec::dch(),
-        other => panic!("unknown bench workload {other:?} (expected DH, CH or DCH)"),
-    };
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let (report, tel) = run_synthetic_cell(
-        &spec,
-        Strategy::Full,
-        1.0,
-        1,
-        None,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        Some(TelemetryConfig::default()),
-    );
-    (report, tel.expect("telemetry was requested"))
-}
-
-/// The same pinned kernel workload as [`bench_synthetic_report`], run
-/// with the always-on flight recorder armed and the span buffer *off* —
-/// the long-running-server telemetry shape. `bench_report` times this
-/// against the untraced run to track the ring's marginal cost (it must
-/// stay under the same ceiling as full tracing; in practice it is far
-/// cheaper, since nothing unbounded is buffered).
-pub fn bench_synthetic_ring(
-    spec_name: &str,
-    tuple_scale: f64,
-    seed: u64,
-) -> (RunReport, RunTelemetry) {
-    let mut spec = match spec_name {
-        "DH" => SyntheticSpec::dh(),
-        "CH" => SyntheticSpec::ch(),
-        "DCH" => SyntheticSpec::dch(),
-        other => panic!("unknown bench workload {other:?} (expected DH, CH or DCH)"),
-    };
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let (report, tel) = run_synthetic_cell(
-        &spec,
-        Strategy::Full,
-        1.0,
-        1,
-        None,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        Some(TelemetryConfig::flight_only(
-            jl_telemetry::DEFAULT_FLIGHT_CAPACITY,
-        )),
-    );
-    (report, tel.expect("telemetry was requested"))
-}
-
-/// [`bench_synthetic_traced`] on the node-sharded parallel kernel with
-/// `threads` worker shards. Both the [`RunReport`] and the telemetry —
-/// Chrome trace JSON and metrics snapshot — are byte-identical to the
-/// serial traced run; `bench_report` and the determinism suite assert it.
-pub fn bench_synthetic_traced_parallel(
-    spec_name: &str,
-    tuple_scale: f64,
-    seed: u64,
-    threads: usize,
-) -> (RunReport, RunTelemetry) {
-    let mut spec = match spec_name {
-        "DH" => SyntheticSpec::dh(),
-        "CH" => SyntheticSpec::ch(),
-        "DCH" => SyntheticSpec::dch(),
-        other => panic!("unknown bench workload {other:?} (expected DH, CH or DCH)"),
-    };
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let (report, tel) = run_synthetic_cell_on(
-        &spec,
-        Strategy::Full,
-        1.0,
-        1,
-        None,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        Some(TelemetryConfig::default()),
-        CellBackend::Par(threads),
-    );
-    (report, tel.expect("telemetry was requested"))
-}
-
-/// The same pinned kernel workload as [`bench_synthetic_report`], run on
-/// the wall-clock backend. Wall time here is real elapsed time (the loop
-/// paces modeled events against the host clock), while the join
-/// fingerprint must match the simulated run exactly — `bench_report`
-/// asserts it.
-pub fn bench_synthetic_report_real(spec_name: &str, tuple_scale: f64, seed: u64) -> RunReport {
-    let mut spec = match spec_name {
-        "DH" => SyntheticSpec::dh(),
-        "CH" => SyntheticSpec::ch(),
-        "DCH" => SyntheticSpec::dch(),
-        other => panic!("unknown bench workload {other:?} (expected DH, CH or DCH)"),
-    };
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    run_synthetic_cell_on(
-        &spec,
-        Strategy::Full,
-        1.0,
-        1,
-        None,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        None,
-        CellBackend::Real,
-    )
-    .0
-}
-
-/// The same pinned kernel workload as [`bench_synthetic_report`], run on
-/// the node-sharded parallel kernel with `threads` worker threads. The
-/// report — join fingerprint included — is bit-identical to the serial
-/// run for any thread count; `bench_report` and the determinism suite
-/// both assert it.
-pub fn bench_synthetic_report_parallel(
-    spec_name: &str,
-    tuple_scale: f64,
-    seed: u64,
-    threads: usize,
-) -> RunReport {
-    let mut spec = match spec_name {
-        "DH" => SyntheticSpec::dh(),
-        "CH" => SyntheticSpec::ch(),
-        "DCH" => SyntheticSpec::dch(),
-        other => panic!("unknown bench workload {other:?} (expected DH, CH or DCH)"),
-    };
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let cluster = synthetic_cluster();
-    let store = build_store(&cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let tuples = synthetic_tuples(&spec, 1.0, 1, seed);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: optimizer_for(Strategy::Full, 32 << 20),
-        feed: FeedMode::Batch {
-            window: window_for(Strategy::Full, &cluster, tuples.len() / cluster.n_compute),
-        },
-        plan: JobPlan::single(0, UDF),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
-    let udfs = digest_udfs(spec.output_size as usize);
-    run_job_parallel(&job, store, udfs, tuples, vec![], threads)
+/// The job shape the `ablation_*` binaries share: `cell`'s inputs, but the
+/// optimizer at its library defaults (only the cache size set) under a
+/// fixed 256-tuple window, so a sweep moves exactly the knob it names.
+pub fn ablation_inputs(cell: &SyntheticCell) -> JobInputs {
+    let (mut job, store, udfs, tuples) = cell.build();
+    job.optimizer = OptimizerConfig::for_strategy(cell.strategy);
+    job.optimizer.mem_cache_bytes = cell.mem_cache;
+    job.feed = FeedMode::Batch { window: 256 };
+    (job, store, udfs, tuples)
 }
 
 /// Figure 8 (a: DH, b: CH, c: DCH): Hadoop-mode synthetic workloads,
 /// normalized time vs skew for NO/FC/FD/FR/CO/LO/FO.
 pub fn fig8(spec: &SyntheticSpec, tuple_scale: f64, seed: u64) -> FigTable {
-    let mut spec = spec.clone();
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let cluster = synthetic_cluster();
-    let mem_cache = 32 << 20;
+    let spec = scaled(spec.clone(), tuple_scale);
+    let secs = |z: f64, strategy: Strategy| {
+        SyntheticCell {
+            strategy,
+            ..SyntheticCell::new(spec.clone(), z, seed)
+        }
+        .sim_secs()
+    };
     let strategies = Strategy::all();
-    let base = run_synthetic(
-        &spec,
-        Strategy::NoOpt,
-        0.0,
-        1,
-        None,
-        &cluster,
-        mem_cache,
-        seed,
-    );
+    let base = secs(0.0, Strategy::NoOpt);
     let points: Vec<(f64, Strategy)> = SKEWS
         .iter()
         .flat_map(|&z| strategies.iter().map(move |&s| (z, s)))
         .collect();
-    let times = run_grid(points, |(z, s)| {
-        run_synthetic(&spec, s, z, 1, None, &cluster, mem_cache, seed) / base
-    });
+    let times = run_grid(points, |(z, s)| secs(z, s) / base);
     let mut rows = Vec::new();
     for (zi, &z) in SKEWS.iter().enumerate() {
         let vals = times[zi * strategies.len()..(zi + 1) * strategies.len()].to_vec();
@@ -532,8 +324,6 @@ pub fn fig8(spec: &SyntheticSpec, tuple_scale: f64, seed: u64) -> FigTable {
 /// Figure 9: ratio of non-adaptive to adaptive (FO) time under a shifting
 /// key distribution (hot set changes 10× per run).
 pub fn fig9(tuple_scale: f64, seed: u64) -> FigTable {
-    let cluster = synthetic_cluster();
-    let mem_cache = 32 << 20;
     let mut rows: Vec<(String, Vec<f64>)> =
         SKEWS.iter().map(|z| (format!("{z}"), Vec::new())).collect();
     let specs = [
@@ -542,30 +332,17 @@ pub fn fig9(tuple_scale: f64, seed: u64) -> FigTable {
         SyntheticSpec::ch(),
     ];
     for spec in &specs {
-        let mut spec = spec.clone();
-        spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
+        let spec = scaled(spec.clone(), tuple_scale);
         let ratios = run_grid(SKEWS.to_vec(), |z| {
-            let adaptive = run_synthetic(
-                &spec,
-                Strategy::Full,
-                z,
-                10,
-                None,
-                &cluster,
-                mem_cache,
-                seed,
-            );
-            let frozen = run_synthetic(
-                &spec,
-                Strategy::Full,
-                z,
-                10,
-                Some(0.1),
-                &cluster,
-                mem_cache,
-                seed,
-            );
-            frozen / adaptive
+            let adaptive = SyntheticCell {
+                shift_epochs: 10,
+                ..SyntheticCell::new(spec.clone(), z, seed)
+            };
+            let frozen = SyntheticCell {
+                freeze_frac: Some(0.1),
+                ..adaptive.clone()
+            };
+            frozen.sim_secs() / adaptive.sim_secs()
         });
         for (zi, r) in ratios.into_iter().enumerate() {
             rows[zi].1.push(r);
@@ -588,82 +365,36 @@ pub const STREAM_STRATEGIES: [Strategy; 5] = [
     Strategy::Full,
 ];
 
-/// Run one synthetic streaming job and return its full [`RunReport`].
-pub fn run_synthetic_stream_report(
-    spec: &SyntheticSpec,
-    strategy: Strategy,
-    z: f64,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-) -> RunReport {
-    let store = build_store(cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let mut tuples = synthetic_tuples(spec, z, 1, seed);
+/// Run `cell` as a saturating stream and return its throughput
+/// (tuples/s).
+fn stream_throughput(cell: &SyntheticCell) -> f64 {
+    let (mut job, store, udfs, mut tuples) = cell.build();
     // Offered load: arrivals spread thinly enough to be schedulable but
     // fast enough to keep every strategy saturated (drain throughput).
-    let gap = SimDuration::from_micros(20);
-    let mut at = SimTime::ZERO;
-    for t in &mut tuples {
-        at += gap;
-        t.arrival = at;
-    }
-    let optimizer = optimizer_for(strategy, mem_cache);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer,
-        feed: FeedMode::Stream {
-            horizon: SimDuration::from_secs(100_000),
-            window: window_for(strategy, cluster, 256 * 50),
-        },
-        plan: JobPlan::single(0, UDF),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
+    pace(&mut tuples, |_| SimDuration::from_micros(20));
+    job.feed = FeedMode::Stream {
+        horizon: SimDuration::from_secs(100_000),
+        window: window_for(cell.strategy, &cell.cluster, 256 * 50),
     };
-    run_job(
-        &job,
-        store,
-        digest_udfs(spec.output_size as usize),
-        tuples,
-        vec![],
-    )
-}
-
-/// Run one synthetic streaming job; returns throughput (tuples/s).
-pub fn run_synthetic_stream(
-    spec: &SyntheticSpec,
-    strategy: Strategy,
-    z: f64,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-) -> f64 {
-    run_synthetic_stream_report(spec, strategy, z, cluster, mem_cache, seed).throughput()
+    run_job(&job, store, udfs, tuples, vec![]).throughput()
 }
 
 /// Figure 11 (a: DH, b: CH, c: DCH): Muppet-mode synthetic workloads,
 /// normalized throughput vs skew for NO/FC/FD/FR/FO.
 pub fn fig11(spec: &SyntheticSpec, tuple_scale: f64, seed: u64) -> FigTable {
-    let mut spec = spec.clone();
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let cluster = synthetic_cluster();
-    let mem_cache = 32 << 20;
-    let base = run_synthetic_stream(&spec, Strategy::NoOpt, 0.0, &cluster, mem_cache, seed);
+    let spec = scaled(spec.clone(), tuple_scale);
+    let thr = |z: f64, strategy: Strategy| {
+        stream_throughput(&SyntheticCell {
+            strategy,
+            ..SyntheticCell::new(spec.clone(), z, seed)
+        })
+    };
+    let base = thr(0.0, Strategy::NoOpt);
     let points: Vec<(f64, Strategy)> = SKEWS
         .iter()
         .flat_map(|&z| STREAM_STRATEGIES.iter().map(move |&s| (z, s)))
         .collect();
-    let thr = run_grid(points, |(z, s)| {
-        run_synthetic_stream(&spec, s, z, &cluster, mem_cache, seed) / base
-    });
+    let thr = run_grid(points, |(z, s)| thr(z, s) / base);
     let mut rows = Vec::new();
     for (zi, &z) in SKEWS.iter().enumerate() {
         let vals = thr[zi * STREAM_STRATEGIES.len()..(zi + 1) * STREAM_STRATEGIES.len()].to_vec();
@@ -752,41 +483,20 @@ pub fn fig5(doc_scale: f64, seed: u64) -> FigTable {
         }
         Cell::Framework(strategy) => {
             let store = build_model_store(&cluster, &w);
-            let job = JobSpec {
-                cluster: cluster.clone(),
+            let job = JobSpec::new(
+                cluster.clone(),
                 // 10 MB: the paper's 100 MB cache scaled 1:10 with the
                 // models, so the biggest models exceed the memory cache as
                 // they do in the paper.
-                optimizer: optimizer_for(strategy, 10 << 20),
-                feed: FeedMode::Batch {
+                optimizer_for(strategy, 10 << 20),
+                FeedMode::Batch {
                     window: window_for(strategy, &cluster, tuples.len() / cluster.n_compute),
                 },
-                plan: Arc::clone(&plan),
+                Arc::clone(&plan),
                 seed,
-                udf_cpu_hint: 0.002,
-                policy: None,
-                decision_sink: None,
-                faults: None,
-                retry: None,
-                telemetry: None,
-                overload: None,
-                shed_policy: None,
-                membership: None,
-                autoscale_policy: None,
-            };
+                0.002,
+            );
             let r = run_job(&job, store, udfs.clone(), tuples.clone(), vec![]);
-            if std::env::var("JL_DEBUG").is_ok() {
-                eprintln!(
-                    "fig5 {}: dur={:?} dec={:?} cache={:?} mean_cpu={:.3} max_cpu={:.3} bytes={}",
-                    strategy.label(),
-                    r.duration,
-                    r.decisions,
-                    r.cache,
-                    r.mean_data_cpu_util,
-                    r.max_data_cpu_util,
-                    r.net_bytes
-                );
-            }
             (
                 strategy.label().to_string(),
                 r.duration.as_secs_f64() / 60.0,
@@ -839,40 +549,18 @@ fn fig6_run(
 ) -> RunReport {
     let cluster = ClusterSpec::default();
     let store = build_model_store(&cluster, w);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: optimizer_for(strategy, 100 << 20),
-        feed: FeedMode::Stream {
+    let job = JobSpec::new(
+        cluster.clone(),
+        optimizer_for(strategy, 100 << 20),
+        FeedMode::Stream {
             horizon: SimDuration::from_secs(100_000),
             window: window_for(strategy, &cluster, 256 * 50),
         },
-        plan: JobPlan::single(0, UDF),
+        JobPlan::single(0, UDF),
         seed,
-        udf_cpu_hint: 0.002,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
-    let r = run_job(&job, store, digest_udfs(96), tuples.to_vec(), vec![]);
-    if std::env::var("JL_DEBUG").is_ok() {
-        eprintln!(
-            "fig6 {}: dur={:?} dec={:?} cache={:?} mean_cpu={:.3} max_cpu={:.3} bytes={}",
-            strategy.label(),
-            r.duration,
-            r.decisions,
-            r.cache,
-            r.mean_data_cpu_util,
-            r.max_data_cpu_util,
-            r.net_bytes
-        );
-    }
-    r
+        0.002,
+    );
+    run_job(&job, store, digest_udfs(96), tuples.to_vec(), vec![])
 }
 
 /// One pinned fig6 streaming cell for the bench harness: the run's
@@ -952,153 +640,49 @@ pub fn chaos_retry(baseline: SimDuration) -> RetryConfig {
     }
 }
 
-/// Run one synthetic chaos cell: first a fault-free run of the exact same
-/// job (its duration calibrates the fault plan's timeline and the retry
-/// timeouts, and its fingerprint is the exactly-once reference), then the
-/// same job under injected faults with timeout/retry/failover enabled.
-/// Returns `(healthy, chaos)`.
+/// Run one synthetic chaos cell: first a fault-free, untraced run of
+/// `cell` on the serial kernel (its duration calibrates the fault plan's
+/// timeline and the retry timeouts, and its fingerprint is the
+/// exactly-once reference), then the same job on `backend` under injected
+/// faults with timeout/retry/failover enabled — recording telemetry if
+/// the cell asks for it. Returns `(healthy, chaos, chaos telemetry)`.
 pub fn run_chaos_report(
-    spec: &SyntheticSpec,
-    strategy: Strategy,
-    z: f64,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-) -> (RunReport, RunReport) {
-    let (healthy, chaos, _) =
-        run_chaos_cell(spec, strategy, z, cluster, mem_cache, seed, None, None);
-    (healthy, chaos)
-}
-
-/// The chaos cell with an optional telemetry recorder on the *chaos* run
-/// (the healthy calibration run stays untraced — it only sets the fault
-/// timeline). Shared by [`run_chaos_report`] and [`traced_chaos_run`].
-#[allow(clippy::too_many_arguments)]
-fn run_chaos_cell(
-    spec: &SyntheticSpec,
-    strategy: Strategy,
-    z: f64,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-    telemetry: Option<TelemetryConfig>,
-    threads: Option<usize>,
+    cell: &SyntheticCell,
+    backend: Backend,
 ) -> (RunReport, RunReport, Option<RunTelemetry>) {
-    let healthy = run_synthetic_report(spec, strategy, z, 1, None, cluster, mem_cache, seed);
-    let store = build_store(cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let tuples = synthetic_tuples(spec, z, 1, seed);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: optimizer_for(strategy, mem_cache),
-        feed: FeedMode::Batch {
-            window: window_for(strategy, cluster, tuples.len() / cluster.n_compute),
-        },
-        plan: JobPlan::single(0, UDF),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: Some(chaos_fault_plan(cluster, healthy.duration, seed)),
-        retry: Some(chaos_retry(healthy.duration)),
-        telemetry,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
-    let udfs = digest_udfs(spec.output_size as usize);
-    let (chaos, tel) = match threads {
-        None => run_job_traced(&job, store, udfs, tuples, vec![]),
-        Some(n) => run_job_parallel_traced(&job, store, udfs, tuples, vec![], n),
-    };
-    if std::env::var("JL_DEBUG").is_ok() {
-        eprintln!(
-            "chaos {} {}: healthy={:?} chaos={:?} retries={} failovers={} gave_up={} dropped={} p99={}",
-            spec.name,
-            strategy.label(),
-            healthy.duration,
-            chaos.duration,
-            chaos.retries,
-            chaos.failovers,
-            chaos.gave_up,
-            chaos.dropped_messages,
-            chaos.p99_latency
-        );
+    let healthy = SyntheticCell {
+        telemetry: None,
+        ..cell.clone()
     }
+    .run(Backend::Sim)
+    .0;
+    let (mut job, store, udfs, tuples) = cell.build();
+    job.faults = Some(chaos_fault_plan(&cell.cluster, healthy.duration, cell.seed));
+    job.retry = Some(chaos_retry(healthy.duration));
+    let (chaos, tel) = run_job_on(&job, backend, store, udfs, tuples, vec![]);
     (healthy, chaos, tel)
 }
 
 /// The canonical traced run for trace export: the DH workload at z = 1.0
-/// under the chaos scenario with the full optimizer, telemetry recording
-/// on. It exercises every span source at once — per-node resource tracks,
-/// request lifecycles, placement decisions, cache activity, and the
-/// crash/straggler/lossy-link fault path with its retries and failovers.
-/// One single simulation cell, so its trace is byte-identical at any
-/// `--threads` count — and, via [`traced_chaos_run_parallel`], at any
-/// shard count (the determinism suite pins both).
-pub fn traced_chaos_run(tuple_scale: f64, seed: u64) -> (RunReport, RunTelemetry) {
-    let mut spec = SyntheticSpec::dh();
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let (_healthy, chaos, tel) = run_chaos_cell(
-        &spec,
-        Strategy::Full,
-        1.0,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        Some(TelemetryConfig::default()),
-        None,
-    );
-    (chaos, tel.expect("telemetry was requested"))
-}
-
-/// [`traced_chaos_run`] hosted on the node-sharded parallel kernel with
-/// `threads` worker shards. The trace and metrics snapshot are
-/// byte-identical to the serial run's; the determinism suite and the CI
-/// telemetry-smoke job both exercise this entry point.
-pub fn traced_chaos_run_parallel(
-    tuple_scale: f64,
-    seed: u64,
-    threads: usize,
-) -> (RunReport, RunTelemetry) {
-    let mut spec = SyntheticSpec::dh();
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let (_healthy, chaos, tel) = run_chaos_cell(
-        &spec,
-        Strategy::Full,
-        1.0,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        Some(TelemetryConfig::default()),
-        Some(threads),
-    );
-    (chaos, tel.expect("telemetry was requested"))
-}
-
-/// [`traced_chaos_run`] / [`traced_chaos_run_parallel`] with an explicit
-/// recorder configuration. The determinism suite uses this to prove that
-/// arming the flight ring is a pure tee: the run report and the buffered
-/// trace/metrics bytes are identical with and without it, serial and at
-/// any shard count, and the ring's tail stitches into a valid dump.
-pub fn traced_chaos_run_with(
+/// under the chaos scenario with the full optimizer, recording with
+/// `telemetry`. It exercises every span source at once — per-node
+/// resource tracks, request lifecycles, placement decisions, cache
+/// activity, and the crash/straggler/lossy-link fault path with its
+/// retries and failovers. One single simulation cell, so its trace is
+/// byte-identical at any `--threads` count — and on `Backend::Par(n)` at
+/// any shard count, flight ring armed or not (the determinism suite pins
+/// all of it).
+pub fn traced_chaos_run(
     tuple_scale: f64,
     seed: u64,
     telemetry: TelemetryConfig,
-    threads: Option<usize>,
+    backend: Backend,
 ) -> (RunReport, RunTelemetry) {
-    let mut spec = SyntheticSpec::dh();
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let (_healthy, chaos, tel) = run_chaos_cell(
-        &spec,
-        Strategy::Full,
-        1.0,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        Some(telemetry),
-        threads,
-    );
+    let cell = SyntheticCell {
+        telemetry: Some(telemetry),
+        ..bench_cell("DH", tuple_scale, seed)
+    };
+    let (_healthy, chaos, tel) = run_chaos_report(&cell, backend);
     (chaos, tel.expect("telemetry was requested"))
 }
 
@@ -1110,21 +694,10 @@ pub fn traced_chaos_run_with(
 /// straggler, and the lossy link. The healthy calibration run stays
 /// static; its fingerprint is the exactly-once reference the churned run
 /// must still reproduce.
-pub fn run_chaos_churn_report(
-    spec: &SyntheticSpec,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
-) -> (RunReport, RunReport) {
-    let healthy =
-        run_synthetic_report(spec, Strategy::Full, 1.0, 1, None, cluster, mem_cache, seed);
-    let active = cluster.n_data - 2;
-    let store = build_store_active(
-        cluster,
-        vec![(spec.name.into(), spec.rows(1).collect())],
-        active,
-    );
-    let tuples = synthetic_tuples(spec, 1.0, 1, seed);
+pub fn run_chaos_churn_report(cell: &SyntheticCell) -> (RunReport, RunReport) {
+    let healthy = cell.run(Backend::Sim).0;
+    let active = cell.cluster.n_data - 2;
+    let (mut job, store, udfs, tuples) = cell.build_on(active);
     let retry = chaos_retry(healthy.duration);
     let at = |f: f64| SimDuration::from_secs_f64(healthy.duration.as_secs_f64() * f);
     let mut membership = MembershipConfig::static_active(active);
@@ -1137,26 +710,9 @@ pub fn run_chaos_churn_report(
         // restarted, so the decommission has somewhere healthy to go.
         (at(0.65), MembershipEvent::Decommission(3)),
     ];
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: optimizer_for(Strategy::Full, mem_cache),
-        feed: FeedMode::Batch {
-            window: window_for(Strategy::Full, cluster, tuples.len() / cluster.n_compute),
-        },
-        plan: JobPlan::single(0, UDF),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: Some(chaos_fault_plan(cluster, healthy.duration, seed)),
-        retry: Some(retry),
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: Some(membership),
-        autoscale_policy: None,
-    };
-    let udfs = digest_udfs(spec.output_size as usize);
+    job.faults = Some(chaos_fault_plan(&cell.cluster, healthy.duration, cell.seed));
+    job.retry = Some(retry);
+    job.membership = Some(membership);
     let chaos = run_job(&job, store, udfs, tuples, vec![]);
     (healthy, chaos)
 }
@@ -1168,10 +724,7 @@ pub fn run_chaos_churn_report(
 /// same faults (live migrations and a graceful drain racing the chaos),
 /// whose migration counters populate the last three columns.
 pub fn fig_chaos(tuple_scale: f64, seed: u64) -> FigTable {
-    let mut spec = SyntheticSpec::dh();
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let cluster = synthetic_cluster();
-    let mem_cache = 32 << 20;
+    let full = bench_cell("DH", tuple_scale, seed);
     let cells: Vec<Option<Strategy>> = CHAOS_STRATEGIES
         .iter()
         .copied()
@@ -1181,11 +734,15 @@ pub fn fig_chaos(tuple_scale: f64, seed: u64) -> FigTable {
     let rows = run_grid(cells, |cell| {
         let (label, healthy, chaos) = match cell {
             Some(strategy) => {
-                let (h, c) = run_chaos_report(&spec, strategy, 1.0, &cluster, mem_cache, seed);
+                let cell = SyntheticCell {
+                    strategy,
+                    ..full.clone()
+                };
+                let (h, c, _) = run_chaos_report(&cell, Backend::Sim);
                 (strategy.label().to_string(), h, c)
             }
             None => {
-                let (h, c) = run_chaos_churn_report(&spec, &cluster, mem_cache, seed);
+                let (h, c) = run_chaos_churn_report(&full);
                 (format!("{}+churn", Strategy::Full.label()), h, c)
             }
         };
@@ -1288,57 +845,26 @@ pub fn overload_bounded_config(
     }
 }
 
-/// Run one overload stream cell: the synthetic workload offered at a fixed
-/// inter-arrival `gap`, truncated at `horizon`, with the full optimizer
-/// and the given overload protection.
-#[allow(clippy::too_many_arguments)]
+/// Run one overload stream cell: `cell`'s workload offered at a fixed
+/// inter-arrival `gap`, truncated at `horizon`, with the given overload
+/// protection.
 pub fn run_overload_stream(
-    spec: &SyntheticSpec,
-    z: f64,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
+    cell: &SyntheticCell,
     gap: SimDuration,
     horizon: SimDuration,
     overload: Option<OverloadConfig>,
 ) -> RunReport {
-    let store = build_store(cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let mut tuples = synthetic_tuples(spec, z, 1, seed);
-    let mut at = SimTime::ZERO;
-    for t in &mut tuples {
-        at += gap;
-        t.arrival = at;
-    }
+    let (mut job, store, udfs, mut tuples) = cell.build();
+    pace(&mut tuples, |_| gap);
     // A small issue window (4 in-flight tuples per core) is the admission
     // throttle: under overload the excess accumulates in the compute
     // node's ingest queue — where deadlines age out and the shed policy
     // picks victims — instead of being strewn across thousands of
     // in-flight requests nothing can revoke.
-    let window = cluster.node.cores * 4;
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: optimizer_for(Strategy::Full, mem_cache),
-        feed: FeedMode::Stream { horizon, window },
-        plan: JobPlan::single(0, UDF),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
-    run_job(
-        &job,
-        store,
-        digest_udfs(spec.output_size as usize),
-        tuples,
-        vec![],
-    )
+    let window = cell.cluster.node.cores * 4;
+    job.feed = FeedMode::Stream { horizon, window };
+    job.overload = overload;
+    run_job(&job, store, udfs, tuples, vec![])
 }
 
 /// The overload figure: offered load (0.5× and 2.0× the measured drain
@@ -1349,11 +875,13 @@ pub fn run_overload_stream(
 /// cells keep peak depth ≤ cap and p99 near the deadline budget, shedding
 /// the excess instead of stalling everything.
 pub fn fig_overload(tuple_scale: f64, seed: u64) -> (FigTable, Vec<OverloadCell>) {
-    let mut spec = SyntheticSpec::dh();
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let cluster = synthetic_cluster();
-    let mem_cache = 32 << 20;
-    let per_node = spec.n_tuples as usize / cluster.n_compute;
+    let cell_at = |z: f64| SyntheticCell {
+        z,
+        ..bench_cell("DH", tuple_scale, seed)
+    };
+    let uniform = cell_at(0.0);
+    let n_tuples = uniform.spec.n_tuples;
+    let per_node = n_tuples as usize / uniform.cluster.n_compute;
     let long = SimDuration::from_secs(100_000);
 
     // Calibration 1 — drain capacity: a firehose stream (1 µs
@@ -1361,7 +889,7 @@ pub fn fig_overload(tuple_scale: f64, seed: u64) -> (FigTable, Vec<OverloadCell>
     // cluster's true service rate µ as completed/duration; the grid's
     // load factors are relative to it.
     let firehose = SimDuration::from_micros(1);
-    let mu = run_overload_stream(&spec, 0.0, &cluster, mem_cache, seed, firehose, long, None)
+    let mu = run_overload_stream(&uniform, firehose, long, None)
         .throughput()
         .max(1.0);
     // Calibration 2 — deadline budget: nominal load (0.5×), no protection;
@@ -1370,17 +898,8 @@ pub fn fig_overload(tuple_scale: f64, seed: u64) -> (FigTable, Vec<OverloadCell>
     // grows linearly with the run, topping out near span/4 at 2× load)
     // blows through it well before the arrivals end.
     let nominal_gap = SimDuration::from_secs_f64(2.0 / mu);
-    let span = |gap: SimDuration| SimDuration(gap.0 * spec.n_tuples);
-    let nominal = run_overload_stream(
-        &spec,
-        0.0,
-        &cluster,
-        mem_cache,
-        seed,
-        nominal_gap,
-        long,
-        None,
-    );
+    let span = |gap: SimDuration| SimDuration(gap.0 * n_tuples);
+    let nominal = run_overload_stream(&uniform, nominal_gap, long, None);
     let deadline = SimDuration::from_secs_f64(nominal.p99_latency.as_secs_f64().max(1e-3) * 2.0);
     let bounded_cfg = overload_bounded_config(per_node, Some(deadline));
 
@@ -1404,16 +923,7 @@ pub fn fig_overload(tuple_scale: f64, seed: u64) -> (FigTable, Vec<OverloadCell>
         } else {
             OverloadConfig::permissive()
         };
-        let report = run_overload_stream(
-            &spec,
-            z,
-            &cluster,
-            mem_cache,
-            seed,
-            gap,
-            horizon,
-            Some(overload),
-        );
+        let report = run_overload_stream(&cell_at(z), gap, horizon, Some(overload));
         OverloadCell {
             label: format!(
                 "z={z} {load:.1}x {}",
@@ -1517,61 +1027,30 @@ fn elastic_cluster() -> ClusterSpec {
 /// signal — and the run ends when the stream drains, so `duration` is the
 /// busy span and `node_seconds` the fleet-cost integral over it.
 pub fn run_elastic_stream(
-    spec: &SyntheticSpec,
-    cluster: &ClusterSpec,
-    mem_cache: u64,
-    seed: u64,
+    cell: &SyntheticCell,
     gap_trough: SimDuration,
     gap_peak: SimDuration,
     membership: MembershipConfig,
 ) -> RunReport {
-    let store = build_store_active(
-        cluster,
-        vec![(spec.name.into(), spec.rows(1).collect())],
-        membership.initial_active,
-    );
-    let mut tuples = synthetic_tuples(spec, 0.0, 1, seed);
+    let (mut job, store, udfs, mut tuples) = cell.build_on(membership.initial_active);
     let n = tuples.len();
-    let mut at = SimTime::ZERO;
-    for (i, t) in tuples.iter_mut().enumerate() {
-        at += if i < n / 6 || i >= (5 * n) / 6 {
+    pace(&mut tuples, |i| {
+        if i < n / 6 || i >= (5 * n) / 6 {
             gap_trough
         } else {
             gap_peak
-        };
-        t.arrival = at;
-    }
+        }
+    });
     // A deep issue window, so overload pressure lands on the data-node
     // ingest queues — the signal the autoscaler's heartbeats carry —
     // instead of pooling invisibly in the compute nodes' own queues.
-    let window = window_for(Strategy::Full, cluster, n / cluster.n_compute.max(1));
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: optimizer_for(Strategy::Full, mem_cache),
-        feed: FeedMode::Stream {
-            horizon: SimDuration::from_secs(100_000),
-            window,
-        },
-        plan: JobPlan::single(0, UDF),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: Some(OverloadConfig::permissive()),
-        shed_policy: None,
-        membership: Some(membership),
-        autoscale_policy: None,
+    job.feed = FeedMode::Stream {
+        horizon: SimDuration::from_secs(100_000),
+        window: window_for(cell.strategy, &cell.cluster, n / cell.cluster.n_compute),
     };
-    run_job(
-        &job,
-        store,
-        digest_udfs(spec.output_size as usize),
-        tuples,
-        vec![],
-    )
+    job.overload = Some(OverloadConfig::permissive());
+    job.membership = Some(membership);
+    run_job(&job, store, udfs, tuples, vec![])
 }
 
 /// Offered load at the diurnal trough / peak, as multiples of the small
@@ -1593,23 +1072,22 @@ pub const ELASTIC_PEAK_LOAD: f64 = 1.6;
 /// extreme. [`check_elastic_invariants`] asserts exactly that, plus
 /// exactly-once output equality across all three fleets.
 pub fn fig_elastic(tuple_scale: f64, seed: u64) -> (FigTable, Vec<ElasticCell>) {
-    let spec = elastic_spec(tuple_scale);
-    let cluster = elastic_cluster();
-    // Small enough that the compute-side cache cannot absorb the store:
-    // the data fleet stays the capacity being scaled.
-    let mem_cache = 64 * 1024;
-    let small = cluster.n_data / 2;
-    let large = cluster.n_data;
+    let cell = SyntheticCell {
+        cluster: elastic_cluster(),
+        // Small enough that the compute-side cache cannot absorb the
+        // store: the data fleet stays the capacity being scaled.
+        mem_cache: 64 * 1024,
+        ..SyntheticCell::new(elastic_spec(tuple_scale), 0.0, seed)
+    };
+    let small = cell.cluster.n_data / 2;
+    let large = cell.cluster.n_data;
 
     // Calibration: a firehose stream (1 µs inter-arrival) on the small
     // static fleet measures its true service rate µ; the diurnal loads
     // are multiples of it.
     let firehose = SimDuration::from_micros(1);
     let mu = run_elastic_stream(
-        &spec,
-        &cluster,
-        mem_cache,
-        seed,
+        &cell,
         firehose,
         firehose,
         MembershipConfig::static_active(small),
@@ -1654,9 +1132,7 @@ pub fn fig_elastic(tuple_scale: f64, seed: u64) -> (FigTable, Vec<ElasticCell>) 
     ];
     let results = run_grid(cells, |(label, membership, is_elastic)| {
         let initial_active = membership.initial_active;
-        let report = run_elastic_stream(
-            &spec, &cluster, mem_cache, seed, gap_trough, gap_peak, membership,
-        );
+        let report = run_elastic_stream(&cell, gap_trough, gap_peak, membership);
         ElasticCell {
             label,
             initial_active,
@@ -1828,38 +1304,17 @@ pub fn fig7(fact_scale: f64, seed: u64) -> FigTable {
             .map(|s| (s.dim.name().to_string(), ds.dimension_rows(s.dim).collect()))
             .collect();
         let store = build_store(&cluster, tables);
-        let job = JobSpec {
-            cluster: cluster.clone(),
-            optimizer: optimizer_for(Strategy::Full, 100 << 20),
-            feed: FeedMode::Batch {
+        let job = JobSpec::new(
+            cluster.clone(),
+            optimizer_for(Strategy::Full, 100 << 20),
+            FeedMode::Batch {
                 window: window_for(Strategy::Full, &cluster, tuples.len() / cluster.n_compute),
             },
             plan,
             seed,
-            udf_cpu_hint: 3e-6,
-            policy: None,
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+            3e-6,
+        );
         let ours = run_job(&job, store, udfs.clone(), tuples, vec![]);
-        if std::env::var("JL_DEBUG").is_ok() {
-            eprintln!(
-                "{}: ours={:?} dec={:?} cache={:?} mean_cpu={:.3} max_cpu={:.3} bytes={}",
-                q.name,
-                ours.duration,
-                ours.decisions,
-                ours.cache,
-                ours.mean_data_cpu_util,
-                ours.max_data_cpu_util,
-                ours.net_bytes
-            );
-        }
         (
             q.name.to_string(),
             vec![

@@ -163,29 +163,25 @@ pub fn serve_job(cfg: &ServeConfig, cluster: &ClusterSpec) -> JobSpec {
         ..overload_bounded_config(1024, None)
     });
     JobSpec {
-        cluster: cluster.clone(),
-        optimizer,
-        feed: FeedMode::Stream {
-            // The horizon is the batch/stream switch for the engine; the
-            // serve loop itself runs until the responder stops it.
-            horizon: SimDuration::from_secs(86_400),
-            window: cluster.node.cores * 4,
-        },
-        plan: JobPlan::single(0, UDF),
-        seed: cfg.seed,
-        udf_cpu_hint: cfg.udf_cpu_us as f64 * 1e-6,
-        policy: None,
-        decision_sink: None,
-        faults: None,
         retry: cfg.retry.then(RetryConfig::default),
-        telemetry: None,
         overload,
-        shed_policy: None,
         // Armed with every data node active and no scripted events: inert
         // until an in-band `DRAIN`/`JOIN` command asks the controller to
         // act, at which point regions migrate live under the serve load.
         membership: Some(MembershipConfig::static_active(cluster.n_data)),
-        autoscale_policy: None,
+        ..JobSpec::new(
+            cluster.clone(),
+            optimizer,
+            FeedMode::Stream {
+                // The horizon is the batch/stream switch for the engine; the
+                // serve loop itself runs until the responder stops it.
+                horizon: SimDuration::from_secs(86_400),
+                window: cluster.node.cores * 4,
+            },
+            JobPlan::single(0, UDF),
+            cfg.seed,
+            cfg.udf_cpu_us as f64 * 1e-6,
+        )
     }
 }
 

@@ -214,7 +214,7 @@ impl OverloadConfig {
     /// Validate the knobs, panicking on zero or inverted values — the
     /// same construction-time contract `net_bw_bps` and
     /// [`FaultPlan`](jl_simkit::fault::FaultPlan) validation follow.
-    /// Called by the runner before the simulation is built.
+    /// Called from [`JobSpec::validate`](crate::JobSpec::validate).
     pub fn validate(&self) {
         assert!(self.data_queue_cap >= 1, "data_queue_cap must be >= 1");
         assert!(
@@ -324,8 +324,8 @@ impl Default for AutoscaleConfig {
 impl MembershipConfig {
     /// Validate against the cluster shape, panicking on impossible
     /// values — the same construction-time contract
-    /// [`OverloadConfig::validate`] follows. Called by the runner before
-    /// the simulation is built.
+    /// [`OverloadConfig::validate`] follows. Called from
+    /// [`JobSpec::validate`](crate::JobSpec::validate).
     pub fn validate(&self, cluster: &ClusterSpec) {
         assert!(
             self.initial_active >= 1 && self.initial_active <= cluster.n_data,

@@ -8,9 +8,9 @@
 //!
 //! The data plane is real — every strategy must reproduce the reference
 //! join fingerprint ([`verify::reference_run`]) — while time is pluggable
-//! through the `jl-runtime` seam: simulated (the deterministic oracle,
-//! [`run_job`]) or wall-clock ([`runner::run_job_real`], and the
-//! `jl-serve` request/response layer built on
+//! through the `jl-runtime` seam: [`run_job_on`] takes a [`Backend`] —
+//! simulated (the deterministic oracle), parallel-simulated, or wall-clock
+//! (also what the `jl-serve` request/response layer builds on, through
 //! [`runner::build_real_runtime`]).
 
 #![warn(missing_docs)]
@@ -37,9 +37,9 @@ pub use config::{
 pub use plan::{JobPlan, JobTuple, StageSpec};
 pub use runner::{
     build_cluster, build_real_runtime, build_store, build_store_active, gather_report,
-    process_names, run_job, run_job_parallel, run_job_parallel_traced, run_job_real,
-    run_job_real_traced, run_job_traced, snapshot_delta, unwrap_telemetry, AutoscaleFactory,
-    BuiltCluster, ClusterHost, JobSpec, PolicyFactory, RunReport, ShedFactory, SinkFactory,
+    process_names, run_job, run_job_on, run_job_parallel, run_job_traced, snapshot_delta,
+    unwrap_telemetry, AutoscaleFactory, Backend, BuiltCluster, ClusterHost, JobSpec, PolicyFactory,
+    RunReport, ShedFactory, SinkFactory,
 };
 pub use shuffle::run_shuffle_multijoin;
 pub use telemetry::EngineProbe;

@@ -1,6 +1,7 @@
-//! Building and running a job end-to-end — on the simulator (the
-//! deterministic oracle) or on the wall-clock backend, through the same
-//! construction and gathering code.
+//! Building and running a job end-to-end: [`run_job_on`] is the one
+//! implementation of a run, parameterised by [`Backend`] — the simulator
+//! (the deterministic oracle), its parallel kernel, or the wall clock —
+//! over the same construction, loading and gathering code.
 
 use std::sync::Arc;
 
@@ -45,7 +46,17 @@ pub type ShedFactory = Arc<dyn Fn(usize) -> Box<dyn jl_core::ShedPolicy<EKey>> +
 /// [`AutoscaleMode`](jl_core::AutoscaleMode) prescribes.
 pub type AutoscaleFactory = Arc<dyn Fn() -> Box<dyn jl_core::AutoscalePolicy> + Send + Sync>;
 
-/// Everything needed to launch one run.
+/// Everything needed to launch one run: six required fields (what
+/// [`JobSpec::new`] takes) plus nine optional ones — five *planes*
+/// (`faults`, `retry`, `telemetry`, `overload`, `membership`) and four
+/// factory overrides (`policy`, `decision_sink`, `shed_policy`,
+/// `autoscale_policy`).
+///
+/// The plane contract, stated once: `None` ⇒ the seed event stream — the
+/// plane's code paths reduce to a not-taken branch and the run is
+/// byte-identical to one built before the plane existed. Every plane
+/// config is validated in [`build_cluster`] (via [`JobSpec::validate`]),
+/// the one function every backend and the serve layer pass through.
 pub struct JobSpec {
     /// Cluster topology and hardware.
     pub cluster: ClusterSpec,
@@ -63,38 +74,77 @@ pub struct JobSpec {
     /// `Strategy` stays the serializable config surface — this is the hook
     /// for ablations and custom policies built in code.
     pub policy: Option<PolicyFactory>,
-    /// Per-node decision-stream observers; `None` installs no sink.
+    /// Per-node decision-stream observers.
     pub decision_sink: Option<SinkFactory>,
-    /// Injected faults (crashes, lossy links, stragglers); `None` runs a
-    /// perfectly healthy cluster. When crashes are planned, each crashed
-    /// data node's regions are pre-replicated onto a surviving node so
-    /// rerouted requests stay answerable (standing in for HBase's WAL
-    /// replay / region reassignment, which the master would do online).
+    /// Injected faults (crashes, lossy links, stragglers). When crashes
+    /// are planned, each crashed data node's regions are pre-replicated
+    /// onto a surviving node so rerouted requests stay answerable
+    /// (standing in for HBase's WAL replay / region reassignment, which
+    /// the master would do online).
     pub faults: Option<FaultPlan>,
-    /// Timeout/retry/failover behavior; `None` disables retry timers
-    /// entirely, preserving the exact fault-free event stream.
+    /// Timeout/retry/failover behavior (retry timers).
     pub retry: Option<RetryConfig>,
-    /// Telemetry configuration. `None` (the default everywhere) records
-    /// nothing: no recorder is allocated, instrumented code paths reduce
-    /// to a single branch, and [`run_job_traced`] returns no
-    /// [`RunTelemetry`].
+    /// Telemetry recording. When `None` no recorder is allocated and
+    /// [`run_job_on`] returns no [`RunTelemetry`].
     pub telemetry: Option<TelemetryConfig>,
     /// Overload protection: bounded queues, backpressure, deadlines, and
-    /// load shedding. `None` (the default everywhere) disables every one
-    /// of those paths, preserving the exact seed event stream.
+    /// load shedding.
     pub overload: Option<OverloadConfig>,
     /// Shed-policy override; `None` follows `overload.shed`. Ignored
-    /// entirely when `overload` is `None`.
+    /// when `overload` is `None`.
     pub shed_policy: Option<ShedFactory>,
     /// Elastic membership: standby nodes, scripted join/decommission
     /// events, live region migration, and (optionally) an autoscaler.
-    /// `None` (the default everywhere) keeps the cluster topology static
-    /// and preserves the exact seed event stream.
     pub membership: Option<MembershipConfig>,
     /// Autoscale-policy override; `None` follows
     /// `membership.autoscale.mode`. Ignored when `membership` is `None`
     /// or carries no autoscale config.
     pub autoscale_policy: Option<AutoscaleFactory>,
+}
+
+impl JobSpec {
+    /// A spec with every plane off and every factory override unset.
+    /// Arm a plane with struct-update syntax:
+    /// `JobSpec { faults: Some(plan), ..JobSpec::new(..) }`.
+    pub fn new(
+        cluster: ClusterSpec,
+        optimizer: OptimizerConfig,
+        feed: FeedMode,
+        plan: Arc<JobPlan>,
+        seed: u64,
+        udf_cpu_hint: f64,
+    ) -> Self {
+        JobSpec {
+            cluster,
+            optimizer,
+            feed,
+            plan,
+            seed,
+            udf_cpu_hint,
+            policy: None,
+            decision_sink: None,
+            faults: None,
+            retry: None,
+            telemetry: None,
+            overload: None,
+            shed_policy: None,
+            membership: None,
+            autoscale_policy: None,
+        }
+    }
+
+    /// Panic with a descriptive message on an inconsistent plane config.
+    /// Called at the top of [`build_cluster`]; a layer taking such values
+    /// from outside the program (e.g. `jl-serve`'s flags) must reject
+    /// them before they get here.
+    pub fn validate(&self) {
+        if let Some(ov) = &self.overload {
+            ov.validate();
+        }
+        if let Some(m) = &self.membership {
+            m.validate(&self.cluster);
+        }
+    }
 }
 
 /// Aggregate results of a run.
@@ -282,7 +332,27 @@ pub fn build_store_active(
 /// `(time, table, key, value)` applied at the owning data node.
 pub type UpdateEvent = (SimTime, jl_store::TableId, RowKey, StoredValue);
 
-/// Run a job to completion (batch) or to the horizon (stream).
+/// Which runtime hosts a run. The construction, policies and
+/// fault/overload/membership machinery are identical on all three; only
+/// the event loop differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The serial simulation kernel — the deterministic oracle.
+    Sim,
+    /// The node-sharded conservative-PDES kernel with this many worker
+    /// threads (see [`jl_simkit::par`]). Report, Chrome trace and metrics
+    /// JSON are byte-identical to [`Backend::Sim`] at any thread count;
+    /// the determinism suite pins it.
+    Par(usize),
+    /// The wall-clock backend: time is real nanoseconds, so durations and
+    /// latencies reflect the host machine while join results and tuple
+    /// accounting match the simulator (the parity tests pin this). A
+    /// trace is stamped in wall-clock time but structurally identical to
+    /// a simulated one.
+    Real,
+}
+
+/// [`run_job_on`] the serial simulator, report only.
 pub fn run_job(
     spec: &JobSpec,
     store: StoreCluster,
@@ -290,7 +360,30 @@ pub fn run_job(
     tuples: Vec<JobTuple>,
     updates: Vec<UpdateEvent>,
 ) -> RunReport {
-    run_job_traced(spec, store, udfs, tuples, updates).0
+    run_job_on(spec, Backend::Sim, store, udfs, tuples, updates).0
+}
+
+/// [`run_job_on`] the serial simulator.
+pub fn run_job_traced(
+    spec: &JobSpec,
+    store: StoreCluster,
+    udfs: UdfRegistry,
+    tuples: Vec<JobTuple>,
+    updates: Vec<UpdateEvent>,
+) -> (RunReport, Option<RunTelemetry>) {
+    run_job_on(spec, Backend::Sim, store, udfs, tuples, updates)
+}
+
+/// [`run_job_on`] the parallel kernel with `threads` shards, report only.
+pub fn run_job_parallel(
+    spec: &JobSpec,
+    store: StoreCluster,
+    udfs: UdfRegistry,
+    tuples: Vec<JobTuple>,
+    updates: Vec<UpdateEvent>,
+    threads: usize,
+) -> RunReport {
+    run_job_on(spec, Backend::Par(threads), store, udfs, tuples, updates).0
 }
 
 /// A cluster built for either backend: nodes in sim-id order (computes,
@@ -316,6 +409,7 @@ pub fn build_cluster(
     updates: Vec<UpdateEvent>,
     tel: &Option<TelemetryHandle>,
 ) -> BuiltCluster {
+    spec.validate();
     let cluster = &spec.cluster;
     let (catalog, mut servers) = store.into_parts();
 
@@ -497,11 +591,25 @@ pub fn build_cluster(
     }
 }
 
-/// What report gathering needs from a backend hosting [`ClusterNode`]s:
-/// node access plus kernel-level accounting. Both the simulator and the
-/// wall-clock [`RealRuntime`] implement it, so [`gather_report`] and the
-/// metrics snapshot observe either backend identically.
+/// What the runner needs from a backend hosting [`ClusterNode`]s: the
+/// loading calls the runner makes, plus the node access and
+/// kernel-level accounting [`gather_report`] and the metrics snapshot
+/// read. Both the simulator and the wall-clock [`RealRuntime`] implement
+/// it (by delegation to their inherent methods of the same names), so a
+/// run is loaded and observed identically on either.
 pub trait ClusterHost {
+    /// An empty host.
+    fn new(seed: u64, net: NetConfig) -> Self;
+    /// Add the next node; ids are assigned in call order.
+    fn add_node(&mut self, node: ClusterNode, spec: NodeSpec) -> usize;
+    /// Install the fault schedule.
+    fn set_fault_plan(&mut self, plan: FaultPlan);
+    /// Install the kernel-level telemetry probe.
+    fn set_probe(&mut self, probe: Box<dyn SimProbe>);
+    /// Pre-size the event queue for `additional` posts.
+    fn reserve_events(&mut self, additional: usize);
+    /// Inject an external message for delivery at `at`.
+    fn post(&mut self, at: SimTime, to: usize, msg: Msg, bytes: u64);
     /// The node with sim id `id`.
     fn node(&self, id: usize) -> &ClusterNode;
     /// That node's (modeled) resources.
@@ -516,248 +624,78 @@ pub trait ClusterHost {
     fn events_processed(&self) -> u64;
 }
 
-impl ClusterHost for Sim<ClusterNode> {
-    fn node(&self, id: usize) -> &ClusterNode {
-        Sim::node(self, id)
-    }
-    fn resources(&self, id: usize) -> &NodeResources {
-        Sim::resources(self, id)
-    }
-    fn net_totals(&self) -> jl_simkit::sim::NetTotals {
-        Sim::net_totals(self)
-    }
-    fn link_stats(
-        &self,
-    ) -> &std::collections::BTreeMap<(usize, usize), jl_simkit::probe::LinkStats> {
-        Sim::link_stats(self)
-    }
-    fn events_processed(&self) -> u64 {
-        Sim::events_processed(self)
-    }
-}
-
-impl ClusterHost for RealRuntime<ClusterNode> {
-    fn node(&self, id: usize) -> &ClusterNode {
-        RealRuntime::node(self, id)
-    }
-    fn resources(&self, id: usize) -> &NodeResources {
-        RealRuntime::resources(self, id)
-    }
-    fn net_totals(&self) -> jl_simkit::sim::NetTotals {
-        RealRuntime::net_totals(self)
-    }
-    fn link_stats(
-        &self,
-    ) -> &std::collections::BTreeMap<(usize, usize), jl_simkit::probe::LinkStats> {
-        RealRuntime::link_stats(self)
-    }
-    fn events_processed(&self) -> u64 {
-        RealRuntime::events_processed(self)
-    }
-}
-
-/// [`run_job`], also returning the run's telemetry when
-/// [`JobSpec::telemetry`] is set (`None` otherwise).
-pub fn run_job_traced(
-    spec: &JobSpec,
-    store: StoreCluster,
-    udfs: UdfRegistry,
-    tuples: Vec<JobTuple>,
-    updates: Vec<UpdateEvent>,
-) -> (RunReport, Option<RunTelemetry>) {
-    let cluster = &spec.cluster;
-    if let Some(ov) = &spec.overload {
-        ov.validate();
-    }
-    if let Some(m) = &spec.membership {
-        m.validate(&spec.cluster);
-    }
-    let tel: Option<TelemetryHandle> = spec.telemetry.map(jl_telemetry::shared);
-    let built = build_cluster(spec, store, udfs, tuples, updates, &tel);
-    let mut sim: Sim<ClusterNode> = Sim::new(spec.seed, cluster.net);
-    for node in built.nodes {
-        sim.add_node(node, cluster.node);
-    }
-    if let Some(plan) = &spec.faults {
-        sim.set_fault_plan(plan.clone());
-    }
-    if let Some(t) = &tel {
-        sim.set_probe(Box::new(EngineProbe::new(t.clone())));
-    }
-    // The feed volume is known up front; one reserve call keeps the event
-    // heap from reallocating as the stream posts.
-    sim.reserve_events(built.posts.len());
-    for (at, to, msg, bytes) in built.posts {
-        sim.post(at, to, msg, bytes);
-    }
-
-    let end = match spec.feed {
-        FeedMode::Batch { .. } => sim.run(),
-        FeedMode::Stream { horizon, .. } => sim.run_until(SimTime::ZERO + horizon),
-    };
-
-    let report = gather_report(&sim, cluster, end);
-    snapshot_and_summarize(&sim, cluster, end, &tel);
-    // The nodes and the probe hold clones of the handle; dropping the sim
-    // releases them so the recorder can be unwrapped.
-    drop(sim);
-    let run_tel = tel.map(|h| unwrap_telemetry(h, cluster, end));
-    (report, run_tel)
-}
-
-/// Run a job on the parallel simulation kernel: node-sharded conservative
-/// PDES across `threads` worker threads (see [`jl_simkit::par`]). The
-/// [`RunReport`] — fingerprints included — is bit-identical to [`run_job`]
-/// for any thread count; the determinism suite pins this.
-///
-/// This entry point ignores `spec.telemetry`; use
-/// [`run_job_parallel_traced`] to record a trace on the parallel kernel
-/// (byte-identical to the serial trace — the determinism suite pins that
-/// too).
-pub fn run_job_parallel(
-    spec: &JobSpec,
-    store: StoreCluster,
-    udfs: UdfRegistry,
-    tuples: Vec<JobTuple>,
-    updates: Vec<UpdateEvent>,
-    threads: usize,
-) -> RunReport {
-    let cluster = &spec.cluster;
-    if let Some(ov) = &spec.overload {
-        ov.validate();
-    }
-    if let Some(m) = &spec.membership {
-        m.validate(&spec.cluster);
-    }
-    let built = build_cluster(spec, store, udfs, tuples, updates, &None);
-    let mut sim: Sim<ClusterNode> = Sim::new(spec.seed, cluster.net);
-    for node in built.nodes {
-        sim.add_node(node, cluster.node);
-    }
-    if let Some(plan) = &spec.faults {
-        sim.set_fault_plan(plan.clone());
-    }
-    sim.reserve_events(built.posts.len());
-    for (at, to, msg, bytes) in built.posts {
-        sim.post(at, to, msg, bytes);
-    }
-
-    let end = match spec.feed {
-        FeedMode::Batch { .. } => sim.run_parallel(threads),
-        FeedMode::Stream { horizon, .. } => {
-            sim.run_parallel_until(SimTime::ZERO + horizon, threads)
+macro_rules! impl_cluster_host {
+    ($host:ident) => {
+        impl ClusterHost for $host<ClusterNode> {
+            fn new(seed: u64, net: NetConfig) -> Self {
+                $host::new(seed, net)
+            }
+            fn add_node(&mut self, node: ClusterNode, spec: NodeSpec) -> usize {
+                $host::add_node(self, node, spec)
+            }
+            fn set_fault_plan(&mut self, plan: FaultPlan) {
+                $host::set_fault_plan(self, plan)
+            }
+            fn set_probe(&mut self, probe: Box<dyn SimProbe>) {
+                $host::set_probe(self, probe)
+            }
+            fn reserve_events(&mut self, additional: usize) {
+                $host::reserve_events(self, additional)
+            }
+            fn post(&mut self, at: SimTime, to: usize, msg: Msg, bytes: u64) {
+                $host::post(self, at, to, msg, bytes)
+            }
+            fn node(&self, id: usize) -> &ClusterNode {
+                $host::node(self, id)
+            }
+            fn resources(&self, id: usize) -> &NodeResources {
+                $host::resources(self, id)
+            }
+            fn net_totals(&self) -> jl_simkit::sim::NetTotals {
+                $host::net_totals(self)
+            }
+            fn link_stats(
+                &self,
+            ) -> &std::collections::BTreeMap<(usize, usize), jl_simkit::probe::LinkStats> {
+                $host::link_stats(self)
+            }
+            fn events_processed(&self) -> u64 {
+                $host::events_processed(self)
+            }
         }
     };
-
-    gather_report(&sim, cluster, end)
 }
+impl_cluster_host!(Sim);
+impl_cluster_host!(RealRuntime);
 
-/// [`run_job_parallel`], also returning the run's telemetry when
-/// [`JobSpec::telemetry`] is set (`None` otherwise).
-///
-/// The trace is **byte-identical** to what [`run_job_traced`] produces for
-/// the same spec, at any shard count: probe events (grants, faults, wire
-/// effects) already replay through the commit walk, and node-level trace
-/// events are journaled as deferred effects during speculative shard
-/// execution — interleaved with grants and cross-sends in the order the
-/// callback issued them — then executed on the coordinator at their exact
-/// global serial position. Decision-sink events take the staged tee
-/// (see [`crate::telemetry::decision_tee_staged`]) through the same
-/// journal. The determinism suite pins trace byte-identity at 1/2/8
-/// shards against the serial kernel.
-pub fn run_job_parallel_traced(
+/// Load a built cluster into a fresh host: nodes in id order, fault plan,
+/// probe, and the pre-run feed. The feed volume is known up front, so one
+/// reserve call keeps the event queue from reallocating as it posts.
+fn load_host<H: ClusterHost>(
     spec: &JobSpec,
-    store: StoreCluster,
-    udfs: UdfRegistry,
-    tuples: Vec<JobTuple>,
-    updates: Vec<UpdateEvent>,
-    threads: usize,
-) -> (RunReport, Option<RunTelemetry>) {
+    built: BuiltCluster,
+    tel: &Option<TelemetryHandle>,
+) -> H {
     let cluster = &spec.cluster;
-    if let Some(ov) = &spec.overload {
-        ov.validate();
-    }
-    if let Some(m) = &spec.membership {
-        m.validate(&spec.cluster);
-    }
-    let tel: Option<TelemetryHandle> = spec.telemetry.map(jl_telemetry::shared);
-    let built = build_cluster(spec, store, udfs, tuples, updates, &tel);
-    let mut sim: Sim<ClusterNode> = Sim::new(spec.seed, cluster.net);
+    let mut host = H::new(spec.seed, cluster.net);
     for node in built.nodes {
-        sim.add_node(node, cluster.node);
+        host.add_node(node, cluster.node);
     }
     if let Some(plan) = &spec.faults {
-        sim.set_fault_plan(plan.clone());
+        host.set_fault_plan(plan.clone());
     }
-    if let Some(t) = &tel {
-        sim.set_probe(Box::new(EngineProbe::new(t.clone())));
+    if let Some(t) = tel {
+        host.set_probe(Box::new(EngineProbe::new(t.clone())));
     }
-    sim.reserve_events(built.posts.len());
+    host.reserve_events(built.posts.len());
     for (at, to, msg, bytes) in built.posts {
-        sim.post(at, to, msg, bytes);
+        host.post(at, to, msg, bytes);
     }
-
-    let end = match spec.feed {
-        FeedMode::Batch { .. } => sim.run_parallel(threads),
-        FeedMode::Stream { horizon, .. } => {
-            sim.run_parallel_until(SimTime::ZERO + horizon, threads)
-        }
-    };
-
-    let report = gather_report(&sim, cluster, end);
-    snapshot_and_summarize(&sim, cluster, end, &tel);
-    drop(sim);
-    let run_tel = tel.map(|h| unwrap_telemetry(h, cluster, end));
-    (report, run_tel)
+    host
 }
 
-/// Run a job on the wall-clock backend. Same construction, policies, and
-/// fault/overload machinery as [`run_job`]; time is real nanoseconds, so
-/// durations and latencies reflect the host machine while join results
-/// and tuple accounting match the simulator (the parity tests pin this).
-pub fn run_job_real(
-    spec: &JobSpec,
-    store: StoreCluster,
-    udfs: UdfRegistry,
-    tuples: Vec<JobTuple>,
-    updates: Vec<UpdateEvent>,
-) -> RunReport {
-    run_job_real_traced(spec, store, udfs, tuples, updates).0
-}
-
-/// [`run_job_real`], also returning telemetry when requested — the trace
-/// is stamped in wall-clock nanoseconds but structurally identical to a
-/// simulated trace (same spans, tracks, and metadata).
-pub fn run_job_real_traced(
-    spec: &JobSpec,
-    store: StoreCluster,
-    udfs: UdfRegistry,
-    tuples: Vec<JobTuple>,
-    updates: Vec<UpdateEvent>,
-) -> (RunReport, Option<RunTelemetry>) {
-    let cluster = &spec.cluster;
-    if let Some(ov) = &spec.overload {
-        ov.validate();
-    }
-    if let Some(m) = &spec.membership {
-        m.validate(&spec.cluster);
-    }
-    let tel: Option<TelemetryHandle> = spec.telemetry.map(jl_telemetry::shared);
-    let built = build_cluster(spec, store, udfs, tuples, updates, &tel);
-    let mut rt = build_real_runtime(spec, built, &tel);
-    let end = match spec.feed {
-        FeedMode::Batch { .. } => rt.run(),
-        FeedMode::Stream { horizon, .. } => rt.run_until(SimTime::ZERO + horizon),
-    };
-    let report = gather_report(&rt, cluster, end);
-    snapshot_and_summarize(&rt, cluster, end, &tel);
-    drop(rt);
-    let run_tel = tel.map(|h| unwrap_telemetry(h, cluster, end));
-    (report, run_tel)
-}
-
-/// Assemble a [`RealRuntime`] from a built cluster: nodes in id order,
-/// fault plan, probe, and the pre-run feed. Exposed (with
+/// The runner's host loader, instantiated for the wall-clock backend:
+/// nodes in id order, fault plan, probe, pre-run feed. Exposed (with
 /// [`build_cluster`]) so a serving layer can attach completion hooks and
 /// ingress handles before starting the loop.
 pub fn build_real_runtime(
@@ -765,22 +703,75 @@ pub fn build_real_runtime(
     built: BuiltCluster,
     tel: &Option<TelemetryHandle>,
 ) -> RealRuntime<ClusterNode> {
-    let cluster = &spec.cluster;
-    let mut rt: RealRuntime<ClusterNode> = RealRuntime::new(spec.seed, cluster.net);
-    for node in built.nodes {
-        rt.add_node(node, cluster.node);
-    }
-    if let Some(plan) = &spec.faults {
-        rt.set_fault_plan(plan.clone());
-    }
-    if let Some(t) = tel {
-        rt.set_probe(Box::new(EngineProbe::new(t.clone())));
-    }
-    rt.reserve_events(built.posts.len());
-    for (at, to, msg, bytes) in built.posts {
-        rt.post(at, to, msg, bytes);
-    }
-    rt
+    load_host(spec, built, tel)
+}
+
+/// Run a job to completion (batch) or to the horizon (stream) on
+/// `backend` — the one implementation of a run. Returns the report plus
+/// the run's telemetry when [`JobSpec::telemetry`] is set.
+pub fn run_job_on(
+    spec: &JobSpec,
+    backend: Backend,
+    store: StoreCluster,
+    udfs: UdfRegistry,
+    tuples: Vec<JobTuple>,
+    updates: Vec<UpdateEvent>,
+) -> (RunReport, Option<RunTelemetry>) {
+    let tel: Option<TelemetryHandle> = spec.telemetry.map(jl_telemetry::shared);
+    let built = build_cluster(spec, store, udfs, tuples, updates, &tel);
+    let horizon = match spec.feed {
+        FeedMode::Batch { .. } => None,
+        FeedMode::Stream { horizon, .. } => Some(SimTime::ZERO + horizon),
+    };
+    // The backend is matched once, outside the event loop; each arm is a
+    // statically dispatched instance of `drive`.
+    let (report, end) = match backend {
+        Backend::Sim => drive(
+            spec,
+            built,
+            &tel,
+            |sim: &mut Sim<ClusterNode>| match horizon {
+                None => sim.run(),
+                Some(h) => sim.run_until(h),
+            },
+        ),
+        Backend::Par(threads) => drive(
+            spec,
+            built,
+            &tel,
+            |sim: &mut Sim<ClusterNode>| match horizon {
+                None => sim.run_parallel(threads),
+                Some(h) => sim.run_parallel_until(h, threads),
+            },
+        ),
+        Backend::Real => drive(
+            spec,
+            built,
+            &tel,
+            |rt: &mut RealRuntime<ClusterNode>| match horizon {
+                None => rt.run(),
+                Some(h) => rt.run_until(h),
+            },
+        ),
+    };
+    let run_tel = tel.map(|h| unwrap_telemetry(h, &spec.cluster, end));
+    (report, run_tel)
+}
+
+/// Load a host, run it with `run`, and gather the report. The host — and
+/// with it the nodes' and the probe's clones of the telemetry handle — is
+/// dropped on return, so the caller can unwrap the recorder.
+fn drive<H: ClusterHost>(
+    spec: &JobSpec,
+    built: BuiltCluster,
+    tel: &Option<TelemetryHandle>,
+    run: impl FnOnce(&mut H) -> SimTime,
+) -> (RunReport, SimTime) {
+    let mut host: H = load_host(spec, built, tel);
+    let end = run(&mut host);
+    let report = gather_report(&host, &spec.cluster, end);
+    snapshot_and_summarize(&host, &spec.cluster, end, tel);
+    (report, end)
 }
 
 /// Unwrap the (now uniquely held) recorder into a [`RunTelemetry`].
@@ -1144,23 +1135,14 @@ mod tests {
                 arrival: jl_simkit::time::SimTime::ZERO,
             })
             .collect();
-        let job = JobSpec {
+        let job = JobSpec::new(
             cluster,
             optimizer,
-            feed: FeedMode::Batch { window: 64 },
+            FeedMode::Batch { window: 64 },
             plan,
-            seed: 11,
-            udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-            policy: None,
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+            11,
+            spec.udf_cpu.as_secs_f64(),
+        );
         (job, store, udfs, tuples)
     }
 
@@ -1325,14 +1307,7 @@ mod tests {
         let final_summary = |snapshotted: bool| -> (RunReport, String) {
             let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
             let built = build_cluster(&job, store, udfs, tuples, vec![], &None);
-            let mut sim: Sim<ClusterNode> = Sim::new(job.seed, job.cluster.net);
-            for node in built.nodes {
-                sim.add_node(node, job.cluster.node);
-            }
-            sim.reserve_events(built.posts.len());
-            for (at, to, msg, bytes) in built.posts {
-                sim.post(at, to, msg, bytes);
-            }
+            let mut sim: Sim<ClusterNode> = load_host(&job, built, &None);
             if snapshotted {
                 // Pause mid-run and scrape — twice, for good measure.
                 let mid = sim.run_until(SimTime::ZERO + SimDuration::from_millis(40));
@@ -1393,7 +1368,7 @@ mod tests {
                 .drop_link(None, Some(job.cluster.data_id(2)), (at(0.3), at(0.5)), 0.05),
         );
         let t = (d * 0.01).clamp(0.05, 1.0);
-        job.retry = Some(crate::config::RetryConfig {
+        job.retry = Some(RetryConfig {
             timeout: SimDuration::from_secs_f64(t),
             backoff_cap: SimDuration::from_secs_f64(8.0 * t),
             max_retries: 8,
@@ -1465,86 +1440,146 @@ mod tests {
         assert_eq!(r.retries, 0);
     }
 
+    /// Validation lives in `build_cluster`, so a caller that assembles
+    /// its runtime by hand (the serve layer: `build_cluster` →
+    /// `build_real_runtime`) cannot skip it.
     #[test]
-    fn traced_run_matches_untraced_and_produces_telemetry() {
-        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
-        let plain = run_job(&job, store, udfs, tuples, vec![]);
+    #[should_panic(expected = "deadline budget must be positive")]
+    fn build_cluster_rejects_an_invalid_plane_config() {
         let (mut job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
-        job.telemetry = Some(jl_telemetry::TelemetryConfig::default());
-        let (traced, tel) = run_job_traced(&job, store, udfs, tuples, vec![]);
-        // Observation must not perturb the simulation.
-        assert_eq!(traced.duration, plain.duration);
-        assert_eq!(traced.fingerprint, plain.fingerprint);
-        assert_eq!(traced.net_bytes, plain.net_bytes);
-        assert_eq!(traced.sim_events, plain.sim_events);
-        let tel = tel.expect("telemetry requested");
-        assert!(!tel.events.is_empty(), "no trace events recorded");
+        job.overload = Some(OverloadConfig {
+            deadline: Some(SimDuration::ZERO),
+            ..OverloadConfig::default()
+        });
+        build_cluster(&job, store, udfs, tuples, vec![], &None);
+    }
+
+    /// Backend × telemetry as rows: the chaos scenario (so a trace carries
+    /// fault instants, retry/timeout spans, failovers and decision replays
+    /// — every journaled-effect path at once) on every backend, untraced
+    /// and traced. Join output and outcome accounting agree everywhere;
+    /// the simulated backends also agree on the full report and, traced,
+    /// on the Chrome-trace and metrics bytes.
+    #[test]
+    fn every_backend_agrees_traced_and_untraced() {
+        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let healthy = run_job(&job, store, udfs, tuples, vec![]);
+        let run = |backend: Backend, traced: bool| {
+            let (mut job, store, udfs, tuples) = chaos_job(&healthy, Strategy::Full);
+            job.telemetry = traced.then(jl_telemetry::TelemetryConfig::default);
+            run_job_on(&job, backend, store, udfs, tuples, vec![])
+        };
+        let (oracle, none) = run(Backend::Sim, false);
+        assert!(none.is_none(), "untraced run returned telemetry");
+        let (_, oracle_tel) = run(Backend::Sim, true);
+        let oracle_tel = oracle_tel.expect("telemetry requested");
         assert!(
-            tel.events
+            oracle_tel
+                .events
                 .iter()
                 .any(|e| e.track == jl_telemetry::Track::Decision),
             "no placement decisions traced"
         );
         assert!(
-            tel.events
+            oracle_tel
+                .events
                 .iter()
                 .any(|e| e.track == jl_telemetry::Track::Cpu && e.dur.is_some()),
             "no CPU service spans traced"
         );
-        assert!(!tel.registry.is_empty(), "metrics registry empty");
-        let trace = tel.to_chrome_json();
-        let check = jl_telemetry::json::validate_chrome_trace(&trace).expect("trace validates");
-        assert!(check.spans > 0 && check.metadata > 0);
-    }
+        assert!(!oracle_tel.registry.is_empty(), "metrics registry empty");
+        let (oracle_trace, oracle_metrics) =
+            (oracle_tel.to_chrome_json(), oracle_tel.metrics_json());
 
-    #[test]
-    fn untraced_run_returns_no_telemetry() {
-        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
-        let (_, tel) = run_job_traced(&job, store, udfs, tuples, vec![]);
-        assert!(tel.is_none());
-    }
-
-    #[test]
-    fn parallel_traced_run_replays_the_serial_trace_byte_for_byte() {
-        // The hard case: chaos armed, so the trace carries fault instants,
-        // retry/timeout spans, failovers, and decision replays — every
-        // journaled-effect path at once.
-        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
-        let healthy = run_job(&job, store, udfs, tuples, vec![]);
-        let traced = |threads: Option<usize>| {
-            let (mut job, store, udfs, tuples) = chaos_job(&healthy, Strategy::Full);
-            job.telemetry = Some(jl_telemetry::TelemetryConfig::default());
-            match threads {
-                None => run_job_traced(&job, store, udfs, tuples, vec![]),
-                Some(n) => run_job_parallel_traced(&job, store, udfs, tuples, vec![], n),
+        let simulated = [
+            Backend::Sim,
+            Backend::Par(1),
+            Backend::Par(2),
+            Backend::Par(8),
+        ];
+        for backend in simulated.into_iter().chain([Backend::Real]) {
+            for traced in [false, true] {
+                let at = format!("{backend:?} traced={traced}");
+                let (report, tel) = run(backend, traced);
+                assert_eq!(tel.is_some(), traced, "{at}");
+                assert_eq!(report.fingerprint, oracle.fingerprint, "{at}");
+                assert_eq!(report.completed, oracle.completed, "{at}");
+                assert_eq!(
+                    (report.gave_up, report.shed, &report.outcomes),
+                    (oracle.gave_up, oracle.shed, &oracle.outcomes),
+                    "{at}"
+                );
+                if simulated.contains(&backend) {
+                    // Observation must not perturb the simulation, and
+                    // neither may the kernel hosting it.
+                    assert_eq!(format!("{report:?}"), format!("{oracle:?}"), "{at}");
+                }
+                let Some(tel) = tel else { continue };
+                let trace = tel.to_chrome_json();
+                let check =
+                    jl_telemetry::json::validate_chrome_trace(&trace).expect("trace validates");
+                assert!(check.spans > 0 && check.metadata > 0, "{at}");
+                if simulated.contains(&backend) {
+                    assert_eq!(tel.events.len(), oracle_tel.events.len(), "{at}");
+                    assert_eq!(trace, oracle_trace, "{at}: trace JSON diverged");
+                    assert_eq!(tel.metrics_json(), oracle_metrics, "{at}: metrics diverged");
+                }
             }
-        };
-        let (serial, serial_tel) = traced(None);
-        let serial_tel = serial_tel.expect("telemetry requested");
-        let serial_trace = serial_tel.to_chrome_json();
-        let serial_metrics = serial_tel.metrics_json();
-        assert!(!serial_tel.events.is_empty());
-        for threads in [1, 2, 8] {
-            let (par, par_tel) = traced(Some(threads));
-            let par_tel = par_tel.expect("telemetry requested");
-            assert_eq!(par.fingerprint, serial.fingerprint, "threads={threads}");
-            assert_eq!(par.duration, serial.duration, "threads={threads}");
-            assert_eq!(par.sim_events, serial.sim_events, "threads={threads}");
-            assert_eq!(
-                par_tel.events.len(),
-                serial_tel.events.len(),
-                "threads={threads}: event count diverged"
-            );
-            assert_eq!(
-                par_tel.to_chrome_json(),
-                serial_trace,
-                "threads={threads}: trace JSON diverged"
-            );
-            assert_eq!(
-                par_tel.metrics_json(),
-                serial_metrics,
-                "threads={threads}: metrics JSON diverged"
-            );
+        }
+    }
+
+    /// Plane inertness as a table: against the all-`None` run, arm each
+    /// plane's do-nothing value one at a time. The join output is
+    /// identical for all of them; the last column is what the plane's
+    /// docs promise about the rest of the report — `None` makes no promise
+    /// (retry arms a timer per request), `Some(f)` promises the exact seed
+    /// event stream once `f` has cleared the one field the plane exists
+    /// to measure.
+    #[test]
+    fn each_planes_do_nothing_value_is_inert() {
+        type Arm = fn(&mut JobSpec);
+        type Measures = fn(&mut RunReport);
+        let table: [(&str, Arm, Option<Measures>); 5] = [
+            (
+                "faults",
+                |j| j.faults = Some(jl_simkit::fault::FaultPlan::new(7)),
+                Some(|_| {}),
+            ),
+            ("retry", |j| j.retry = Some(RetryConfig::default()), None),
+            (
+                "telemetry",
+                |j| j.telemetry = Some(TelemetryConfig::default()),
+                Some(|_| {}),
+            ),
+            (
+                "overload",
+                |j| j.overload = Some(OverloadConfig::permissive()),
+                Some(|r| r.peak_queue_depth = 0),
+            ),
+            (
+                "membership",
+                |j| j.membership = Some(MembershipConfig::static_active(j.cluster.n_data)),
+                Some(|_| {}),
+            ),
+        ];
+        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let seed = run_job(&job, store, udfs, tuples, vec![]);
+        assert_eq!(seed.peak_queue_depth, 0, "the seed's queues are unmeasured");
+        for (plane, arm, promise) in table {
+            let (mut job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+            arm(&mut job);
+            let mut armed = run_job(&job, store, udfs, tuples, vec![]);
+            assert_eq!(armed.fingerprint, seed.fingerprint, "{plane}: join output");
+            assert_eq!(armed.completed, seed.completed, "{plane}: completions");
+            assert_eq!((armed.gave_up, armed.shed), (0, 0), "{plane}");
+            if let Some(measures) = promise {
+                measures(&mut armed);
+                assert_eq!(
+                    format!("{armed:?}"),
+                    format!("{seed:?}"),
+                    "{plane}: the event stream moved"
+                );
+            }
         }
     }
 

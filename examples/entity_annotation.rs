@@ -52,23 +52,14 @@ fn main() {
     udfs.register(0, Arc::new(DigestUdf { out_bytes: 96 }));
     let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
     optimizer.mem_cache_bytes = 10 << 20;
-    let job = JobSpec {
-        cluster: cluster.clone(),
+    let job = JobSpec::new(
+        cluster.clone(),
         optimizer,
-        feed: FeedMode::Batch { window: 128 },
-        plan: JobPlan::single(table, 0),
-        seed: 42,
-        udf_cpu_hint: 0.002,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
+        FeedMode::Batch { window: 128 },
+        JobPlan::single(table, 0),
+        42,
+        0.002,
+    );
     let report = run_job(&job, store, udfs, tuples, vec![]);
     println!(
         "annotated {} spots in {:.2}s ({:.0} spots/s)",

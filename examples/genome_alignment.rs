@@ -70,23 +70,14 @@ fn main() {
 
     // Our framework.
     let store = build_store(&cluster, vec![("kmers".into(), index)]);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: OptimizerConfig::for_strategy(Strategy::Full),
-        feed: FeedMode::Batch { window: 256 },
+    let job = JobSpec::new(
+        cluster.clone(),
+        OptimizerConfig::for_strategy(Strategy::Full),
+        FeedMode::Batch { window: 256 },
         plan,
-        seed: 42,
-        udf_cpu_hint: 1e-5,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
+        42,
+        1e-5,
+    );
     let ours = run_job(&job, store, udfs, tuples, vec![]);
     assert_eq!(ours.fingerprint, reference.fingerprint);
     println!(

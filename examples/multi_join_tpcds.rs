@@ -79,23 +79,14 @@ fn main() {
         .map(|s| (s.dim.name().to_string(), ds.dimension_rows(s.dim).collect()))
         .collect();
     let store = build_store(&cluster, tables);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: OptimizerConfig::for_strategy(Strategy::Full),
-        feed: FeedMode::Batch { window: 512 },
+    let job = JobSpec::new(
+        cluster.clone(),
+        OptimizerConfig::for_strategy(Strategy::Full),
+        FeedMode::Batch { window: 512 },
         plan,
-        seed: 42,
-        udf_cpu_hint: 3e-6,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
+        42,
+        3e-6,
+    );
     let ours = run_job(&job, store, udfs, tuples, vec![]);
     println!(
         "our framework:     {:.2}s  (identical join output: {})",

@@ -45,23 +45,14 @@ fn main() {
 
     for strategy in [Strategy::NoOpt, Strategy::Full] {
         let store = build_store(&cluster, vec![("table".into(), rows.clone())]);
-        let job = JobSpec {
-            cluster: cluster.clone(),
-            optimizer: OptimizerConfig::for_strategy(strategy),
-            feed: FeedMode::Batch { window: 128 },
-            plan: Arc::clone(&plan),
-            seed: 7,
-            udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-            policy: None,
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+        let job = JobSpec::new(
+            cluster.clone(),
+            OptimizerConfig::for_strategy(strategy),
+            FeedMode::Batch { window: 128 },
+            Arc::clone(&plan),
+            7,
+            spec.udf_cpu.as_secs_f64(),
+        );
         let report = run_job(&job, store, udfs.clone(), tuples.clone(), vec![]);
         assert_eq!(
             report.fingerprint,

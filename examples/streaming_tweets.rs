@@ -57,26 +57,17 @@ fn main() {
         let part = Partitioning::head_spread(160, cluster.n_data * 4, corpus.vocab as u64);
         let t2 = store2.add_table("models", RegionMap::round_robin(part, cluster.n_data));
         store2.bulk_load(t2, corpus.model_rows());
-        let job = JobSpec {
-            cluster: cluster.clone(),
-            optimizer: OptimizerConfig::for_strategy(strategy),
-            feed: FeedMode::Stream {
+        let job = JobSpec::new(
+            cluster.clone(),
+            OptimizerConfig::for_strategy(strategy),
+            FeedMode::Stream {
                 horizon: SimDuration::from_secs(10_000),
                 window: 128,
             },
-            plan: JobPlan::single(t2, 0),
-            seed: 42,
-            udf_cpu_hint: 0.002,
-            policy: None,
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+            JobPlan::single(t2, 0),
+            42,
+            0.002,
+        );
         let report = run_job(&job, store2, udfs.clone(), tuples.clone(), vec![]);
         println!(
             "{:<4} drained in {:>7.2}s  -> {:>8.0} spots/s  (cache hits {} / bounced {})",

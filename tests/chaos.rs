@@ -2,33 +2,26 @@
 //! scale: exactly-once completion under crash-and-recover, the full
 //! optimizer's advantage surviving chaos, and run-to-run reproducibility.
 
-use jl_bench::experiments::run_chaos_report;
-use jl_bench::CHAOS_STRATEGIES;
+use jl_bench::{bench_cell, run_chaos_report, SyntheticCell, CHAOS_STRATEGIES};
 use jl_core::Strategy;
-use jl_engine::ClusterSpec;
-use jl_workloads::SyntheticSpec;
+use jl_engine::{Backend, RunReport};
 
-fn dh_small() -> SyntheticSpec {
-    let mut spec = SyntheticSpec::dh();
-    spec.n_tuples = ((spec.n_tuples as f64 * 0.05) as u64).max(1000);
-    spec
-}
-
-fn chaos_cluster() -> ClusterSpec {
-    // Same regime as the synthetic figures: block cache off so every
-    // request pays the data node's disk, as in the paper's 200 GB store.
-    ClusterSpec {
-        block_cache_bytes: 0,
-        ..ClusterSpec::default()
-    }
+/// `(healthy, chaos)` reports of the DH cell at 5% scale — the same regime
+/// as the synthetic figures: block cache off so every request pays the
+/// data node's disk, as in the paper's 200 GB store.
+fn chaos(strategy: Strategy) -> (RunReport, RunReport) {
+    let cell = SyntheticCell {
+        strategy,
+        ..bench_cell("DH", 0.05, 42)
+    };
+    let (healthy, chaos, _) = run_chaos_report(&cell, Backend::Sim);
+    (healthy, chaos)
 }
 
 #[test]
 fn every_strategy_survives_chaos_exactly_once() {
-    let spec = dh_small();
-    let cluster = chaos_cluster();
     for strategy in CHAOS_STRATEGIES {
-        let (healthy, chaos) = run_chaos_report(&spec, strategy, 1.0, &cluster, 32 << 20, 42);
+        let (healthy, chaos) = chaos(strategy);
         assert_eq!(
             chaos.completed,
             healthy.completed,
@@ -53,13 +46,7 @@ fn every_strategy_survives_chaos_exactly_once() {
 
 #[test]
 fn full_optimizer_still_wins_under_chaos() {
-    let spec = dh_small();
-    let cluster = chaos_cluster();
-    let chaos_time = |s: Strategy| {
-        run_chaos_report(&spec, s, 1.0, &cluster, 32 << 20, 42)
-            .1
-            .duration
-    };
+    let chaos_time = |s: Strategy| chaos(s).1.duration;
     let no = chaos_time(Strategy::NoOpt);
     let fc = chaos_time(Strategy::ComputeSide);
     let fo = chaos_time(Strategy::Full);
@@ -69,9 +56,7 @@ fn full_optimizer_still_wins_under_chaos() {
 
 #[test]
 fn chaos_reports_are_reproducible() {
-    let spec = dh_small();
-    let cluster = chaos_cluster();
-    let (_, a) = run_chaos_report(&spec, Strategy::Full, 1.0, &cluster, 32 << 20, 42);
-    let (_, b) = run_chaos_report(&spec, Strategy::Full, 1.0, &cluster, 32 << 20, 42);
+    let (_, a) = chaos(Strategy::Full);
+    let (_, b) = chaos(Strategy::Full);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }

@@ -73,23 +73,14 @@ fn all_strategies_and_baselines_agree_with_reference() {
         let mut optimizer = OptimizerConfig::for_strategy(strategy);
         optimizer.batch_size = 16;
         optimizer.mem_cache_bytes = 64 * 1024;
-        let job = JobSpec {
-            cluster: cluster.clone(),
+        let job = JobSpec::new(
+            cluster.clone(),
             optimizer,
-            feed: FeedMode::Batch { window: 48 },
-            plan: Arc::clone(&plan),
-            seed: 3,
-            udf_cpu_hint: 0.002,
-            policy: None,
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+            FeedMode::Batch { window: 48 },
+            Arc::clone(&plan),
+            3,
+            0.002,
+        );
         let r = run_job(&job, store, udfs(), ts.clone(), vec![]);
         assert_eq!(r.completed, ts.len() as u64, "{}", strategy.label());
         assert_eq!(r.fingerprint, reference.fingerprint, "{}", strategy.label());
@@ -150,23 +141,14 @@ fn multi_join_pipeline_matches_reference_and_shuffle() {
         &cluster,
         vec![("d0".into(), dim0.clone()), ("d1".into(), dim1.clone())],
     );
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: OptimizerConfig::for_strategy(Strategy::Full),
-        feed: FeedMode::Batch { window: 48 },
-        plan: Arc::clone(&plan),
-        seed: 1,
-        udf_cpu_hint: 0.001,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
+    let job = JobSpec::new(
+        cluster.clone(),
+        OptimizerConfig::for_strategy(Strategy::Full),
+        FeedMode::Batch { window: 48 },
+        Arc::clone(&plan),
+        1,
+        0.001,
+    );
     let ours = run_job(&job, store, udfs(), ts.clone(), vec![]);
     assert_eq!(ours.fingerprint, reference.fingerprint, "framework");
     assert_eq!(ours.completed, 2000);
@@ -194,26 +176,17 @@ fn streaming_and_batch_compute_the_same_join() {
         t.arrival = at;
     }
     let store = build_store(&cluster, vec![("t".into(), table_rows)]);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: OptimizerConfig::for_strategy(Strategy::Full),
-        feed: FeedMode::Stream {
+    let job = JobSpec::new(
+        cluster.clone(),
+        OptimizerConfig::for_strategy(Strategy::Full),
+        FeedMode::Stream {
             horizon: SimDuration::from_secs(1000),
             window: 48,
         },
         plan,
-        seed: 2,
-        udf_cpu_hint: 0.002,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
+        2,
+        0.002,
+    );
     let r = run_job(&job, store, udfs(), ts, vec![]);
     assert_eq!(r.completed, 2000, "stream did not drain");
     assert_eq!(r.fingerprint, reference.fingerprint);
@@ -237,23 +210,14 @@ fn updates_propagate_and_invalidate() {
     let stale_reference = reference_run(&store, &udfs(), &plan, &ts);
 
     let store = build_store(&cluster, vec![("t".into(), table_rows)]);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: OptimizerConfig::for_strategy(Strategy::Full),
-        feed: FeedMode::Batch { window: 16 },
+    let job = JobSpec::new(
+        cluster.clone(),
+        OptimizerConfig::for_strategy(Strategy::Full),
+        FeedMode::Batch { window: 16 },
         plan,
-        seed: 4,
-        udf_cpu_hint: 0.002,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
+        4,
+        0.002,
+    );
     let r = run_job(&job, store, udfs(), ts, updates);
     assert_eq!(r.completed, 2000);
     // The update changed key 0's value mid-run; with key 0 in 40%+ of the
@@ -286,23 +250,14 @@ fn broadcast_and_targeted_notifications_both_stay_correct() {
             })
             .collect();
         let store = build_store(&cluster, vec![("t".into(), table_rows)]);
-        let job = JobSpec {
-            cluster: cluster.clone(),
-            optimizer: OptimizerConfig::for_strategy(Strategy::Full),
-            feed: FeedMode::Batch { window: 24 },
+        let job = JobSpec::new(
+            cluster.clone(),
+            OptimizerConfig::for_strategy(Strategy::Full),
+            FeedMode::Batch { window: 24 },
             plan,
-            seed: 8,
-            udf_cpu_hint: 0.002,
-            policy: None,
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+            8,
+            0.002,
+        );
         let r = run_job(&job, store, udfs(), ts, updates);
         assert_eq!(r.completed, 1500, "{notify:?}");
     }
@@ -320,10 +275,11 @@ fn broadcast_and_targeted_notifications_both_stay_correct() {
 /// fingerprints, *different* physical behavior.
 #[test]
 fn ch_and_dch_fingerprints_coincide_but_runs_differ() {
-    use jl_bench::experiments::bench_synthetic_report;
+    use jl_bench::bench_cell;
+    use jl_engine::Backend;
 
-    let ch = bench_synthetic_report("CH", 0.05, 7);
-    let dch = bench_synthetic_report("DCH", 0.05, 7);
+    let ch = bench_cell("CH", 0.05, 7).run(Backend::Sim).0;
+    let dch = bench_cell("DCH", 0.05, 7).run(Backend::Sim).0;
 
     assert_eq!(
         ch.fingerprint, dch.fingerprint,

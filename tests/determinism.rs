@@ -10,14 +10,11 @@
 //! process-global `JL_BENCH_THREADS` environment variable — parallel test
 //! binaries would race on it.
 
-use jl_bench::experiments::{
-    bench_synthetic_report, bench_synthetic_report_parallel, fig6_stream_report,
-};
-use jl_bench::{
-    fig8, fig_chaos, fig_elastic, fig_overload, traced_chaos_run, traced_chaos_run_parallel,
-    traced_chaos_run_with,
-};
+use jl_bench::experiments::fig6_stream_report;
+use jl_bench::{bench_cell, fig8, fig_chaos, fig_elastic, fig_overload, traced_chaos_run};
 use jl_core::Strategy;
+use jl_engine::Backend;
+use jl_telemetry::TelemetryConfig;
 use jl_workloads::SyntheticSpec;
 
 /// FNV-1a over a byte string — the same digest construction the golden
@@ -51,7 +48,7 @@ fn grid_results_are_thread_count_invariant() {
         let table = fig8(&SyntheticSpec::dh(), scale, seed).render();
         let batch: Vec<String> = ["DH", "CH", "DCH"]
             .iter()
-            .map(|name| format!("{:?}", bench_synthetic_report(name, scale, seed)))
+            .map(|name| format!("{:?}", bench_cell(name, scale, seed).run(Backend::Sim).0))
             .collect();
         let (stream, spots) = fig6_stream_report(0.02, seed, Strategy::Full);
         // The chaos grid exercises the whole fault path — crash/failover,
@@ -60,7 +57,7 @@ fn grid_results_are_thread_count_invariant() {
         let chaos = fig_chaos(scale, seed).render();
         // Telemetry is sampled on simulated time only, so the exported
         // trace and metrics JSON must be byte-identical too.
-        let (_, tel) = traced_chaos_run(scale, seed);
+        let (_, tel) = traced_chaos_run(scale, seed, TelemetryConfig::default(), Backend::Sim);
         let trace = tel.to_chrome_json();
         let metrics = tel.metrics_json();
         // The overload grid adds the protection plane — bounded queues,
@@ -150,14 +147,12 @@ fn parallel_kernel_matches_serial_at_every_shard_count() {
     let scale = 0.05;
     let seed = 7;
 
-    let serial = format!("{:?}", bench_synthetic_report("DH", scale, seed));
+    let cell = bench_cell("DH", scale, seed);
+    let serial = format!("{:?}", cell.run(Backend::Sim).0);
     let serial_digest = fnv1a(serial.as_bytes());
 
     for threads in [1usize, 2, 8] {
-        let par = format!(
-            "{:?}",
-            bench_synthetic_report_parallel("DH", scale, seed, threads)
-        );
+        let par = format!("{:?}", cell.run(Backend::Par(threads)).0);
         assert_eq!(
             par, serial,
             "parallel RunReport differs from serial at {threads} worker shards"
@@ -178,7 +173,8 @@ fn traced_parallel_kernel_replays_the_serial_trace() {
     let scale = 0.05;
     let seed = 7;
 
-    let (serial_report, serial_tel) = traced_chaos_run(scale, seed);
+    let traced = |backend| traced_chaos_run(scale, seed, TelemetryConfig::default(), backend);
+    let (serial_report, serial_tel) = traced(Backend::Sim);
     let serial_report = format!("{serial_report:?}");
     let serial_trace = serial_tel.to_chrome_json();
     let serial_metrics = serial_tel.metrics_json();
@@ -187,7 +183,7 @@ fn traced_parallel_kernel_replays_the_serial_trace() {
     assert!(check.spans > 0, "trace carries no spans");
 
     for threads in [1usize, 2, 8] {
-        let (report, tel) = traced_chaos_run_parallel(scale, seed, threads);
+        let (report, tel) = traced(Backend::Par(threads));
         assert_eq!(
             format!("{report:?}"),
             serial_report,
@@ -221,14 +217,15 @@ fn flight_recorder_is_a_pure_tee_at_every_shard_count() {
     let seed = 7;
     let cap = 2_048;
 
-    let (bare_report, bare_tel) = traced_chaos_run(scale, seed);
+    let (bare_report, bare_tel) =
+        traced_chaos_run(scale, seed, TelemetryConfig::default(), Backend::Sim);
     let bare_report = format!("{bare_report:?}");
     let bare_trace = bare_tel.to_chrome_json();
     let bare_metrics = bare_tel.metrics_json();
     assert!(bare_tel.flight.is_none(), "unarmed run must carry no ring");
 
-    let armed = jl_telemetry::TelemetryConfig::with_flight(cap);
-    let (serial_report, serial_tel) = traced_chaos_run_with(scale, seed, armed, None);
+    let armed = TelemetryConfig::with_flight(cap);
+    let (serial_report, serial_tel) = traced_chaos_run(scale, seed, armed, Backend::Sim);
     assert_eq!(
         format!("{serial_report:?}"),
         bare_report,
@@ -260,7 +257,7 @@ fn flight_recorder_is_a_pure_tee_at_every_shard_count() {
     );
 
     for threads in [1usize, 2, 8] {
-        let (report, tel) = traced_chaos_run_with(scale, seed, armed, Some(threads));
+        let (report, tel) = traced_chaos_run(scale, seed, armed, Backend::Par(threads));
         assert_eq!(
             format!("{report:?}"),
             bare_report,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use jl_core::{OptimizerConfig, Strategy};
 use jl_engine::plan::{JobPlan, JobTuple};
 use jl_engine::{
-    build_store_active, reference_run, run_job, run_job_parallel, run_job_real, ClusterSpec,
+    build_store_active, reference_run, run_job, run_job_on, run_job_parallel, Backend, ClusterSpec,
     FeedMode, JobSpec, MembershipConfig, MembershipEvent, RetryConfig,
 };
 use jl_simkit::fault::FaultPlan;
@@ -80,21 +80,15 @@ fn job(cluster: &ClusterSpec, membership: MembershipConfig) -> JobSpec {
     optimizer.batch_size = 16;
     optimizer.mem_cache_bytes = 64 * 1024;
     JobSpec {
-        cluster: cluster.clone(),
-        optimizer,
-        feed: FeedMode::Batch { window: 48 },
-        plan: JobPlan::single(0, 0),
-        seed: 3,
-        udf_cpu_hint: 0.002,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
         membership: Some(membership),
-        autoscale_policy: None,
+        ..JobSpec::new(
+            cluster.clone(),
+            optimizer,
+            FeedMode::Batch { window: 48 },
+            JobPlan::single(0, 0),
+            3,
+            0.002,
+        )
     }
 }
 
@@ -299,7 +293,7 @@ fn elastic_run_matches_sim_and_real() {
     let sim = run_job(&j, build(), udfs(), light_tuples.clone(), vec![]);
     assert_eq!(sim.completed, 900);
     assert!(sim.migrations > 0, "sim run never migrated");
-    let real = run_job_real(&j, build(), udfs(), light_tuples, vec![]);
+    let real = run_job_on(&j, Backend::Real, build(), udfs(), light_tuples, vec![]).0;
     assert_eq!(real.completed, sim.completed, "tuple accounting diverged");
     assert_eq!(real.fingerprint, sim.fingerprint, "join output diverged");
     assert_eq!(real.gave_up, 0);

@@ -4,7 +4,7 @@
 //! queue under its cap (property-tested across random configurations),
 //! and exercises the wire backpressure path under tiny admission caps.
 
-use jl_bench::{overload_bounded_config, run_overload_stream};
+use jl_bench::{overload_bounded_config, run_overload_stream, SyntheticCell};
 use jl_core::ShedMode;
 use jl_engine::{ClusterSpec, OverloadConfig};
 use jl_simkit::time::SimDuration;
@@ -26,6 +26,15 @@ fn stream_spec(n_tuples: u64) -> SyntheticSpec {
     }
 }
 
+/// The full optimizer over `spec` at skew `z` with the figure-standard
+/// 32 MB cache, on `cluster`.
+fn cell(spec: &SyntheticSpec, z: f64, cluster: &ClusterSpec, seed: u64) -> SyntheticCell {
+    SyntheticCell {
+        cluster: cluster.clone(),
+        ..SyntheticCell::new(spec.clone(), z, seed)
+    }
+}
+
 fn long() -> SimDuration {
     // Far past any arrival: the stream always drains, so accounting
     // invariants cover every offered tuple.
@@ -36,7 +45,7 @@ fn long() -> SimDuration {
 /// rate for this spec.
 fn gap_for(spec: &SyntheticSpec, cluster: &ClusterSpec, seed: u64, load: f64) -> SimDuration {
     let firehose = SimDuration::from_micros(1);
-    let mu = run_overload_stream(spec, 0.0, cluster, 32 << 20, seed, firehose, long(), None)
+    let mu = run_overload_stream(&cell(spec, 0.0, cluster, seed), firehose, long(), None)
         .throughput()
         .max(1.0);
     SimDuration::from_secs_f64(1.0 / (mu * load))
@@ -47,13 +56,9 @@ fn permissive_config_is_byte_inert() {
     let spec = stream_spec(800);
     let cluster = ClusterSpec::default();
     let gap = gap_for(&spec, &cluster, 11, 1.5);
-    let mut off = run_overload_stream(&spec, 0.8, &cluster, 32 << 20, 11, gap, long(), None);
+    let mut off = run_overload_stream(&cell(&spec, 0.8, &cluster, 11), gap, long(), None);
     let mut perm = run_overload_stream(
-        &spec,
-        0.8,
-        &cluster,
-        32 << 20,
-        11,
+        &cell(&spec, 0.8, &cluster, 11),
         gap,
         long(),
         Some(OverloadConfig::permissive()),
@@ -78,14 +83,10 @@ fn bounded_config_is_inert_at_nominal_load() {
     let spec = stream_spec(800);
     let cluster = ClusterSpec::default();
     let gap = gap_for(&spec, &cluster, 13, 0.5);
-    let off = run_overload_stream(&spec, 0.0, &cluster, 32 << 20, 13, gap, long(), None);
+    let off = run_overload_stream(&cell(&spec, 0.0, &cluster, 13), gap, long(), None);
     let deadline = SimDuration::from_secs_f64(off.p99_latency.as_secs_f64() * 4.0);
     let bounded = run_overload_stream(
-        &spec,
-        0.0,
-        &cluster,
-        32 << 20,
-        13,
+        &cell(&spec, 0.0, &cluster, 13),
         gap,
         long(),
         Some(overload_bounded_config(
@@ -108,7 +109,7 @@ fn protection_engages_with_complete_accounting_at_overload() {
     let cluster = ClusterSpec::default();
     let seed = 17;
     let gap = gap_for(&spec, &cluster, seed, 0.5);
-    let nominal = run_overload_stream(&spec, 0.0, &cluster, 32 << 20, seed, gap, long(), None);
+    let nominal = run_overload_stream(&cell(&spec, 0.0, &cluster, seed), gap, long(), None);
     // 3x the calibrated capacity with a deadline of twice the nominal
     // tail: the ingest queue outgrows its cap, queued tuples age past
     // their budget, and the shed policy must drop the difference.
@@ -117,11 +118,7 @@ fn protection_engages_with_complete_accounting_at_overload() {
     let cfg = overload_bounded_config(spec.n_tuples as usize / cluster.n_compute, Some(deadline));
     let cap = cfg.data_queue_cap;
     let r = run_overload_stream(
-        &spec,
-        0.0,
-        &cluster,
-        32 << 20,
-        seed,
+        &cell(&spec, 0.0, &cluster, seed),
         hot_gap,
         long(),
         Some(cfg),
@@ -159,7 +156,7 @@ fn tiny_admission_cap_exercises_wire_backpressure() {
         shed: ShedMode::OldestFirst,
         record_outcomes: false,
     };
-    let r = run_overload_stream(&spec, 0.8, &cluster, 32 << 20, seed, gap, long(), Some(cfg));
+    let r = run_overload_stream(&cell(&spec, 0.8, &cluster, seed), gap, long(), Some(cfg));
     assert!(
         r.backpressure_events > 0,
         "an 8-item admission cap at 2x load never NACKed"
@@ -199,7 +196,7 @@ proptest! {
             record_outcomes: false,
         };
         let z = z_tenths as f64 / 10.0;
-        let r = run_overload_stream(&spec, z, &cluster, 32 << 20, seed, gap, long(), Some(cfg));
+        let r = run_overload_stream(&cell(&spec, z, &cluster, seed), gap, long(), Some(cfg));
         prop_assert!(
             r.peak_queue_depth <= cap,
             "peak {} > cap {}", r.peak_queue_depth, cap

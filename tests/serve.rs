@@ -12,25 +12,19 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
-use jl_bench::{serve, ServeConfig};
+use jl_bench::{digest_udfs, serve, ServeConfig};
 use jl_core::{OptimizerConfig, ShedMode, Strategy};
 use jl_engine::{
-    build_store, run_job, run_job_real, run_job_real_traced, ClusterSpec, FeedMode, JobPlan,
-    JobSpec, JobTuple, OverloadConfig, RetryConfig, RunReport, StageSpec,
+    build_store, run_job, run_job_on, Backend, ClusterSpec, FeedMode, JobPlan, JobSpec, JobTuple,
+    OverloadConfig, RetryConfig, RunReport, StageSpec,
 };
 use jl_simkit::rng::splitmix64;
 use jl_simkit::time::{SimDuration, SimTime};
-use jl_store::{DigestUdf, RowKey, StoreCluster, StoredValue, UdfRegistry};
+use jl_store::{RowKey, StoreCluster, StoredValue};
 use jl_telemetry::TelemetryConfig;
 use jl_workloads::{SyntheticSpec, TpcDsLite};
 
 const UDF: usize = 0;
-
-fn digest_udfs(out_bytes: usize) -> UdfRegistry {
-    let mut u = UdfRegistry::new();
-    u.register(UDF, Arc::new(DigestUdf { out_bytes }));
-    u
-}
 
 /// Generous retry config: the machinery is armed (timers, failover maps)
 /// but a host stall would have to exceed 30 s of wall clock to fire a
@@ -97,21 +91,17 @@ fn dh_job(spec: &SyntheticSpec, cluster: &ClusterSpec, telemetry: bool) -> JobSp
     optimizer.batch_size = 64;
     optimizer.batch_max_wait = SimDuration::from_millis(2);
     JobSpec {
-        cluster: cluster.clone(),
-        optimizer,
-        feed: FeedMode::Batch { window: 32 },
-        plan: JobPlan::single(0, UDF),
-        seed: 7,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
         retry: Some(lazy_retry()),
         telemetry: telemetry.then(TelemetryConfig::default),
         overload: Some(headroom_overload()),
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
+        ..JobSpec::new(
+            cluster.clone(),
+            optimizer,
+            FeedMode::Batch { window: 32 },
+            JobPlan::single(0, UDF),
+            7,
+            spec.udf_cpu.as_secs_f64(),
+        )
     }
 }
 
@@ -146,8 +136,9 @@ fn dh_batch_cell_matches_sim_and_real() {
         tuples.clone(),
         vec![],
     );
-    let real = run_job_real(
+    let (real, _) = run_job_on(
         &job,
+        Backend::Real,
         dh_store(&spec, &cluster),
         digest_udfs(spec.output_size as usize),
         tuples,
@@ -210,21 +201,16 @@ fn q3_multijoin_cell_matches_sim_and_real() {
     optimizer.batch_size = 64;
     optimizer.batch_max_wait = SimDuration::from_millis(2);
     let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer,
-        feed: FeedMode::Batch { window: 32 },
-        plan,
-        seed: 11,
-        udf_cpu_hint: 3e-6,
-        policy: None,
-        decision_sink: None,
-        faults: None,
         retry: Some(lazy_retry()),
-        telemetry: None,
         overload: Some(headroom_overload()),
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
+        ..JobSpec::new(
+            cluster.clone(),
+            optimizer,
+            FeedMode::Batch { window: 32 },
+            plan,
+            11,
+            3e-6,
+        )
     };
     let udfs = digest_udfs(48);
     let sim = run_job(
@@ -234,7 +220,8 @@ fn q3_multijoin_cell_matches_sim_and_real() {
         tuples.clone(),
         vec![],
     );
-    let real = run_job_real(&job, build_store(&cluster, tables), udfs, tuples, vec![]);
+    let store = build_store(&cluster, tables);
+    let (real, _) = run_job_on(&job, Backend::Real, store, udfs, tuples, vec![]);
     assert_eq!(sim.completed, ds.fact_rows, "every fact tuple completes");
     assert_ne!(sim.fingerprint, 0, "outputs actually produced");
     assert_parity(&sim, &real);
@@ -256,8 +243,9 @@ fn real_backend_trace_validates() {
         })
         .collect();
     let job = dh_job(&spec, &cluster, true);
-    let (report, tel) = run_job_real_traced(
+    let (report, tel) = run_job_on(
         &job,
+        Backend::Real,
         dh_store(&spec, &cluster),
         digest_udfs(spec.output_size as usize),
         tuples,

@@ -49,23 +49,14 @@ fn run(strategy: Strategy, z: f64, udf_ms: u64, value_size: usize, n: u64) -> f6
     optimizer.mem_cache_bytes = 4 << 20;
     let mut udfs = UdfRegistry::new();
     udfs.register(0, Arc::new(DigestUdf { out_bytes: 64 }));
-    let job = JobSpec {
-        cluster: c,
+    let job = JobSpec::new(
+        c,
         optimizer,
-        feed: FeedMode::Batch { window: 96 },
-        plan: JobPlan::single(0, 0),
-        seed: 11,
-        udf_cpu_hint: udf_ms as f64 / 1000.0,
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
+        FeedMode::Batch { window: 96 },
+        JobPlan::single(0, 0),
+        11,
+        udf_ms as f64 / 1000.0,
+    );
     run_job(&job, store, udfs, tuples, vec![])
         .duration
         .as_secs_f64()
@@ -148,23 +139,14 @@ fn elasticity_more_compute_nodes_help_compute_bound_jobs() {
             .collect();
         let mut udfs = UdfRegistry::new();
         udfs.register(0, Arc::new(DigestUdf { out_bytes: 64 }));
-        let job = JobSpec {
-            cluster: c,
-            optimizer: OptimizerConfig::for_strategy(Strategy::Full),
-            feed: FeedMode::Batch { window: 96 },
-            plan: JobPlan::single(0, 0),
-            seed: 13,
-            udf_cpu_hint: 0.025,
-            policy: None,
-            decision_sink: None,
-            faults: None,
-            retry: None,
-            telemetry: None,
-            overload: None,
-            shed_policy: None,
-            membership: None,
-            autoscale_policy: None,
-        };
+        let job = JobSpec::new(
+            c,
+            OptimizerConfig::for_strategy(Strategy::Full),
+            FeedMode::Batch { window: 96 },
+            JobPlan::single(0, 0),
+            13,
+            0.025,
+        );
         run_job(&job, store, udfs, tuples, vec![])
             .duration
             .as_secs_f64()
