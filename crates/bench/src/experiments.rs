@@ -50,7 +50,7 @@ fn window_for(strategy: Strategy, cluster: &ClusterSpec, input_per_node: usize) 
 
 /// Thread count the experiment grid fans out over: the `JL_BENCH_THREADS`
 /// environment variable when set (≥ 1), otherwise the machine's available
-/// parallelism. Figure binaries expose it as `--threads N`.
+/// parallelism. `figs` exposes it as `--threads N`.
 pub fn bench_threads() -> usize {
     std::env::var("JL_BENCH_THREADS")
         .ok()
@@ -262,10 +262,11 @@ impl SyntheticCell {
     }
 }
 
-/// One pinned workload of the tracked kernel benchmark (`bench_report`):
-/// the named synthetic spec ("DH" / "CH" / "DCH") as a figure-standard
-/// cell at z = 1.0. `tuple_scale` scales the input volume (1.0 = figure
-/// scale). Arm `telemetry` and pick a [`Backend`] on the returned cell.
+/// The named synthetic spec ("DH" / "CH" / "DCH") as a figure-standard
+/// cell at z = 1.0 — the pinned cell the chaos / overload figures and the
+/// determinism and parity suites run. `tuple_scale` scales the input
+/// volume (1.0 = figure scale). Arm `telemetry` and pick a [`Backend`] on
+/// the returned cell.
 pub fn bench_cell(spec_name: &str, tuple_scale: f64, seed: u64) -> SyntheticCell {
     let spec = match spec_name {
         "DH" => SyntheticSpec::dh(),
@@ -276,9 +277,10 @@ pub fn bench_cell(spec_name: &str, tuple_scale: f64, seed: u64) -> SyntheticCell
     SyntheticCell::new(scaled(spec, tuple_scale), 1.0, seed)
 }
 
-/// The job shape the `ablation_*` binaries share: `cell`'s inputs, but the
-/// optimizer at its library defaults (only the cache size set) under a
-/// fixed 256-tuple window, so a sweep moves exactly the knob it names.
+/// The job shape the [`ablations`](crate::ablations) share: `cell`'s
+/// inputs, but the optimizer at its library defaults (only the cache size
+/// set) under a fixed 256-tuple window, so a sweep moves exactly the knob
+/// it names.
 pub fn ablation_inputs(cell: &SyntheticCell) -> JobInputs {
     let (mut job, store, udfs, tuples) = cell.build();
     job.optimizer = OptimizerConfig::for_strategy(cell.strategy);
@@ -975,6 +977,78 @@ pub fn fig_overload(tuple_scale: f64, seed: u64) -> (FigTable, Vec<OverloadCell>
     (table, results)
 }
 
+impl OverloadCell {
+    /// The grep-friendly `OVERLOAD <cell> ...` line `figs overload` prints
+    /// per cell (CI's smoke job reads them).
+    pub fn line(&self) -> String {
+        let r = &self.report;
+        format!(
+            "OVERLOAD {} bounded={} nominal={} goodput={:.1} p99_ms={:.3} completed={} shed={} \
+             misses={} peak_queue={} cap={} bp_events={}",
+            self.label.replace(' ', "_"),
+            self.bounded,
+            self.nominal,
+            r.throughput(),
+            r.p99_latency.as_secs_f64() * 1e3,
+            r.completed,
+            r.shed,
+            r.deadline_misses,
+            r.peak_queue_depth,
+            self.cap,
+            r.backpressure_events,
+        )
+    }
+}
+
+/// The protection invariants the overload figure claims — nonzero shed in
+/// the bounded overload cells, zero shed in the nominal ones, peak queue
+/// depth within the cap, bounded p99 under naive p99 — asserted with every
+/// offending cell listed on failure. `figs overload` prints `OVERLOAD_OK`
+/// only past this, so CI can rely on its exit status.
+pub fn check_overload_invariants(cells: &[OverloadCell]) {
+    let mut failures = Vec::new();
+    for c in cells {
+        let r = &c.report;
+        if c.bounded && r.peak_queue_depth > c.cap {
+            failures.push(format!(
+                "{}: peak queue {} exceeds cap {}",
+                c.label, r.peak_queue_depth, c.cap
+            ));
+        }
+        if c.bounded && c.nominal && r.shed != 0 {
+            failures.push(format!(
+                "{}: shed {} tuples at nominal load (protection must be inert)",
+                c.label, r.shed
+            ));
+        }
+        if c.bounded && !c.nominal && r.shed == 0 {
+            failures.push(format!(
+                "{}: shed nothing at 2x load (protection never engaged)",
+                c.label
+            ));
+        }
+    }
+    // Graceful degradation: in each overload column the bounded cell's
+    // tail latency must come in under the naive cell's unbounded-queue
+    // tail.
+    for c in cells.iter().filter(|c| c.bounded && !c.nominal) {
+        let naive_label = c.label.replace("bounded", "naive");
+        if let Some(n) = cells.iter().find(|c| c.label == naive_label) {
+            if c.report.p99_latency >= n.report.p99_latency {
+                failures.push(format!(
+                    "{}: bounded p99 {:?} not below naive p99 {:?}",
+                    c.label, c.report.p99_latency, n.report.p99_latency
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "overload invariants violated:\n{}",
+        failures.join("\n")
+    );
+}
+
 /// One cell of the elastic figure: a fleet configuration (static small,
 /// static large, or autoscaled) run over the same diurnal stream.
 pub struct ElasticCell {
@@ -1185,9 +1259,33 @@ pub fn fig_elastic(tuple_scale: f64, seed: u64) -> (FigTable, Vec<ElasticCell>) 
     (table, results)
 }
 
+impl ElasticCell {
+    /// The grep-friendly `ELASTIC <fleet> ...` line `figs elastic` prints
+    /// per cell (CI's smoke job reads them).
+    pub fn line(&self) -> String {
+        let r = &self.report;
+        format!(
+            "ELASTIC {} active={} completed={} fp={:#018x} p99_ms={:.3} node_s={:.3} \
+             migrations={} aborted={} migrated_bytes={} drained={} rents={} releases={}",
+            self.label,
+            self.initial_active,
+            r.completed,
+            r.fingerprint,
+            r.p99_latency.as_secs_f64() * 1e3,
+            r.node_seconds,
+            r.migrations,
+            r.migrations_aborted,
+            r.migrated_bytes,
+            r.drained_nodes,
+            r.autoscale_rents,
+            r.autoscale_releases,
+        )
+    }
+}
+
 /// The invariants the elastic figure claims, asserted with the offending
-/// numbers on failure. Shared by the `fig_elastic` binary (the CI smoke
-/// job greps its `ELASTIC_OK`) and the test suite.
+/// numbers on failure. `figs elastic` prints `ELASTIC_OK` only past this
+/// (the CI smoke job greps for that line).
 pub fn check_elastic_invariants(cells: &[ElasticCell]) {
     assert!(cells.len() >= 3, "expected small/large/elastic cells");
     let small = &cells[0].report;

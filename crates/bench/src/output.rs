@@ -1,4 +1,4 @@
-//! Plain-text table output for the figure-regeneration binaries.
+//! Plain-text table output for the figures `figs` regenerates.
 
 /// One reproduced figure: labelled rows × labelled columns of numbers.
 #[derive(Debug, Clone)]

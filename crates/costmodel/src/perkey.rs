@@ -51,7 +51,7 @@ impl<K: Hash + Eq + Clone> PerKeyCosts<K> {
     pub fn new(capacity: usize, alpha: f64) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         PerKeyCosts {
-            entries: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
+            entries: FxHashMap::default(),
             alpha,
             capacity,
             clock: 0,

@@ -1276,6 +1276,10 @@ mod tests {
         // Metrics flow regardless of which event sink is on.
         assert!(report.completed > 0);
         assert!(!tel.registry.is_empty());
+        // The ring alone perturbs nothing either: same report as untraced.
+        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let untraced = run_job(&job, store, udfs, tuples, vec![]);
+        assert_eq!(format!("{report:?}"), format!("{untraced:?}"));
 
         // And with the full buffer on as well, the ring holds a suffix of
         // the buffered trace (same packed bytes, fewer of them).

@@ -263,9 +263,8 @@ fn broadcast_and_targeted_notifications_both_stay_correct() {
     }
 }
 
-/// The tracked kernel benchmark reports the *same* fingerprint for CH and
-/// DCH (`BENCH_kernel.json` pins both at `058b7fb9de31dbbb`). That is not
-/// a copy-paste bug: the two specs differ only in `value_size`, and the
+/// The CH and DCH cells report the *same* fingerprint at any one scale and
+/// seed. That is not a copy-paste bug: the two specs differ only in `value_size`, and the
 /// fingerprint is an XOR over `DigestUdf(key, params, value.data)` outputs
 /// where `value.data` is the 64-byte prefix derived from the key alone —
 /// `value_size` contributes padding that moves bytes and time, never
