@@ -13,7 +13,7 @@
 //! to stdout. With `--port P`, the process listens on `127.0.0.1:P` and
 //! serves each accepted connection in turn (forever, or a single
 //! connection with `--once`). The line protocol is documented on
-//! [`jl_bench::serve`]; per-session statistics go to stderr.
+//! [`mod@jl_bench::serve`]; per-session statistics go to stderr.
 //!
 //! Any of the observability flags arm the live plane: a flight recorder
 //! tees the engine's trace events into a bounded ring, a sampler on the

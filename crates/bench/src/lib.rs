@@ -6,7 +6,7 @@
 //! prints the usage. See EXPERIMENTS.md for paper-vs-measured tables. The
 //! repo's performance benchmark is the separate `benchmark/` package.
 //!
-//! Also home of the [`serve`] layer and its `jl-serve` binary: the same
+//! Also home of the [`mod@serve`] layer and its `jl-serve` binary: the same
 //! engine on the wall-clock backend, answering a live request stream.
 
 #![warn(missing_docs)]
@@ -59,8 +59,8 @@ pub struct BenchArgs {
     /// on the parallel kernel with `n` shards — the trace bytes are
     /// identical either way.
     pub trace_shards: Option<usize>,
-    /// Experiment-grid thread count from `--threads N` (see
-    /// [`bench_threads`]); `None` leaves the environment's choice.
+    /// Experiment-grid thread count from `--threads N` or
+    /// `JL_BENCH_THREADS` (see [`bench_threads`]); `None` is every core.
     threads: Option<usize>,
 }
 
@@ -188,9 +188,9 @@ usage: figs <name> [dh|ch|dch] [options]
 /// [`FIGURES`], the `dh|ch|dch` selector goes only with a [`Run::PerSpec`]
 /// figure and `--faults` only with `all`, `--scale` is a finite number
 /// ≥ 0, `--threads` and `--trace-shards` integers ≥ 1. Where `--trace` /
-/// `--trace-shards` are absent, `JL_TRACE` / `JL_TRACE_SHARDS` stand in,
-/// under the same checks. Returns what to run with its arguments; has no
-/// side effects.
+/// `--trace-shards` / `--threads` are absent, `JL_TRACE` /
+/// `JL_TRACE_SHARDS` / `JL_BENCH_THREADS` stand in, under the same checks.
+/// Returns what to run with its arguments; has no side effects.
 pub fn parse_from(
     args: &[String],
     env: impl Fn(&str) -> Option<String>,
@@ -208,7 +208,8 @@ pub fn parse_from(
             .ok_or_else(|| format!("{flag} {raw:?}: expected {expected}"))
     }
     let path = |flag: &str, raw| value(flag, raw, |p: &PathBuf| p != Path::new(""), "a path");
-    let count = |flag: &str, raw| value(flag, raw, |&n: &usize| n >= 1, "an integer >= 1");
+    let count =
+        |flag: &str, raw: Option<&String>| value(flag, raw, |&n: &usize| n >= 1, "an integer >= 1");
 
     let mut parsed = BenchArgs {
         figure: "",
@@ -242,6 +243,9 @@ pub fn parse_from(
     }
     if let (None, Some(raw)) = (parsed.trace_shards, env("JL_TRACE_SHARDS")) {
         parsed.trace_shards = Some(count("JL_TRACE_SHARDS", Some(&raw))?);
+    }
+    if let (None, Some(raw)) = (parsed.threads, env("JL_BENCH_THREADS")) {
+        parsed.threads = Some(count("JL_BENCH_THREADS", Some(&raw))?);
     }
 
     let mut positionals = positionals.into_iter();
@@ -391,6 +395,9 @@ mod tests {
         );
         let a = parse_env(&["chaos", "--trace", "t.json", "--trace-shards", "8"], &env).unwrap();
         assert_eq!((a.trace, a.trace_shards), (Some("t.json".into()), Some(8)));
+        let env = [("JL_BENCH_THREADS", "x")];
+        let a = parse_env(&["chaos", "--threads", "2"], &env).unwrap();
+        assert_eq!(a.threads, Some(2));
     }
 
     #[test]
@@ -436,6 +443,8 @@ mod tests {
             ("JL_TRACE_SHARDS", "x"),
             ("JL_TRACE_SHARDS", "0"),
             ("JL_TRACE", ""),
+            ("JL_BENCH_THREADS", "x"),
+            ("JL_BENCH_THREADS", "0"),
         ] {
             let err = parse_env(&["chaos"], &[(var, value)]).expect_err(var);
             assert!(err.starts_with(var), "{var}={value:?}: {err}");

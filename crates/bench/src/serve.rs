@@ -17,9 +17,10 @@
 //!
 //! `key` is a u64 (mapped onto the stored table as `key % rows`, so every
 //! request hits); `params_size` is an optional payload size in bytes
-//! (default 128). Blank lines and lines starting with `#` are ignored;
-//! anything else unparseable is counted in
-//! [`ServeStats::malformed`] and skipped.
+//! (default 128, at most [`MAX_PARAMS_BYTES`] — the server materialises
+//! that payload). Blank lines and lines starting with `#` are ignored;
+//! anything else — unparseable, or a `params_size` over the bound — is
+//! counted in [`ServeStats::malformed`] and skipped.
 //!
 //! Response lines, in completion order (not request order — the engine
 //! pipelines):
@@ -47,7 +48,7 @@
 //!   Chrome trace; replies `dump <path> <events>`.
 //!
 //! The same surfaces are reachable out-of-band (from another socket or
-//! thread) through [`ServeShared`](crate::observe::ServeShared).
+//! thread) through [`ServeShared`].
 //!
 //! # Membership commands (always available)
 //!
@@ -69,8 +70,8 @@ use rustc_hash::FxHashMap;
 
 use jl_core::{OptimizerConfig, Strategy};
 use jl_engine::{
-    build_cluster, build_real_runtime, build_store, gather_report, process_names, snapshot_delta,
-    ClusterNode, ClusterSpec, FeedMode, JobPlan, JobSpec, JobTuple, MembershipConfig, Msg,
+    build_cluster, build_store, gather_report, load_host, process_names, snapshot_delta,
+    ClusterSim, ClusterSpec, FeedMode, JobPlan, JobSpec, JobTuple, MembershipConfig, Msg,
     OverloadConfig, RetryConfig, RunReport, TupleFate,
 };
 use jl_runtime::RealRuntime;
@@ -214,6 +215,12 @@ fn parse_member_cmd(line: &str) -> Option<(bool, usize)> {
     it.next().is_none().then_some((join, node))
 }
 
+/// Largest `params_size` a request line may ask for: 1 MiB (the workloads
+/// use 64 B to a few KB). The engine allocates and fills that many bytes
+/// per request and ships them through the modelled NIC, so an unbounded
+/// value lets one line hold gigabytes and the loop thread for minutes.
+pub const MAX_PARAMS_BYTES: u32 = 1 << 20;
+
 /// Parse one request line. `Ok(None)` = ignorable (blank / comment).
 fn parse_request(line: &str) -> Result<Option<(u64, u32)>, ()> {
     let line = line.trim();
@@ -226,7 +233,7 @@ fn parse_request(line: &str) -> Result<Option<(u64, u32)>, ()> {
         Some(tok) => tok.parse().map_err(|_| ())?,
         None => 128,
     };
-    if it.next().is_some() {
+    if it.next().is_some() || params > MAX_PARAMS_BYTES {
         return Err(());
     }
     Ok(Some((key, params)))
@@ -293,7 +300,22 @@ where
     let processes = process_names(&cluster);
 
     let built = build_cluster(&job, store, udfs, vec![], vec![], &tel);
-    let mut rt = build_real_runtime(&job, built, &tel);
+    let mut sim = load_host(&job, built, &tel);
+
+    // Fault-transition dumps: wrap the engine probe so a crash/restart
+    // snapshots the ring before evidence rotates out. (No fault plan is
+    // installed by `serve` itself, but callers embedding this layer can.)
+    if let (Some(t), Some(o)) = (&tel, &cfg.observe) {
+        if let Some(path) = &o.dump_path {
+            sim.set_probe(Box::new(FaultDumpProbe::new(
+                Box::new(jl_engine::EngineProbe::new(t.clone())),
+                t.clone(),
+                processes.clone(),
+                path.clone(),
+            )));
+        }
+    }
+    let mut rt = RealRuntime::pace(sim);
 
     // Completion fan-in: each compute node's hook reports one
     // (seq, fate, at) per tuple to the responder.
@@ -328,20 +350,6 @@ where
 
     let live: Option<Arc<ServeLive>> = cfg.observe.as_ref().map(|o| Arc::new(ServeLive::new(o)));
 
-    // Fault-transition dumps: wrap the engine probe so a crash/restart
-    // snapshots the ring before evidence rotates out. (No fault plan is
-    // installed by `serve` itself, but callers embedding this layer can.)
-    if let (Some(t), Some(o)) = (&tel, &cfg.observe) {
-        if let Some(path) = &o.dump_path {
-            rt.set_probe(Box::new(FaultDumpProbe::new(
-                Box::new(jl_engine::EngineProbe::new(t.clone())),
-                t.clone(),
-                processes.clone(),
-                path.clone(),
-            )));
-        }
-    }
-
     // The event-loop sampler: every beat, publish a fresh incremental
     // metrics snapshot plus live per-node queue/pipeline state. Runs on
     // the loop thread, so it reads node state with no synchronization.
@@ -358,13 +366,13 @@ where
         };
         rt.set_live_sampler(
             SimDuration::from_millis(o.sample_ms.max(1)),
-            move |rt: &RealRuntime<ClusterNode>| {
-                let at = rt.time();
-                let registry = snapshot_delta(rt, &cl, at);
+            move |sim: &ClusterSim| {
+                let at = sim.time();
+                let registry = snapshot_delta(sim, &cl, at);
                 let mut queues = Vec::with_capacity(cl.n_data);
                 for j in 0..cl.n_data {
                     let id = cl.data_id(j);
-                    let n = rt.node(id).as_data().expect("data role");
+                    let n = sim.node(id).as_data().expect("data role");
                     let (depth, pressured) = n.live_queue();
                     queues.push((
                         id as u32,
@@ -378,7 +386,7 @@ where
                 let (mut completed, mut ingested, mut retries) = (0u64, 0u64, 0u64);
                 for i in 0..cl.n_compute {
                     let id = cl.compute_id(i);
-                    let n = rt.node(id).as_compute().expect("compute role");
+                    let n = sim.node(id).as_compute().expect("compute role");
                     let (outstanding, pressured) = n.live_pipeline();
                     pipelines.push((id as u32, name_of(id as u32), outstanding, pressured));
                     let r = n.report();
@@ -386,7 +394,7 @@ where
                     ingested += r.ingested;
                     retries += r.retries;
                 }
-                let totals = rt.net_totals();
+                let totals = sim.net_totals();
                 l.publish(LiveSample {
                     at,
                     registry,
@@ -602,8 +610,8 @@ where
         return Err(e);
     }
     debug_assert_eq!(served, responded, "every accepted request is answered");
-    let end = rt.time();
-    let report = gather_report(&rt, &cluster, end);
+    let end = rt.sim().time();
+    let report = gather_report(rt.sim(), &cluster, end);
     Ok(ServeStats {
         served,
         malformed: malformed.load(Ordering::Relaxed),
@@ -696,6 +704,9 @@ mod tests {
         assert_eq!(parse_request("x"), Err(()));
         assert_eq!(parse_request("1 2 3"), Err(()));
         assert_eq!(parse_request("1 -2"), Err(()));
+        assert_eq!(parse_request("1 1048576"), Ok(Some((1, MAX_PARAMS_BYTES))));
+        assert_eq!(parse_request("1 1048577"), Err(()));
+        assert_eq!(parse_request("1 4294967295"), Err(()));
     }
 
     #[test]

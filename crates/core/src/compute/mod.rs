@@ -11,7 +11,7 @@
 //!
 //! The module splits into two planes plus shared measurement:
 //!
-//! - [`runtime`] (re-exported here) — the *execution plane*: request
+//! - `runtime` (re-exported here) — the *execution plane*: request
 //!   lifecycle, batching, in-flight fetch suppression, cache admission,
 //!   response absorption.
 //! - [`policy`] — the *decision plane*: the [`PlacementPolicy`] trait, one

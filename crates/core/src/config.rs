@@ -101,7 +101,7 @@ pub struct OptimizerConfig {
     /// Exponential-smoothing factor for measured costs (§3.2).
     pub smoothing_alpha: f64,
     /// Multiplier on the ski-rental buy threshold (1.0 = the paper's
-    /// `b/(r − br)`; swept by `ablation_ski`).
+    /// `b/(r − br)`; swept by `figs ablate ski`).
     pub ski_threshold_scale: f64,
     /// Batch-split solver.
     pub lb_solver: LbSolver,

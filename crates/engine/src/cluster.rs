@@ -1,12 +1,13 @@
 //! The cluster: message type, cacheable value wrapper, and the
 //! role-dispatching node enum — written once against the backend-agnostic
-//! [`RuntimeNode`]/[`RuntimeCtx`] seam and hosted on either the simulator
-//! (via the thin [`Node`] delegate below) or the wall-clock backend.
+//! [`RuntimeNode`]/[`RuntimeCtx`] seam and hosted on the simulation kernel
+//! through [`Hosted`]: every backend runs the same [`ClusterSim`], under
+//! the kernel's own loops or paced by the wall clock.
 
 use bytes::Bytes;
 
 use jl_core::types::{BatchRequest, CacheValue, ResponseItem};
-use jl_runtime::{RuntimeCtx, RuntimeNode};
+use jl_runtime::{Hosted, RuntimeCtx, RuntimeNode};
 use jl_simkit::prelude::*;
 use jl_store::{RowKey, StoredValue, TableId};
 
@@ -282,29 +283,6 @@ impl RuntimeNode for ClusterNode {
             ClusterNode::Compute(_) | ClusterNode::Controller(_) => {}
         }
     }
-}
-
-// The simulator hosts the same handlers through its own `Node` trait; the
-// delegate is thin enough that the sim path monomorphizes to exactly the
-// pre-seam code (pinned by the determinism digests and golden traces).
-impl Node for ClusterNode {
-    type Msg = Msg;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.handle_start(ctx);
-    }
-
-    fn on_message(&mut self, from: NodeId, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        self.handle_message(from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, Msg>) {
-        self.handle_timer(tag, ctx);
-    }
-
-    fn on_fault(&mut self, kind: FaultKind, ctx: &mut Ctx<'_, Msg>) {
-        self.handle_fault(kind, ctx);
-    }
 
     fn may_stop(&self) -> bool {
         // Only the controller ever calls `ctx.stop()`; declaring it here
@@ -312,6 +290,9 @@ impl Node for ClusterNode {
         matches!(self, ClusterNode::Controller(_))
     }
 }
+
+/// The kernel every backend runs: the cluster's nodes hosted on [`Sim`].
+pub type ClusterSim = Sim<Hosted<ClusterNode>>;
 
 // `Sim::run_parallel` moves node state across worker threads; this pin
 // catches any non-`Send` field (e.g. an `Rc` handle) sneaking back in.

@@ -22,6 +22,7 @@ use jl_core::shed::{ShedCandidate, ShedPolicy};
 use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, ITEM_OVERHEAD};
 use crate::config::{ClusterSpec, FeedMode, OverloadConfig, RetryConfig};
 use crate::plan::{decode_params, encode_params, output_fingerprint, survives, JobPlan, JobTuple};
+use crate::telemetry::tel_record;
 
 /// Timer tag reserved for batch-deadline polling.
 const DEADLINE_TAG: u64 = u64::MAX;
@@ -317,23 +318,7 @@ impl ComputeNode {
         self.decision_stage = Some(stage);
     }
 
-    /// Record one trace event: directly under final-order execution,
-    /// deferred through the shard journal (commit-walk replay in exact
-    /// serial order) when the callback is speculative. The closure only
-    /// runs when a recorder is attached, so untraced runs pay one branch.
-    #[inline]
-    fn tel_record<C: RuntimeCtx<Msg>>(&self, ctx: &mut C, mk: impl FnOnce(SimTime) -> TraceEvent) {
-        let Some(t) = &self.tel else { return };
-        let ev = mk(ctx.now());
-        if ctx.is_speculative() {
-            let t = t.clone();
-            ctx.defer(Box::new(move || t.borrow_mut().record(ev)));
-        } else {
-            t.borrow_mut().record(ev);
-        }
-    }
-
-    /// [`ComputeNode::tel_record`] for the hottest emitters, from event
+    /// [`tel_record`] for the hottest emitters, from event
     /// parts: the direct branch records allocation-free (no ~220-byte
     /// `TraceEvent` built just to be unpacked), the speculative branch
     /// moves the parts into the journaled closure.
@@ -537,7 +522,7 @@ impl ComputeNode {
             hook(seq, TupleFate::Shed, ctx.now());
         }
         let node = self.tel_node;
-        self.tel_record(ctx, |now| {
+        tel_record(&self.tel, ctx, |now| {
             TraceEvent::instant(node, Track::Fault, "shed", now)
                 .arg("seq", seq)
                 .arg("why", why)
@@ -722,7 +707,7 @@ impl ComputeNode {
             if let Some(&b) = self.backups.get(&dest) {
                 self.report.failovers += 1;
                 let node = self.tel_node;
-                self.tel_record(ctx, |now| {
+                tel_record(&self.tel, ctx, |now| {
                     TraceEvent::instant(node, Track::Fault, "failover", now)
                         .arg("dest", dest as u64)
                         .arg("backup", b as u64)
@@ -791,7 +776,7 @@ impl ComputeNode {
         self.rt.set_health(from_data, NodeHealth::Degraded);
         let node = self.tel_node;
         let n_items = req_ids.len() as u64;
-        self.tel_record(ctx, |now| {
+        tel_record(&self.tel, ctx, |now| {
             TraceEvent::instant(node, Track::Fault, "nacked", now)
                 .arg("from_data", from_data as u64)
                 .arg("items", n_items)
@@ -877,7 +862,7 @@ impl ComputeNode {
         let attempt = self.attempts.remove(&req_id).unwrap_or(0) + 1;
         if let Some(&t0) = self.sent_at.get(&req_id) {
             let node = self.tel_node;
-            self.tel_record(ctx, |now| {
+            tel_record(&self.tel, ctx, |now| {
                 TraceEvent::span(node, Track::Fault, "timeout", t0, now.since(t0))
                     .arg("req", req_id)
                     .arg("dest", old_dest as u64)
@@ -890,7 +875,7 @@ impl ComputeNode {
             self.sent_at.remove(&req_id);
             self.report.gave_up += 1;
             let node = self.tel_node;
-            self.tel_record(ctx, |now| {
+            tel_record(&self.tel, ctx, |now| {
                 TraceEvent::instant(node, Track::Fault, "gave-up", now).arg("req", req_id)
             });
             if let Some((seq, stage)) = self.sent.remove(&req_id) {
@@ -913,7 +898,7 @@ impl ComputeNode {
         };
         self.report.retries += 1;
         let node = self.tel_node;
-        self.tel_record(ctx, |now| {
+        tel_record(&self.tel, ctx, |now| {
             TraceEvent::instant(node, Track::Fault, "retry", now)
                 .arg("req", req_id)
                 .arg("attempt", u64::from(attempt))
@@ -1052,7 +1037,7 @@ impl ComputeNode {
                         if pressured {
                             self.n_pressured += 1;
                             let node = self.tel_node;
-                            self.tel_record(ctx, |now| {
+                            tel_record(&self.tel, ctx, |now| {
                                 TraceEvent::instant(node, Track::Fault, "dest-pressured", now)
                                     .arg("from_data", from_data as u64)
                             });
@@ -1120,7 +1105,7 @@ impl ComputeNode {
                 self.draining[node] = health == NodeHealth::Draining;
                 self.rt.set_health(node, health);
                 let tn = self.tel_node;
-                self.tel_record(ctx, |now| {
+                tel_record(&self.tel, ctx, |now| {
                     TraceEvent::instant(tn, Track::Fault, "health-update", now)
                         .arg("data", node as u64)
                         .arg("draining", u64::from(health == NodeHealth::Draining))
@@ -1137,7 +1122,7 @@ impl ComputeNode {
                 if epoch > slot.0 {
                     *slot = (epoch, owner);
                     let tn = self.tel_node;
-                    self.tel_record(ctx, |now| {
+                    tel_record(&self.tel, ctx, |now| {
                         TraceEvent::instant(tn, Track::Fault, "epoch-update", now)
                             .arg("epoch", epoch)
                             .arg("table", table as u64)

@@ -23,6 +23,7 @@ use jl_telemetry::{TelemetryHandle, TraceEvent, Track};
 
 use crate::cluster::Msg;
 use crate::config::{ClusterSpec, MembershipConfig, MembershipEvent};
+use crate::telemetry::tel_record;
 
 /// Timer tag for the autoscaler cadence. `u64::MAX` carries both bit
 /// markers below, so it must be matched first.
@@ -163,22 +164,6 @@ impl Controller {
         self.tel_node = node;
     }
 
-    /// Record one trace event: directly under final-order execution,
-    /// deferred through the shard journal when the callback is
-    /// speculative (the controller is pinned to the stop shard, but the
-    /// contract is cheap to honor).
-    #[inline]
-    fn tel_record<C: RuntimeCtx<Msg>>(&self, ctx: &mut C, mk: impl FnOnce(SimTime) -> TraceEvent) {
-        let Some(t) = &self.tel else { return };
-        let ev = mk(ctx.now());
-        if ctx.is_speculative() {
-            let t = t.clone();
-            ctx.defer(Box::new(move || t.borrow_mut().record(ev)));
-        } else {
-            t.borrow_mut().record(ev);
-        }
-    }
-
     /// Total tuples completed across the cluster.
     pub fn completed(&self) -> u64 {
         self.completed
@@ -301,7 +286,7 @@ impl Controller {
                 MIG_TIMEOUT_BIT | mig_id,
             );
             let node = self.tel_node;
-            self.tel_record(ctx, |now| {
+            tel_record(&self.tel, ctx, |now| {
                 TraceEvent::instant(node, Track::Fault, "mig-plan", now)
                     .arg("mig", mig_id)
                     .arg("table", table as u64)
@@ -338,7 +323,7 @@ impl Controller {
             );
         }
         let node = self.tel_node;
-        self.tel_record(ctx, |now| {
+        tel_record(&self.tel, ctx, |now| {
             TraceEvent::instant(node, Track::Fault, "member-join", now).arg("node", j as u64)
         });
 
@@ -396,7 +381,7 @@ impl Controller {
             .collect();
         if eligible.len() < min_active {
             let node = self.tel_node;
-            self.tel_record(ctx, |now| {
+            tel_record(&self.tel, ctx, |now| {
                 TraceEvent::instant(node, Track::Fault, "decommission-refused", now)
                     .arg("node", j as u64)
             });
@@ -415,7 +400,7 @@ impl Controller {
             );
         }
         let node = self.tel_node;
-        self.tel_record(ctx, |now| {
+        tel_record(&self.tel, ctx, |now| {
             TraceEvent::instant(node, Track::Fault, "member-drain", now).arg("node", j as u64)
         });
         // Least-loaded targets first; regions round-robin over them.
@@ -458,7 +443,7 @@ impl Controller {
             self.stats.drained_nodes += 1;
             ctx.send(spec.data_id(j), Msg::Deactivate { node: j }, CTRL_BYTES);
             let node = self.tel_node;
-            self.tel_record(ctx, |now| {
+            tel_record(&self.tel, ctx, |now| {
                 TraceEvent::instant(node, Track::Fault, "member-drained", now).arg("node", j as u64)
             });
         }
@@ -499,7 +484,7 @@ impl Controller {
             );
         }
         let node = self.tel_node;
-        self.tel_record(ctx, |now| {
+        tel_record(&self.tel, ctx, |now| {
             TraceEvent::instant(node, Track::Fault, "mig-done", now)
                 .arg("mig", mig_id)
                 .arg("epoch", epoch)
@@ -516,7 +501,7 @@ impl Controller {
         self.migrating.remove(&(mig.table, mig.region));
         self.stats.migrations_aborted += 1;
         let node = self.tel_node;
-        self.tel_record(ctx, |now| {
+        tel_record(&self.tel, ctx, |now| {
             TraceEvent::instant(node, Track::Fault, "mig-aborted", now)
                 .arg("mig", mig_id)
                 .arg("source", mig.source as u64)
@@ -577,7 +562,7 @@ impl Controller {
                 if let Some(j) = (0..n_data).find(|&k| !self.active[k]) {
                     self.stats.autoscale_rents += 1;
                     let node = self.tel_node;
-                    self.tel_record(ctx, |now| {
+                    tel_record(&self.tel, ctx, |now| {
                         TraceEvent::instant(node, Track::Fault, "autoscale-rent", now)
                             .arg("node", j as u64)
                     });
@@ -594,7 +579,7 @@ impl Controller {
                     if let Some(&j) = candidates.last() {
                         self.stats.autoscale_releases += 1;
                         let node = self.tel_node;
-                        self.tel_record(ctx, |now| {
+                        tel_record(&self.tel, ctx, |now| {
                             TraceEvent::instant(node, Track::Fault, "autoscale-release", now)
                                 .arg("node", j as u64)
                         });

@@ -34,6 +34,7 @@ type ReplyWave = (
 type ServedItem = (ResponseItem<EKey, Val>, SimTime, u64, Option<Bytes>);
 use crate::config::{ClusterSpec, OverloadConfig};
 use crate::plan::{decode_params, JobPlan};
+use crate::telemetry::tel_record;
 
 /// Timer tag for the autoscaler heartbeat. `u64::MAX` carries both
 /// migration bits below, so it must be matched first.
@@ -282,21 +283,6 @@ impl DataNode {
         self.tel_node = node;
     }
 
-    /// Record one trace event: directly under final-order execution,
-    /// deferred through the shard journal (commit-walk replay in exact
-    /// serial order) when the callback is speculative.
-    #[inline]
-    fn tel_record<C: RuntimeCtx<Msg>>(&self, ctx: &mut C, mk: impl FnOnce(SimTime) -> TraceEvent) {
-        let Some(t) = &self.tel else { return };
-        let ev = mk(ctx.now());
-        if ctx.is_speculative() {
-            let t = t.clone();
-            ctx.defer(Box::new(move || t.borrow_mut().record(ev)));
-        } else {
-            t.borrow_mut().record(ev);
-        }
-    }
-
     /// Register that this node hosts a failover replica of data node
     /// `source`'s regions (the runner pairs this with
     /// [`RegionServer::absorb_replica`]).
@@ -478,7 +464,7 @@ impl DataNode {
             let req_ids: Vec<u64> = batch.items.iter().map(|i| i.req_id).collect();
             let node = self.tel_node;
             let depth = self.queued;
-            self.tel_record(ctx, |now| {
+            tel_record(&self.tel, ctx, |now| {
                 TraceEvent::instant(node, Track::Fault, "nack", now)
                     .arg("items", n)
                     .arg("depth", depth)
@@ -500,7 +486,7 @@ impl DataNode {
             self.pressure_events += 1;
             let node = self.tel_node;
             let depth = self.queued;
-            self.tel_record(ctx, |now| {
+            tel_record(&self.tel, ctx, |now| {
                 TraceEvent::instant(node, Track::Fault, "pressure-on", now).arg("depth", depth)
             });
         }
@@ -540,7 +526,7 @@ impl DataNode {
         for (owner, (fwd_items, bytes)) in forward {
             let n = fwd_items.len() as u64;
             let node = self.tel_node;
-            self.tel_record(ctx, |now| {
+            tel_record(&self.tel, ctx, |now| {
                 TraceEvent::instant(node, Track::Fault, "mig-forward", now)
                     .arg("items", n)
                     .arg("owner", owner as u64)
@@ -606,7 +592,7 @@ impl DataNode {
                     let evictions = self.block_cache.evictions();
                     if evictions > prev_evictions {
                         let node = self.tel_node;
-                        self.tel_record(ctx, |now| {
+                        tel_record(&self.tel, ctx, |now| {
                             TraceEvent::instant(node, Track::Decision, "cache-evict", now)
                                 .arg("count", evictions - prev_evictions)
                         });
@@ -838,7 +824,7 @@ impl DataNode {
         }
 
         let node = self.tel_node;
-        self.tel_record(ctx, |_| {
+        tel_record(&self.tel, ctx, |_| {
             TraceEvent::span(node, Track::Serve, "batch", now, ready.since(now))
                 .arg("items", n_items as u64)
                 .arg("executed", executed)
@@ -913,7 +899,7 @@ impl DataNode {
         let svc = self.spec.disk_service(value.size());
         ctx.use_resource(ResourceKind::Disk, ctx.now(), svc);
         let node = self.tel_node;
-        self.tel_record(ctx, |now| {
+        tel_record(&self.tel, ctx, |now| {
             TraceEvent::instant(node, Track::Serve, "put", now)
         });
         self.block_cache.invalidate(&(table, key.clone()));
@@ -1009,7 +995,7 @@ impl DataNode {
         );
         ctx.set_timer(deadline, SRC_MIG_BIT | mig_id);
         let node = self.tel_node;
-        self.tel_record(ctx, |t| {
+        tel_record(&self.tel, ctx, |t| {
             TraceEvent::instant(node, Track::Fault, "mig-snapshot-out", t)
                 .arg("mig", mig_id)
                 .arg("bytes", bytes)
@@ -1043,7 +1029,7 @@ impl DataNode {
         );
         ctx.set_timer(deadline, SRC_MIG_BIT | mig_id);
         let node = self.tel_node;
-        self.tel_record(ctx, |t| {
+        tel_record(&self.tel, ctx, |t| {
             TraceEvent::instant(node, Track::Fault, "mig-freeze", t)
                 .arg("mig", mig_id)
                 .arg("delta_bytes", bytes)
@@ -1080,7 +1066,7 @@ impl DataNode {
             );
         }
         let node = self.tel_node;
-        self.tel_record(ctx, |t| {
+        tel_record(&self.tel, ctx, |t| {
             TraceEvent::instant(node, Track::Fault, "mig-cutover", t)
                 .arg("mig", mig_id)
                 .arg("frozen_flushed", frozen)
@@ -1102,7 +1088,7 @@ impl DataNode {
         let m = self.mig_out.remove(&mig_id).expect("checked above");
         let node = self.tel_node;
         let frozen = m.frozen.len() as u64;
-        self.tel_record(ctx, |t| {
+        tel_record(&self.tel, ctx, |t| {
             TraceEvent::instant(node, Track::Fault, "mig-abort-src", t)
                 .arg("mig", mig_id)
                 .arg("frozen_replayed", frozen)
@@ -1156,7 +1142,7 @@ impl DataNode {
         );
         ctx.set_timer(deadline, TGT_MIG_BIT | mig_id);
         let node = self.tel_node;
-        self.tel_record(ctx, |t| {
+        tel_record(&self.tel, ctx, |t| {
             TraceEvent::instant(node, Track::Fault, "mig-snapshot-in", t)
                 .arg("mig", mig_id)
                 .arg("bytes", bytes)
@@ -1214,7 +1200,7 @@ impl DataNode {
         );
         let node = self.tel_node;
         let bytes = m.bytes;
-        self.tel_record(ctx, |t| {
+        tel_record(&self.tel, ctx, |t| {
             TraceEvent::instant(node, Track::Fault, "mig-install", t)
                 .arg("mig", mig_id)
                 .arg("bytes", bytes)
@@ -1233,7 +1219,7 @@ impl DataNode {
         }
         self.mig_in.remove(&mig_id);
         let node = self.tel_node;
-        self.tel_record(ctx, |t| {
+        tel_record(&self.tel, ctx, |t| {
             TraceEvent::instant(node, Track::Fault, "mig-abort-tgt", t).arg("mig", mig_id)
         });
         ctx.send(
@@ -1290,20 +1276,22 @@ impl DataNode {
                     }
                 }
                 let node = self.tel_node;
-                self.tel_record(ctx, |t| {
+                tel_record(&self.tel, ctx, |t| {
                     TraceEvent::instant(node, Track::Fault, "activate", t)
                 });
             }
             Msg::Drain { .. } => {
                 self.draining = true;
                 let node = self.tel_node;
-                self.tel_record(ctx, |t| TraceEvent::instant(node, Track::Fault, "drain", t));
+                tel_record(&self.tel, ctx, |t| {
+                    TraceEvent::instant(node, Track::Fault, "drain", t)
+                });
             }
             Msg::Deactivate { .. } => {
                 self.mem_active = false;
                 self.draining = false;
                 let node = self.tel_node;
-                self.tel_record(ctx, |t| {
+                tel_record(&self.tel, ctx, |t| {
                     TraceEvent::instant(node, Track::Fault, "deactivate", t)
                 });
             }
@@ -1354,7 +1342,7 @@ impl DataNode {
                     self.pressured = false;
                     let node = self.tel_node;
                     let depth = self.queued;
-                    self.tel_record(ctx, |now| {
+                    tel_record(&self.tel, ctx, |now| {
                         TraceEvent::instant(node, Track::Fault, "pressure-off", now)
                             .arg("depth", depth)
                     });

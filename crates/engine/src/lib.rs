@@ -10,8 +10,9 @@
 //! join fingerprint ([`verify::reference_run`]) — while time is pluggable
 //! through the `jl-runtime` seam: [`run_job_on`] takes a [`Backend`] —
 //! simulated (the deterministic oracle), parallel-simulated, or wall-clock
-//! (also what the `jl-serve` request/response layer builds on, through
-//! [`runner::build_real_runtime`]).
+//! (also what the `jl-serve` request/response layer builds on, by pacing
+//! the kernel [`runner::load_host`] returns). All three run the same
+//! [`ClusterSim`].
 
 #![warn(missing_docs)]
 
@@ -28,7 +29,7 @@ pub mod telemetry;
 pub mod verify;
 
 pub use baselines::{run_reduce_side, BaselineReport, ReduceSideKind};
-pub use cluster::{ClusterNode, EKey, Msg, Val};
+pub use cluster::{ClusterNode, ClusterSim, EKey, Msg, Val};
 pub use compute_node::{CompletionHook, TupleFate, TupleOutcome};
 pub use config::{
     AutoscaleConfig, ClusterSpec, FeedMode, MembershipConfig, MembershipEvent, NotifyMode,
@@ -36,10 +37,10 @@ pub use config::{
 };
 pub use plan::{JobPlan, JobTuple, StageSpec};
 pub use runner::{
-    build_cluster, build_real_runtime, build_store, build_store_active, gather_report,
-    process_names, run_job, run_job_on, run_job_parallel, run_job_traced, snapshot_delta,
-    unwrap_telemetry, AutoscaleFactory, Backend, BuiltCluster, ClusterHost, JobSpec, PolicyFactory,
-    RunReport, ShedFactory, SinkFactory,
+    build_cluster, build_store, build_store_active, gather_report, load_host, process_names,
+    run_job, run_job_on, run_job_parallel, run_job_traced, snapshot_delta, unwrap_telemetry,
+    AutoscaleFactory, Backend, BuiltCluster, JobSpec, PolicyFactory, RunReport, ShedFactory,
+    SinkFactory,
 };
 pub use shuffle::run_shuffle_multijoin;
 pub use telemetry::EngineProbe;

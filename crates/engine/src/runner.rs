@@ -8,12 +8,12 @@ use std::sync::Arc;
 use rustc_hash::FxHashMap;
 
 use jl_core::{DecisionSink, OptimizerConfig, PlacementPolicy};
-use jl_runtime::RealRuntime;
+use jl_runtime::{Hosted, RealRuntime};
 use jl_simkit::prelude::*;
 use jl_store::{Catalog, Partitioning, RegionMap, RowKey, StoreCluster, StoredValue, UdfRegistry};
 use jl_telemetry::{MetricsRegistry, RunTelemetry, TelemetryConfig, TelemetryHandle};
 
-use crate::cluster::{ClusterNode, EKey, Msg};
+use crate::cluster::{ClusterNode, ClusterSim, EKey, Msg};
 use crate::compute_node::{ComputeNode, TupleOutcome};
 use crate::config::{ClusterSpec, FeedMode, MembershipConfig, OverloadConfig, RetryConfig};
 use crate::controller::Controller;
@@ -210,7 +210,7 @@ pub struct RunReport {
     /// set (the fuzz harness's per-tuple accounting surface).
     pub outcomes: Vec<(u64, TupleOutcome)>,
     /// Live region migrations completed (0 without a
-    /// [`MembershipConfig`](crate::config::MembershipConfig)).
+    /// [`MembershipConfig`]).
     pub migrations: u64,
     /// Migrations abandoned after a handoff phase timed out.
     pub migrations_aborted: u64,
@@ -591,119 +591,29 @@ pub fn build_cluster(
     }
 }
 
-/// What the runner needs from a backend hosting [`ClusterNode`]s: the
-/// loading calls the runner makes, plus the node access and
-/// kernel-level accounting [`gather_report`] and the metrics snapshot
-/// read. Both the simulator and the wall-clock [`RealRuntime`] implement
-/// it (by delegation to their inherent methods of the same names), so a
-/// run is loaded and observed identically on either.
-pub trait ClusterHost {
-    /// An empty host.
-    fn new(seed: u64, net: NetConfig) -> Self;
-    /// Add the next node; ids are assigned in call order.
-    fn add_node(&mut self, node: ClusterNode, spec: NodeSpec) -> usize;
-    /// Install the fault schedule.
-    fn set_fault_plan(&mut self, plan: FaultPlan);
-    /// Install the kernel-level telemetry probe.
-    fn set_probe(&mut self, probe: Box<dyn SimProbe>);
-    /// Pre-size the event queue for `additional` posts.
-    fn reserve_events(&mut self, additional: usize);
-    /// Inject an external message for delivery at `at`.
-    fn post(&mut self, at: SimTime, to: usize, msg: Msg, bytes: u64);
-    /// The node with sim id `id`.
-    fn node(&self, id: usize) -> &ClusterNode;
-    /// That node's (modeled) resources.
-    fn resources(&self, id: usize) -> &NodeResources;
-    /// Aggregate network accounting.
-    fn net_totals(&self) -> jl_simkit::sim::NetTotals;
-    /// Per-link drop/delay counts (fault-touched links only).
-    fn link_stats(
-        &self,
-    ) -> &std::collections::BTreeMap<(usize, usize), jl_simkit::probe::LinkStats>;
-    /// Events dispatched so far.
-    fn events_processed(&self) -> u64;
-}
-
-macro_rules! impl_cluster_host {
-    ($host:ident) => {
-        impl ClusterHost for $host<ClusterNode> {
-            fn new(seed: u64, net: NetConfig) -> Self {
-                $host::new(seed, net)
-            }
-            fn add_node(&mut self, node: ClusterNode, spec: NodeSpec) -> usize {
-                $host::add_node(self, node, spec)
-            }
-            fn set_fault_plan(&mut self, plan: FaultPlan) {
-                $host::set_fault_plan(self, plan)
-            }
-            fn set_probe(&mut self, probe: Box<dyn SimProbe>) {
-                $host::set_probe(self, probe)
-            }
-            fn reserve_events(&mut self, additional: usize) {
-                $host::reserve_events(self, additional)
-            }
-            fn post(&mut self, at: SimTime, to: usize, msg: Msg, bytes: u64) {
-                $host::post(self, at, to, msg, bytes)
-            }
-            fn node(&self, id: usize) -> &ClusterNode {
-                $host::node(self, id)
-            }
-            fn resources(&self, id: usize) -> &NodeResources {
-                $host::resources(self, id)
-            }
-            fn net_totals(&self) -> jl_simkit::sim::NetTotals {
-                $host::net_totals(self)
-            }
-            fn link_stats(
-                &self,
-            ) -> &std::collections::BTreeMap<(usize, usize), jl_simkit::probe::LinkStats> {
-                $host::link_stats(self)
-            }
-            fn events_processed(&self) -> u64 {
-                $host::events_processed(self)
-            }
-        }
-    };
-}
-impl_cluster_host!(Sim);
-impl_cluster_host!(RealRuntime);
-
-/// Load a built cluster into a fresh host: nodes in id order, fault plan,
-/// probe, and the pre-run feed. The feed volume is known up front, so one
-/// reserve call keeps the event queue from reallocating as it posts.
-fn load_host<H: ClusterHost>(
-    spec: &JobSpec,
-    built: BuiltCluster,
-    tel: &Option<TelemetryHandle>,
-) -> H {
+/// Load a built cluster into a fresh kernel: nodes in id order, fault
+/// plan, probe, and the pre-run feed. The feed volume is known up front,
+/// so one reserve call keeps the event queue from reallocating as it
+/// posts. Every backend runs what this returns; it is exposed (with
+/// [`build_cluster`]) so a serving layer can attach completion hooks and
+/// its own probe before handing the kernel to a pacer.
+pub fn load_host(spec: &JobSpec, built: BuiltCluster, tel: &Option<TelemetryHandle>) -> ClusterSim {
     let cluster = &spec.cluster;
-    let mut host = H::new(spec.seed, cluster.net);
+    let mut sim = Sim::new(spec.seed, cluster.net);
     for node in built.nodes {
-        host.add_node(node, cluster.node);
+        sim.add_node(Hosted(node), cluster.node);
     }
     if let Some(plan) = &spec.faults {
-        host.set_fault_plan(plan.clone());
+        sim.set_fault_plan(plan.clone());
     }
     if let Some(t) = tel {
-        host.set_probe(Box::new(EngineProbe::new(t.clone())));
+        sim.set_probe(Box::new(EngineProbe::new(t.clone())));
     }
-    host.reserve_events(built.posts.len());
+    sim.reserve_events(built.posts.len());
     for (at, to, msg, bytes) in built.posts {
-        host.post(at, to, msg, bytes);
+        sim.post(at, to, msg, bytes);
     }
-    host
-}
-
-/// The runner's host loader, instantiated for the wall-clock backend:
-/// nodes in id order, fault plan, probe, pre-run feed. Exposed (with
-/// [`build_cluster`]) so a serving layer can attach completion hooks and
-/// ingress handles before starting the loop.
-pub fn build_real_runtime(
-    spec: &JobSpec,
-    built: BuiltCluster,
-    tel: &Option<TelemetryHandle>,
-) -> RealRuntime<ClusterNode> {
-    load_host(spec, built, tel)
+    sim
 }
 
 /// Run a job to completion (batch) or to the horizon (stream) on
@@ -719,59 +629,46 @@ pub fn run_job_on(
 ) -> (RunReport, Option<RunTelemetry>) {
     let tel: Option<TelemetryHandle> = spec.telemetry.map(jl_telemetry::shared);
     let built = build_cluster(spec, store, udfs, tuples, updates, &tel);
-    let horizon = match spec.feed {
-        FeedMode::Batch { .. } => None,
-        FeedMode::Stream { horizon, .. } => Some(SimTime::ZERO + horizon),
-    };
-    // The backend is matched once, outside the event loop; each arm is a
-    // statically dispatched instance of `drive`.
-    let (report, end) = match backend {
-        Backend::Sim => drive(
-            spec,
-            built,
-            &tel,
-            |sim: &mut Sim<ClusterNode>| match horizon {
-                None => sim.run(),
-                Some(h) => sim.run_until(h),
-            },
-        ),
-        Backend::Par(threads) => drive(
-            spec,
-            built,
-            &tel,
-            |sim: &mut Sim<ClusterNode>| match horizon {
-                None => sim.run_parallel(threads),
-                Some(h) => sim.run_parallel_until(h, threads),
-            },
-        ),
-        Backend::Real => drive(
-            spec,
-            built,
-            &tel,
-            |rt: &mut RealRuntime<ClusterNode>| match horizon {
-                None => rt.run(),
-                Some(h) => rt.run_until(h),
-            },
-        ),
-    };
+    let (report, end) = drive(spec, backend, built, &tel);
     let run_tel = tel.map(|h| unwrap_telemetry(h, &spec.cluster, end));
     (report, run_tel)
 }
 
-/// Load a host, run it with `run`, and gather the report. The host — and
+/// Load the kernel, run it on `backend`'s loop, and gather the report.
+/// The backend is matched once, outside the event loop. The kernel — and
 /// with it the nodes' and the probe's clones of the telemetry handle — is
 /// dropped on return, so the caller can unwrap the recorder.
-fn drive<H: ClusterHost>(
+fn drive(
     spec: &JobSpec,
+    backend: Backend,
     built: BuiltCluster,
     tel: &Option<TelemetryHandle>,
-    run: impl FnOnce(&mut H) -> SimTime,
 ) -> (RunReport, SimTime) {
-    let mut host: H = load_host(spec, built, tel);
-    let end = run(&mut host);
-    let report = gather_report(&host, &spec.cluster, end);
-    snapshot_and_summarize(&host, &spec.cluster, end, tel);
-    (report, end)
+    let horizon = match spec.feed {
+        FeedMode::Batch { .. } => SimTime::MAX,
+        FeedMode::Stream { horizon, .. } => SimTime::ZERO + horizon,
+    };
+    let finish = |sim: &ClusterSim, end: SimTime| {
+        let report = gather_report(sim, &spec.cluster, end);
+        snapshot_and_summarize(sim, &spec.cluster, end, tel);
+        (report, end)
+    };
+    let mut sim = load_host(spec, built, tel);
+    match backend {
+        Backend::Sim => {
+            let end = sim.run_until(horizon);
+            finish(&sim, end)
+        }
+        Backend::Par(threads) => {
+            let end = sim.run_parallel_until(horizon, threads);
+            finish(&sim, end)
+        }
+        Backend::Real => {
+            let mut rt = RealRuntime::pace(sim);
+            let end = rt.run_until(horizon);
+            finish(rt.sim(), end)
+        }
+    }
 }
 
 /// Unwrap the (now uniquely held) recorder into a [`RunTelemetry`].
@@ -794,8 +691,8 @@ pub fn unwrap_telemetry(h: TelemetryHandle, cluster: &ClusterSpec, end: SimTime)
     }
 }
 
-/// Collect a [`RunReport`] from a finished run on either backend.
-pub fn gather_report<H: ClusterHost>(host: &H, cluster: &ClusterSpec, end: SimTime) -> RunReport {
+/// Collect a [`RunReport`] from a finished run on any backend.
+pub fn gather_report(host: &ClusterSim, cluster: &ClusterSpec, end: SimTime) -> RunReport {
     let mut decisions = jl_core::DecisionStats::default();
     let mut cache = jl_cache::CacheStats::default();
     let mut data = jl_core::DataNodeStats::default();
@@ -903,8 +800,8 @@ pub fn gather_report<H: ClusterHost>(host: &H, cluster: &ClusterSpec, end: SimTi
 /// traced runs, or into a throwaway registry when only the verbose summary
 /// wants it. `JL_VERBOSE=1` prints the machine-parseable telemetry
 /// summary; the default is silent.
-fn snapshot_and_summarize<H: ClusterHost>(
-    host: &H,
+fn snapshot_and_summarize(
+    host: &ClusterSim,
     cluster: &ClusterSpec,
     end: SimTime,
     tel: &Option<TelemetryHandle>,
@@ -951,11 +848,7 @@ pub fn process_names(cluster: &ClusterSpec) -> Vec<(u32, String)> {
 /// changes nothing about the final summary — a pinned test runs a job
 /// with and without mid-run snapshots and requires identical summaries.
 /// `end` is the read time (closes utilization and time-weighted gauges).
-pub fn snapshot_delta<H: ClusterHost>(
-    host: &H,
-    cluster: &ClusterSpec,
-    end: SimTime,
-) -> MetricsRegistry {
+pub fn snapshot_delta(host: &ClusterSim, cluster: &ClusterSpec, end: SimTime) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     snapshot_metrics(&mut reg, host, cluster, end);
     reg
@@ -965,9 +858,9 @@ pub fn snapshot_delta<H: ClusterHost>(
 /// retry counters, decision/cache statistics, store and block-cache
 /// counters, resource utilizations and queueing-wait histograms, and
 /// cluster-wide network totals — into `reg`.
-fn snapshot_metrics<H: ClusterHost>(
+fn snapshot_metrics(
     reg: &mut MetricsRegistry,
-    host: &H,
+    host: &ClusterSim,
     cluster: &ClusterSpec,
     end: SimTime,
 ) {
@@ -1311,7 +1204,7 @@ mod tests {
         let final_summary = |snapshotted: bool| -> (RunReport, String) {
             let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
             let built = build_cluster(&job, store, udfs, tuples, vec![], &None);
-            let mut sim: Sim<ClusterNode> = load_host(&job, built, &None);
+            let mut sim = load_host(&job, built, &None);
             if snapshotted {
                 // Pause mid-run and scrape — twice, for good measure.
                 let mid = sim.run_until(SimTime::ZERO + SimDuration::from_millis(40));
@@ -1446,7 +1339,7 @@ mod tests {
 
     /// Validation lives in `build_cluster`, so a caller that assembles
     /// its runtime by hand (the serve layer: `build_cluster` →
-    /// `build_real_runtime`) cannot skip it.
+    /// `load_host`) cannot skip it.
     #[test]
     #[should_panic(expected = "deadline budget must be positive")]
     fn build_cluster_rejects_an_invalid_plane_config() {

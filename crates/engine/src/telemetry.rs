@@ -17,10 +17,32 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use jl_core::{DecisionEvent, DecisionSink, FnSink, Placement};
+use jl_runtime::RuntimeCtx;
 use jl_simkit::prelude::*;
 use jl_telemetry::{ArgVal, TelemetryHandle, TraceEvent, Track};
 
 use crate::cluster::EKey;
+
+/// Record one node-side trace event, stamped by `mk` from the callback's
+/// clock: directly under final-order execution, deferred through the shard
+/// journal (commit-walk replay in exact serial order) when the callback is
+/// speculative. The closure only runs when a recorder is attached, so
+/// untraced runs pay one branch.
+#[inline]
+pub(crate) fn tel_record<M, C: RuntimeCtx<M>>(
+    tel: &Option<TelemetryHandle>,
+    ctx: &mut C,
+    mk: impl FnOnce(SimTime) -> TraceEvent,
+) {
+    let Some(t) = tel else { return };
+    let ev = mk(ctx.now());
+    if ctx.is_speculative() {
+        let t = t.clone();
+        ctx.defer(Box::new(move || t.borrow_mut().record(ev)));
+    } else {
+        t.borrow_mut().record(ev);
+    }
+}
 
 /// Kernel probe that records resource grants and fault-plan effects as
 /// trace events. Installed by the runner only when a job asks for

@@ -9,7 +9,7 @@
 //! * [`lossy::LossyCounter`] — the paper's choice: ε-deficient counts in
 //!   `O(1/ε · log(εN))` space.
 //! * [`spacesaving::SpaceSaving`] — the Metwally et al. alternative with a
-//!   hard entry budget; used in the `ablation_freq` benchmark.
+//!   hard entry budget; used by `figs ablate freq`.
 //! * [`exact::ExactCounter`] — unbounded exact counts, the accuracy baseline.
 //!
 //! All implement [`FrequencyEstimator`].

@@ -4,7 +4,7 @@
 //! heuristic (Appendix C). Because the objective is the max of linear
 //! functions it is convex and piecewise linear, so an *exact* minimizer is
 //! also cheap: the optimum lies at an endpoint or at an intersection of two
-//! component lines. Both are provided; `ablation_lb` compares them.
+//! component lines. Both are provided; `figs ablate lb` compares them.
 
 use rand::Rng;
 

@@ -3,45 +3,56 @@
 //! The engine's actors (compute nodes, data nodes, the controller) never
 //! talk to a clock, a network, or a timer wheel directly: everything goes
 //! through a per-callback context handle. This crate names that surface as
-//! a trait, [`RuntimeCtx`], so the same actor code runs against two
-//! backends:
+//! a trait, [`RuntimeCtx`], names the actor side as [`RuntimeNode`], and
+//! hosts any such actor on the simulation kernel through one adapter,
+//! [`Hosted`]. There is **one kernel and two clocks**:
 //!
-//! * **Simulated** — [`jl_simkit::sim::Ctx`] implements [`RuntimeCtx`] by
-//!   `#[inline]` delegation. The simulator stays the deterministic oracle:
-//!   the adapter adds no state, no allocation, and no branches, so the sim
-//!   backend is byte-identical to calling the kernel directly (the 1/2/8
-//!   thread determinism digests and golden decision traces pin this).
-//! * **Real** — [`real::RealRuntime`] runs the same event loop against the
-//!   wall clock: one OS thread owns the nodes and a monotonic clock
-//!   ([`std::time::Instant`]) anchored at run start, while any number of
-//!   driver threads inject messages through a channel
-//!   ([`real::RealHandle`]). Time is still integer nanoseconds
-//!   ([`SimTime`] = nanos since the anchor), so every piece of time math
-//!   in the engine is backend-agnostic by construction.
+//! * **Simulated** — a [`Sim`](jl_simkit::sim::Sim)`<Hosted<N>>` run by its
+//!   own serial or parallel loop. [`jl_simkit::sim::Ctx`] implements
+//!   [`RuntimeCtx`] and [`Hosted`] implements
+//!   [`Node`], both by `#[inline]` delegation: the
+//!   adapter adds no state, no allocation, and no branches, so a hosted
+//!   actor is byte-identical to one written against the kernel directly
+//!   (the 1/2/8 thread determinism digests and golden decision traces pin
+//!   this).
+//! * **Real** — [`real::RealRuntime`] paces *that same kernel* against the
+//!   wall clock: one OS thread owns it and a monotonic clock
+//!   ([`std::time::Instant`]) anchored at run start, dispatching each event
+//!   once the wall clock reaches it, while any number of driver threads
+//!   inject messages through a channel ([`real::RealHandle`]). Time is
+//!   still integer nanoseconds ([`SimTime`] = nanos since the anchor), so
+//!   every piece of time math in the engine is backend-agnostic by
+//!   construction.
 //!
-//! Dispatch is static on both sides: actors are generic over
-//! `C: RuntimeCtx<M>`, the node set is a single concrete enum behind
-//! [`RuntimeNode`], and neither backend boxes per-event state. The hot
-//! path of the sim backend is exactly the seed's hot path.
+//! Dispatch is static: actors are generic over `C: RuntimeCtx<M>`, the node
+//! set is a single concrete enum behind [`RuntimeNode`], and nothing boxes
+//! per-event state. The hot path of a simulated run is exactly the seed's
+//! hot path.
 //!
-//! What each backend guarantees:
+//! What differs between the two clocks — and only this:
 //!
-//! | | sim ([`Ctx`](jl_simkit::sim::Ctx)) | real ([`real::RealRuntime`]) |
+//! | | simulated (the kernel's own loops) | real ([`real::RealRuntime`]) |
 //! |---|---|---|
-//! | `now()` | event timestamp | nanos since run start (monotonic) |
-//! | delivery order | (time, seq) heap order, deterministic | (time, seq) heap order of *modeled* times, paced by the wall clock |
-//! | resources | analytic FIFO stations | same stations, emulated in real time |
-//! | faults | full [`FaultPlan`](jl_simkit::fault::FaultPlan) support | same plan semantics, scheduled on the wall clock |
-//! | RNG | per-node seeded streams | identical seed derivation |
+//! | `now()` | event timestamp | nanos since run start (monotonic), ≥ the event timestamp |
+//! | an event runs | as soon as it is the earliest | once the wall clock passes its timestamp |
+//! | external input | [`post`](jl_simkit::sim::Sim::post) before the run | also [`RealHandle::send`] from any thread, entering at dequeue time |
 //! | timers | exact | fire when the wall clock passes `at` |
+//!
+//! Everything else — `(time, seq)` delivery order of *modeled* times, the
+//! analytic FIFO stations, [`FaultPlan`](jl_simkit::fault::FaultPlan)
+//! semantics and its drop coin, per-node seeded RNG streams, the
+//! [`SimProbe`](jl_simkit::probe::SimProbe) — is the kernel's, because it
+//! is the kernel.
 
 #![warn(missing_docs)]
+
+use std::ops::{Deref, DerefMut};
 
 use rand::rngs::StdRng;
 
 use jl_simkit::fault::FaultKind;
 use jl_simkit::resource::{Grant, NodeResources, ResourceKind};
-use jl_simkit::sim::{Ctx, NodeId};
+use jl_simkit::sim::{Ctx, Node, NodeId};
 use jl_simkit::time::{SimDuration, SimTime};
 
 pub mod real;
@@ -139,11 +150,6 @@ impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
     }
 
     #[inline]
-    fn send(&mut self, to: NodeId, msg: M, bytes: u64) -> SimTime {
-        Ctx::send(self, to, msg, bytes)
-    }
-
-    #[inline]
     fn send_ready_at(&mut self, ready: SimTime, to: NodeId, msg: M, bytes: u64) -> SimTime {
         Ctx::send_ready_at(self, ready, to, msg, bytes)
     }
@@ -151,16 +157,6 @@ impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
     #[inline]
     fn use_resource(&mut self, kind: ResourceKind, ready: SimTime, service: SimDuration) -> Grant {
         Ctx::use_resource(self, kind, ready, service)
-    }
-
-    #[inline]
-    fn use_cpu(&mut self, service: SimDuration) -> Grant {
-        Ctx::use_cpu(self, service)
-    }
-
-    #[inline]
-    fn use_disk(&mut self, service: SimDuration) -> Grant {
-        Ctx::use_disk(self, service)
     }
 
     #[inline]
@@ -176,11 +172,6 @@ impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
     #[inline]
     fn set_timer(&mut self, at: SimTime, tag: u64) {
         Ctx::set_timer(self, at, tag)
-    }
-
-    #[inline]
-    fn set_timer_after(&mut self, delay: SimDuration, tag: u64) {
-        Ctx::set_timer_after(self, delay, tag)
     }
 
     #[inline]
@@ -204,14 +195,11 @@ impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
     }
 }
 
-/// Behaviour of a node, generic over the runtime backend.
+/// Behaviour of a node, written once against [`RuntimeCtx`].
 ///
-/// The engine implements this once per node type; each backend calls the
-/// handlers with its own concrete [`RuntimeCtx`] (static dispatch — the
-/// handlers monomorphize per backend, there is no `Box<dyn>` per event).
-/// The simulator's own [`Node`](jl_simkit::sim::Node) impl is a thin
-/// delegate to these handlers, kept next to them in the engine (Rust's
-/// orphan rule keeps a blanket impl out of this crate).
+/// The engine implements this once per node type; the handlers are generic
+/// over the context (static dispatch — there is no `Box<dyn>` per event)
+/// and reach the kernel through [`Hosted`].
 pub trait RuntimeNode {
     /// Message type exchanged between nodes.
     type Msg;
@@ -232,15 +220,73 @@ pub trait RuntimeNode {
 
     /// Called when a scheduled fault transition hits this node.
     fn handle_fault<C: RuntimeCtx<Self::Msg>>(&mut self, _kind: FaultKind, _ctx: &mut C) {}
+
+    /// Whether this node may ever call [`RuntimeCtx::stop`]; see
+    /// [`Node::may_stop`] (only the parallel kernel reads it).
+    fn may_stop(&self) -> bool {
+        false
+    }
+}
+
+/// The one adapter between the two traits: hosts a [`RuntimeNode`] on the
+/// simulation kernel. Transparent — it derefs to the node, and every
+/// [`Node`] callback is an `#[inline]` call of the matching handler with
+/// the kernel's own [`Ctx`] — so every backend runs the *same type*,
+/// `Sim<Hosted<N>>`.
+#[repr(transparent)]
+pub struct Hosted<N>(pub N);
+
+impl<N> Deref for Hosted<N> {
+    type Target = N;
+    #[inline]
+    fn deref(&self) -> &N {
+        &self.0
+    }
+}
+
+impl<N> DerefMut for Hosted<N> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut N {
+        &mut self.0
+    }
+}
+
+impl<N: RuntimeNode> Node for Hosted<N> {
+    type Msg = N::Msg;
+
+    #[inline]
+    fn on_start(&mut self, ctx: &mut Ctx<'_, N::Msg>) {
+        self.0.handle_start(ctx);
+    }
+
+    #[inline]
+    fn on_message(&mut self, from: NodeId, msg: N::Msg, ctx: &mut Ctx<'_, N::Msg>) {
+        self.0.handle_message(from, msg, ctx);
+    }
+
+    #[inline]
+    fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, N::Msg>) {
+        self.0.handle_timer(tag, ctx);
+    }
+
+    #[inline]
+    fn on_fault(&mut self, kind: FaultKind, ctx: &mut Ctx<'_, N::Msg>) {
+        self.0.handle_fault(kind, ctx);
+    }
+
+    #[inline]
+    fn may_stop(&self) -> bool {
+        self.0.may_stop()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jl_simkit::sim::{NetConfig, Node, NodeSpec, Sim};
+    use jl_simkit::sim::{NetConfig, NodeSpec, Sim};
 
-    /// A node written purely against the trait, hosted on the simulator
-    /// through a local delegate — the exact pattern the engine uses.
+    /// A node written purely against the trait, hosted on the kernel
+    /// through [`Hosted`] — the exact pattern the engine uses.
     struct Echo {
         peer: NodeId,
         got: Vec<u64>,
@@ -263,19 +309,6 @@ mod tests {
         }
     }
 
-    impl Node for Echo {
-        type Msg = u64;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-            self.handle_start(ctx);
-        }
-        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-            self.handle_message(from, msg, ctx);
-        }
-        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, u64>) {
-            self.handle_timer(tag, ctx);
-        }
-    }
-
     fn echo_pair(start: bool) -> (Echo, Echo) {
         (
             Echo {
@@ -294,9 +327,9 @@ mod tests {
     #[test]
     fn trait_hosted_node_runs_on_sim() {
         let (a, b) = echo_pair(true);
-        let mut sim: Sim<Echo> = Sim::new(1, NetConfig::default());
-        sim.add_node(a, NodeSpec::default());
-        sim.add_node(b, NodeSpec::default());
+        let mut sim: Sim<Hosted<Echo>> = Sim::new(1, NetConfig::default());
+        sim.add_node(Hosted(a), NodeSpec::default());
+        sim.add_node(Hosted(b), NodeSpec::default());
         sim.run();
         assert_eq!(sim.node(1).got, vec![3, 1]);
         assert_eq!(sim.node(0).got, vec![2, 0]);

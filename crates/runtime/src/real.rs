@@ -1,40 +1,32 @@
-//! The wall-clock backend: the same actors, paced by a real clock.
+//! The wall-clock backend: the simulation kernel, paced by a real clock.
 //!
-//! One OS thread owns the nodes and runs the event loop; any number of
-//! driver threads (socket readers, request generators) inject messages
-//! through a cloneable [`RealHandle`]. Time is nanoseconds since the run
-//! started, read from a monotonic [`Instant`] — so it is still a
-//! [`SimTime`], and every piece of engine time math works unchanged.
+//! [`RealRuntime`] owns no scheduling model of its own. It holds a
+//! [`Sim`] — the same event queue, network model, resource stations, fault
+//! plan, drop coin, per-node RNG streams and probe every simulated run
+//! uses — and *paces* it: one OS thread reads a monotonic [`Instant`]
+//! anchored at run start, moves the kernel's clock up to it, and dispatches
+//! the earliest event only once the wall clock has reached its timestamp.
+//! Time is therefore still a [`SimTime`] (nanoseconds since the anchor) and
+//! every piece of engine time math works unchanged, but callbacks read the
+//! **wall** clock, UDFs execute for real inside them, and latencies reflect
+//! the host. Any number of driver threads (socket readers, request
+//! generators) inject messages through a cloneable [`RealHandle`]; an
+//! injected message enters the network model at the instant the loop
+//! dequeues it.
 //!
-//! The hardware model is *emulated in real time*: resource charges and
-//! message transfers go through the same analytic FIFO stations and
-//! latency/bandwidth network model as the simulator, but the loop waits
-//! for the wall clock to reach each completion instant instead of jumping
-//! there. UDFs execute for real inside node callbacks. The scheduling
-//! model below must mirror `jl_simkit::sim::SimInner` exactly — transfer
-//! (out-NIC → latency → link-delay → in-NIC), the post-wire drop coin,
-//! dead-sender/dead-receiver loss at delivery, timers dying with a
-//! crashed process, and restart rebuilding a node's resources — so that a
-//! fixed workload produces the *same join results* on both backends (the
-//! parity tests pin fingerprint equality; latencies are allowed to
-//! differ, and do).
+//! Nodes are written against [`RuntimeNode`] and hosted through
+//! [`Hosted`], so a fixed workload produces the *same join results* here as
+//! on the simulator (the parity tests pin fingerprint equality; latencies
+//! are allowed to differ, and do).
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-
-use jl_simkit::fault::{FaultKind, FaultPlan};
-use jl_simkit::probe::{LinkStats, SimProbe};
-use jl_simkit::resource::{Grant, NodeResources, ResourceKind};
-use jl_simkit::rng::indexed_rng;
-use jl_simkit::sim::{NetConfig, NetTotals, NodeId, NodeSpec, EXTERNAL};
+use jl_simkit::sim::{NetConfig, NodeId, NodeSpec, Sim};
 use jl_simkit::time::{SimDuration, SimTime};
 
-use crate::{RuntimeCtx, RuntimeNode};
+use crate::{Hosted, RuntimeNode};
 
 /// Shared run clock: `None` until the loop starts, then the anchor every
 /// thread measures against.
@@ -55,7 +47,7 @@ impl ClockShared {
 enum Inbound<M> {
     /// Deliver `msg` to `to` through the network model, entering at the
     /// time the loop dequeues it (external sends skip the sender NIC,
-    /// like [`EXTERNAL`] injections in the simulator).
+    /// like [`EXTERNAL`](jl_simkit::sim::EXTERNAL) posts in the simulator).
     Msg { to: NodeId, msg: M, bytes: u64 },
     /// Ask the loop to stop after the current event.
     Stop,
@@ -63,7 +55,7 @@ enum Inbound<M> {
 
 /// Cloneable ingress handle for driver threads: inject messages, read the
 /// run clock, request a stop. Dropping every handle (and finishing the
-/// pre-posted feed) ends a [`RealRuntime::run`] once the event heap
+/// pre-posted feed) ends a [`RealRuntime::run`] once the event queue
 /// drains.
 pub struct RealHandle<M> {
     tx: Sender<Inbound<M>>,
@@ -97,243 +89,29 @@ impl<M> RealHandle<M> {
     }
 }
 
-struct Event<M> {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-enum EventKind<M> {
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-    },
-    /// A pre-posted external message entering the network at its
-    /// scheduled time (the receiver NIC is charged then, not at post).
-    Inject {
-        to: NodeId,
-        msg: M,
-        bytes: u64,
-    },
-    Timer {
-        node: NodeId,
-        tag: u64,
-    },
-    Fault {
-        node: NodeId,
-        kind: FaultKind,
-    },
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Earliest-first; insertion order breaks ties, like the sim heap.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Everything except the nodes; node callbacks reach it through
-/// [`RealCtx`]. Field-for-field this mirrors the simulator's `SimInner`.
-struct RealInner<M> {
-    time: SimTime,
-    seq: u64,
-    heap: BinaryHeap<Event<M>>,
-    resources: Vec<NodeResources>,
-    rngs: Vec<StdRng>,
-    net: NetConfig,
-    totals: NetTotals,
-    events_processed: u64,
-    stopped: bool,
-    faults: Option<FaultPlan>,
-    fault_sends: u64,
-    links: BTreeMap<(NodeId, NodeId), LinkStats>,
-    probe: Option<Box<dyn SimProbe>>,
-}
-
-impl<M> RealInner<M> {
-    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
-        let time = time.max(self.time);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { time, seq, kind });
-    }
-
-    /// Mirror of `SimInner::transfer`: out-NIC (skipped for EXTERNAL),
-    /// propagation latency, injected link delay, in-NIC.
-    fn transfer(&mut self, ready: SimTime, from: NodeId, to: NodeId, bytes: u64) -> SimTime {
-        if from == to {
-            return ready;
-        }
-        let out_done = if from == EXTERNAL {
-            ready
-        } else {
-            let mut wire = self.resources[from].wire_time(bytes);
-            if let Some(plan) = &self.faults {
-                wire = plan.scale_service(from, self.time, wire);
-            }
-            let grant = self.resources[from].nic_out.submit(ready, wire);
-            if let Some(probe) = &mut self.probe {
-                probe.on_grant(from, ResourceKind::NicOut, ready, wire, grant);
-            }
-            grant.done
-        };
-        let mut arrive = out_done + self.net.latency;
-        let mut wire_in = self.resources[to].wire_time(bytes);
-        if let Some(plan) = &self.faults {
-            let extra = plan.link_delay(from, to, self.time);
-            if extra > SimDuration::ZERO {
-                self.totals.delayed += 1;
-                self.links.entry((from, to)).or_default().delayed += 1;
-                if let Some(probe) = &mut self.probe {
-                    probe.on_delay(from, to, self.time, extra);
-                }
-            }
-            arrive += extra;
-            wire_in = plan.scale_service(to, self.time, wire_in);
-        }
-        let grant = self.resources[to].nic_in.submit(arrive, wire_in);
-        if let Some(probe) = &mut self.probe {
-            probe.on_grant(to, ResourceKind::NicIn, arrive, wire_in, grant);
-        }
-        self.totals.bytes += bytes;
-        grant.done
-    }
-
-    /// Mirror of `SimInner::send_message`: the drop coin fires after the
-    /// wire was occupied (loss is charged like a sent packet).
-    fn send_message(
-        &mut self,
-        ready: SimTime,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        bytes: u64,
-    ) -> SimTime {
-        let delivered = self.transfer(ready, from, to, bytes);
-        if from != to {
-            if let Some(plan) = &self.faults {
-                let counter = self.fault_sends;
-                self.fault_sends += 1;
-                if plan.drops_message(from, to, self.time, counter) {
-                    self.totals.dropped += 1;
-                    self.links.entry((from, to)).or_default().dropped += 1;
-                    if let Some(probe) = &mut self.probe {
-                        probe.on_drop(from, to, self.time);
-                    }
-                    return delivered;
-                }
-            }
-        }
-        self.push(delivered, EventKind::Deliver { from, to, msg });
-        delivered
-    }
-}
-
-/// Per-callback context handle of the real backend; implements
-/// [`RuntimeCtx`] over [`RealInner`] exactly as the sim's `Ctx` does over
-/// its kernel state.
-pub struct RealCtx<'a, M> {
-    inner: &'a mut RealInner<M>,
-    self_id: NodeId,
-}
-
-impl<'a, M> RuntimeCtx<M> for RealCtx<'a, M> {
-    fn now(&self) -> SimTime {
-        self.inner.time
-    }
-
-    fn self_id(&self) -> NodeId {
-        self.self_id
-    }
-
-    fn send_ready_at(&mut self, ready: SimTime, to: NodeId, msg: M, bytes: u64) -> SimTime {
-        let ready = ready.max(self.inner.time);
-        self.inner.send_message(ready, self.self_id, to, msg, bytes)
-    }
-
-    fn use_resource(&mut self, kind: ResourceKind, ready: SimTime, service: SimDuration) -> Grant {
-        let ready = ready.max(self.inner.time);
-        let service = match &self.inner.faults {
-            Some(plan) => plan.scale_service(self.self_id, self.inner.time, service),
-            None => service,
-        };
-        let grant = self.inner.resources[self.self_id]
-            .get_mut(kind)
-            .submit(ready, service);
-        if let Some(probe) = &mut self.inner.probe {
-            probe.on_grant(self.self_id, kind, ready, service, grant);
-        }
-        grant
-    }
-
-    fn resources(&self) -> &NodeResources {
-        &self.inner.resources[self.self_id]
-    }
-
-    fn resources_of(&self, node: NodeId) -> &NodeResources {
-        &self.inner.resources[node]
-    }
-
-    fn set_timer(&mut self, at: SimTime, tag: u64) {
-        self.inner.push(
-            at,
-            EventKind::Timer {
-                node: self.self_id,
-                tag,
-            },
-        );
-    }
-
-    fn rng(&mut self) -> &mut StdRng {
-        &mut self.inner.rngs[self.self_id]
-    }
-
-    fn stop(&mut self) {
-        self.inner.stopped = true;
-    }
-}
+/// The sampler callback: boxed so the runtime stays object-safe over it.
+type SamplerFn<N> = Box<dyn FnMut(&Sim<Hosted<N>>) + Send>;
 
 /// A periodic mid-run observer installed with
-/// [`RealRuntime::set_live_sampler`]: the loop thread calls it with `&self`
-/// roughly every `interval` of wall clock, between event dispatches. This
-/// is how live observability (stats snapshots, per-node queue depths)
-/// reads node state without any cross-thread access to the nodes.
-/// The sampler callback: boxed so the runtime stays object-safe over it.
-type SamplerFn<N> = Box<dyn FnMut(&RealRuntime<N>) + Send>;
-
+/// [`RealRuntime::set_live_sampler`].
 struct Sampler<N: RuntimeNode> {
     interval: SimDuration,
     next: SimTime,
     f: SamplerFn<N>,
 }
 
-/// A wall-clock run over nodes of type `N`.
+/// A wall-clock run over nodes of type `N`: a [`Sim`] plus the pacing
+/// state around it.
 ///
-/// Construction mirrors [`Sim`](jl_simkit::sim::Sim): add nodes, optionally
-/// install a fault plan and a probe, pre-post a feed, then [`run`]
-/// (`run`)(RealRuntime::run) on the thread that owns it while driver
-/// threads feed it through [`handle`](RealRuntime::handle)s.
+/// Either configure a kernel first (nodes, fault plan, probe, pre-posted
+/// feed) and hand it to [`pace`](RealRuntime::pace), or start from
+/// [`new`](RealRuntime::new) and [`add_node`](RealRuntime::add_node); then
+/// [`run`](RealRuntime::run) on the thread that owns it while driver
+/// threads feed it through [`handle`](RealRuntime::handle)s. Everything
+/// the kernel accounts — time, network totals, link statistics, resources,
+/// event counts — is read through [`sim`](RealRuntime::sim).
 pub struct RealRuntime<N: RuntimeNode> {
-    nodes: Vec<N>,
-    inner: RealInner<N::Msg>,
-    started: bool,
-    seed: u64,
-    specs: Vec<NodeSpec>,
+    sim: Sim<Hosted<N>>,
     clock: Arc<ClockShared>,
     rx: Receiver<Inbound<N::Msg>>,
     /// Held until the run starts so handles can still be created; dropped
@@ -344,29 +122,11 @@ pub struct RealRuntime<N: RuntimeNode> {
 }
 
 impl<N: RuntimeNode> RealRuntime<N> {
-    /// Create an empty runtime with the given root seed and network model.
-    pub fn new(seed: u64, net: NetConfig) -> Self {
+    /// Pace an already-loaded kernel against the wall clock.
+    pub fn pace(sim: Sim<Hosted<N>>) -> Self {
         let (tx, rx) = mpsc::channel();
         RealRuntime {
-            nodes: Vec::new(),
-            inner: RealInner {
-                time: SimTime::ZERO,
-                seq: 0,
-                heap: BinaryHeap::with_capacity(1024),
-                resources: Vec::new(),
-                rngs: Vec::new(),
-                net,
-                totals: NetTotals::default(),
-                events_processed: 0,
-                stopped: false,
-                faults: None,
-                fault_sends: 0,
-                links: BTreeMap::new(),
-                probe: None,
-            },
-            started: false,
-            seed,
-            specs: Vec::new(),
+            sim,
             clock: Arc::new(ClockShared {
                 start: OnceLock::new(),
             }),
@@ -377,57 +137,42 @@ impl<N: RuntimeNode> RealRuntime<N> {
         }
     }
 
-    /// Add a node with the given hardware spec; returns its id. Seed
-    /// derivation is identical to the simulator's, so a node draws the
-    /// same random stream on either backend.
+    /// Create an empty runtime with the given root seed and network model.
+    pub fn new(seed: u64, net: NetConfig) -> Self {
+        Self::pace(Sim::new(seed, net))
+    }
+
+    /// Add a node with the given hardware spec; returns its id.
     pub fn add_node(&mut self, node: N, spec: NodeSpec) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes.push(node);
-        self.inner.resources.push(NodeResources::new(
-            spec.cores,
-            spec.disk_channels,
-            spec.net_bw_bps,
-            SimTime::ZERO,
-        ));
-        self.inner
-            .rngs
-            .push(indexed_rng(self.seed, "node", id as u64));
-        self.specs.push(spec);
-        id
+        self.sim.add_node(Hosted(node), spec)
     }
 
-    /// Install a fault plan (before the run starts): crash/restart
-    /// transitions become scheduled events; link loss/delay and straggler
-    /// slowdowns activate, with the same deterministic drop coin as the
-    /// simulator.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert!(
-            !self.started,
-            "fault plan must be installed before the run starts"
-        );
-        plan.validate(self.nodes.len());
-        for (at, node, kind) in plan.schedule() {
-            self.inner.push(at, EventKind::Fault { node, kind });
-        }
-        self.inner.faults = Some(plan);
+    /// The kernel being paced: clock, accounting, resources and nodes.
+    pub fn sim(&self) -> &Sim<Hosted<N>> {
+        &self.sim
     }
 
-    /// Install a probe observing grants, drops, delays, and faults (the
-    /// same [`SimProbe`] type the simulator takes, so one telemetry bridge
-    /// serves both backends).
-    pub fn set_probe(&mut self, probe: Box<dyn SimProbe>) {
-        self.inner.probe = Some(probe);
+    /// Shared access to a node's state.
+    pub fn node(&self, id: NodeId) -> &N {
+        self.sim.node(id)
     }
 
-    /// Install a live sampler: `f` runs on the loop thread with `&self`
-    /// roughly every `interval` of wall clock, between event dispatches.
-    /// The loop's idle waits are capped at the next sample deadline, so
-    /// sampling stays on schedule even when no events arrive. Panics on a
-    /// zero interval.
+    /// Mutable access to a node's state (before or between runs).
+    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
+        self.sim.node_mut(id)
+    }
+
+    /// Install a live sampler: `f` runs on the loop thread with the kernel
+    /// borrowed shared, roughly every `interval` of wall clock, between
+    /// event dispatches — this is how live observability (stats snapshots,
+    /// per-node queue depths) reads node state without any cross-thread
+    /// access to the nodes. The loop's idle waits are capped at the next
+    /// sample deadline, so sampling stays on schedule even when no events
+    /// arrive. Panics on a zero interval.
     pub fn set_live_sampler(
         &mut self,
         interval: SimDuration,
-        f: impl FnMut(&RealRuntime<N>) + Send + 'static,
+        f: impl FnMut(&Sim<Hosted<N>>) + Send + 'static,
     ) {
         assert!(
             interval > SimDuration::ZERO,
@@ -435,25 +180,22 @@ impl<N: RuntimeNode> RealRuntime<N> {
         );
         self.sampler = Some(Sampler {
             interval,
-            next: self.inner.time + interval,
+            next: self.sim.time() + interval,
             f: Box::new(f),
         });
     }
 
-    /// Run the sampler if its deadline passed. The sampler is moved out
-    /// for the call so the callback can borrow the whole runtime shared.
+    /// Run the sampler if its deadline passed.
     fn maybe_sample(&mut self, now: SimTime) {
-        let Some(mut s) = self.sampler.take() else {
-            return;
-        };
-        if now >= s.next {
-            (s.f)(self);
-            // Skip missed beats instead of bursting to catch up.
-            while s.next <= now {
-                s.next += s.interval;
+        if let Some(s) = &mut self.sampler {
+            if now >= s.next {
+                (s.f)(&self.sim);
+                // Skip missed beats instead of bursting to catch up.
+                while s.next <= now {
+                    s.next += s.interval;
+                }
             }
         }
-        self.sampler = Some(s);
     }
 
     /// An ingress handle for driver threads. Must be taken before
@@ -470,36 +212,20 @@ impl<N: RuntimeNode> RealRuntime<N> {
         }
     }
 
-    /// Pre-post an external message entering the network at `at` (nanos
-    /// after run start) — the real-clock analogue of the simulator's
-    /// `post`, used to replay a fixed feed for parity runs.
-    pub fn post(&mut self, at: SimTime, to: NodeId, msg: N::Msg, bytes: u64) {
-        let at = at.max(self.inner.time);
-        self.inner.push(at, EventKind::Inject { to, msg, bytes });
-    }
-
-    /// Grow the event heap (known feed volumes avoid mid-run growth).
-    pub fn reserve_events(&mut self, additional: usize) {
-        self.inner.heap.reserve(additional);
-    }
-
-    /// Wall-clock nanoseconds since the run started, monotone with the
-    /// loop's own time.
+    /// Bring the kernel's clock up to the wall clock (nanoseconds since
+    /// the run started) and return it.
     fn observe(&mut self) -> SimTime {
-        let t = self.clock.now();
-        if t > self.inner.time {
-            self.inner.time = t;
-        }
-        self.inner.time
+        self.sim.advance_clock(self.clock.now());
+        self.sim.time()
     }
 
     fn enqueue(&mut self, inbound: Inbound<N::Msg>) {
         match inbound {
             Inbound::Msg { to, msg, bytes } => {
-                let now = self.observe();
-                self.inner.send_message(now, EXTERNAL, to, msg, bytes);
+                self.observe();
+                self.sim.inject(to, msg, bytes);
             }
-            Inbound::Stop => self.inner.stopped = true,
+            Inbound::Stop => self.sim.request_stop(),
         }
     }
 
@@ -538,91 +264,19 @@ impl<N: RuntimeNode> RealRuntime<N> {
         }
     }
 
-    fn dispatch(&mut self, ev: Event<N::Msg>) {
-        self.inner.events_processed += 1;
-        match ev.kind {
-            EventKind::Deliver { from, to, msg } => {
-                if let Some(plan) = &self.inner.faults {
-                    // Dead receiver, or sender that died with the message
-                    // on the wire: the message is lost (sim semantics).
-                    let lost = plan.is_down(to, ev.time)
-                        || (from != EXTERNAL && plan.is_down(from, ev.time));
-                    if lost {
-                        self.inner.totals.dropped += 1;
-                        self.inner.links.entry((from, to)).or_default().dropped += 1;
-                        if let Some(probe) = &mut self.inner.probe {
-                            probe.on_drop(from, to, ev.time);
-                        }
-                        return;
-                    }
-                }
-                self.inner.totals.messages += 1;
-                let mut ctx = RealCtx {
-                    inner: &mut self.inner,
-                    self_id: to,
-                };
-                self.nodes[to].handle_message(from, msg, &mut ctx);
-            }
-            EventKind::Inject { to, msg, bytes } => {
-                let t = ev.time.max(self.inner.time);
-                self.inner.send_message(t, EXTERNAL, to, msg, bytes);
-            }
-            EventKind::Timer { node, tag } => {
-                if let Some(plan) = &self.inner.faults {
-                    if plan.is_down(node, ev.time) {
-                        // Timers die with the process that armed them.
-                        return;
-                    }
-                }
-                let mut ctx = RealCtx {
-                    inner: &mut self.inner,
-                    self_id: node,
-                };
-                self.nodes[node].handle_timer(tag, &mut ctx);
-            }
-            EventKind::Fault { node, kind } => {
-                if let Some(probe) = &mut self.inner.probe {
-                    probe.on_fault(node, kind, ev.time);
-                }
-                if kind == FaultKind::Restart {
-                    let spec = self.specs[node];
-                    self.inner.resources[node] = NodeResources::new(
-                        spec.cores,
-                        spec.disk_channels,
-                        spec.net_bw_bps,
-                        ev.time,
-                    );
-                }
-                let mut ctx = RealCtx {
-                    inner: &mut self.inner,
-                    self_id: node,
-                };
-                self.nodes[node].handle_fault(kind, &mut ctx);
-            }
-        }
-    }
-
-    /// Run until a node calls [`RuntimeCtx::stop`], a handle sends a stop,
-    /// or the event heap drains with every handle dropped — or `horizon`
-    /// nanoseconds of wall clock elapse. Returns the final clock reading.
+    /// Run until a node calls [`RuntimeCtx::stop`](crate::RuntimeCtx::stop),
+    /// a handle sends a stop, or the event queue drains with every handle
+    /// dropped — or `horizon` nanoseconds of wall clock elapse. Returns the
+    /// final clock reading.
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        if !self.started {
-            self.started = true;
-            // From here on the channel must disconnect when the *external*
-            // handles go away.
-            self.tx = None;
-            let _ = self.clock.start.set(Instant::now());
-            for id in 0..self.nodes.len() {
-                let mut ctx = RealCtx {
-                    inner: &mut self.inner,
-                    self_id: id,
-                };
-                self.nodes[id].handle_start(&mut ctx);
-            }
-        }
-        while !self.inner.stopped {
+        // All three are no-ops on a resumed run. From here on the channel
+        // must disconnect when the *external* handles go away.
+        self.tx = None;
+        let _ = self.clock.start.set(Instant::now());
+        self.sim.run_starts();
+        while !self.sim.stopped() {
             self.drain_inbound();
-            if self.inner.stopped {
+            if self.sim.stopped() {
                 break;
             }
             let now = self.observe();
@@ -634,10 +288,10 @@ impl<N: RuntimeNode> RealRuntime<N> {
                 Some(s) => s.next.min(horizon),
                 None => horizon,
             };
-            match self.inner.heap.peek().map(|e| e.time) {
+            match self.sim.next_time() {
+                // Due: dispatched with the clock at `now`, not at `t`.
                 Some(t) if t <= now => {
-                    let ev = self.inner.heap.pop().expect("peeked");
-                    self.dispatch(ev);
+                    self.sim.step();
                 }
                 Some(t) => self.wait_until(t.min(wake_cap)),
                 None => {
@@ -656,66 +310,13 @@ impl<N: RuntimeNode> RealRuntime<N> {
     pub fn run(&mut self) -> SimTime {
         self.run_until(SimTime::MAX)
     }
-
-    /// Current run clock (last observed).
-    pub fn time(&self) -> SimTime {
-        self.inner.time
-    }
-
-    /// True if a stop was requested.
-    pub fn stopped(&self) -> bool {
-        self.inner.stopped
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Aggregate network accounting.
-    pub fn net_totals(&self) -> NetTotals {
-        self.inner.totals
-    }
-
-    /// Per-link drop/delay counts (fault-plan sites only).
-    pub fn link_stats(&self) -> &BTreeMap<(NodeId, NodeId), LinkStats> {
-        &self.inner.links
-    }
-
-    /// Events dispatched so far (deliveries, timers, faults, injections).
-    pub fn events_processed(&self) -> u64 {
-        self.inner.events_processed
-    }
-
-    /// A node's (modeled) resources.
-    pub fn resources(&self, id: NodeId) -> &NodeResources {
-        &self.inner.resources[id]
-    }
-
-    /// Shared access to a node's state.
-    pub fn node(&self, id: NodeId) -> &N {
-        &self.nodes[id]
-    }
-
-    /// Mutable access to a node's state (before or between runs).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut N {
-        &mut self.nodes[id]
-    }
-
-    /// Iterate over all nodes.
-    pub fn nodes(&self) -> impl Iterator<Item = &N> {
-        self.nodes.iter()
-    }
-
-    /// Consume the runtime, returning node states for result extraction.
-    pub fn into_nodes(self) -> Vec<N> {
-        self.nodes
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RuntimeCtx;
+    use jl_simkit::fault::FaultPlan;
 
     /// Counts messages; replies `n-1` to its peer while `n > 0`.
     struct Relay {
@@ -733,39 +334,30 @@ mod tests {
         }
     }
 
-    fn pair() -> RealRuntime<Relay> {
-        let mut rt = RealRuntime::new(7, NetConfig::default());
-        rt.add_node(
-            Relay {
-                peer: 1,
-                got: vec![],
-            },
-            NodeSpec::default(),
-        );
-        rt.add_node(
-            Relay {
-                peer: 0,
-                got: vec![],
-            },
-            NodeSpec::default(),
-        );
-        rt
+    /// The kernel under test: load it, then run it on either clock.
+    fn pair() -> Sim<Hosted<Relay>> {
+        let mut sim = Sim::new(7, NetConfig::default());
+        for peer in [1, 0] {
+            sim.add_node(Hosted(Relay { peer, got: vec![] }), NodeSpec::default());
+        }
+        sim
     }
 
     #[test]
     fn preposted_feed_drains_and_counts() {
-        let mut rt = pair();
-        rt.post(SimTime::ZERO, 0, 4, 256);
+        let mut sim = pair();
+        sim.post(SimTime::ZERO, 0, 4, 256);
+        let mut rt = RealRuntime::pace(sim);
         let end = rt.run();
         assert!(end > SimTime::ZERO);
         assert_eq!(rt.node(0).got, vec![4, 2, 0]);
         assert_eq!(rt.node(1).got, vec![3, 1]);
-        assert_eq!(rt.net_totals().messages, 5);
+        assert_eq!(rt.sim().net_totals().messages, 5);
     }
 
     #[test]
     fn handle_injects_from_another_thread() {
-        let mut rt = pair();
+        let mut rt = RealRuntime::pace(pair());
         let h = rt.handle();
         let feeder = std::thread::spawn(move || {
             for v in [2u64, 0] {
@@ -785,7 +377,7 @@ mod tests {
 
     #[test]
     fn stop_from_handle_halts_the_loop() {
-        let mut rt = pair();
+        let mut rt = RealRuntime::pace(pair());
         let h = rt.handle();
         let stopper = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(5));
@@ -793,7 +385,7 @@ mod tests {
         });
         let end = rt.run();
         stopper.join().unwrap();
-        assert!(rt.stopped());
+        assert!(rt.sim().stopped());
         assert!(end >= SimTime::ZERO);
     }
 
@@ -825,8 +417,8 @@ mod tests {
         rt.add_node(Idle, NodeSpec::default());
         let hits = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let h = Arc::clone(&hits);
-        rt.set_live_sampler(SimDuration::from_millis(5), move |rt| {
-            assert_eq!(rt.node_count(), 1); // the callback sees the runtime
+        rt.set_live_sampler(SimDuration::from_millis(5), move |sim| {
+            assert_eq!(sim.node_count(), 1); // the callback sees the kernel
             h.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
         let _keep = rt.handle(); // keep a sender alive: only the horizon ends it
@@ -867,17 +459,24 @@ mod tests {
 
     #[test]
     fn crash_window_loses_messages_like_the_sim() {
-        let mut rt = pair();
-        rt.set_fault_plan(FaultPlan::new(9).crash(
-            0,
-            SimTime(5_000_000),
-            Some(SimTime(30_000_000)),
-        ));
-        rt.post(SimTime::ZERO, 0, 0, 256); // delivered before the crash
-        rt.post(SimTime(10_000_000), 0, 0, 256); // lost mid-outage
-        rt.post(SimTime(40_000_000), 0, 0, 256); // delivered after restart
+        let load = || {
+            let mut sim = pair();
+            sim.set_fault_plan(FaultPlan::new(9).crash(
+                0,
+                SimTime(5_000_000),
+                Some(SimTime(30_000_000)),
+            ));
+            sim.post(SimTime::ZERO, 0, 0, 256); // delivered before the crash
+            sim.post(SimTime(10_000_000), 0, 0, 256); // lost mid-outage
+            sim.post(SimTime(40_000_000), 0, 0, 256); // delivered after restart
+            sim
+        };
+        let mut sim = load();
+        sim.run();
+        assert_eq!(sim.node(0).got.len(), 2, "mid-outage message must be lost");
+        let mut rt = RealRuntime::pace(load());
         rt.run();
-        assert_eq!(rt.node(0).got.len(), 2, "mid-outage message must be lost");
-        assert_eq!(rt.net_totals().dropped, 1);
+        assert_eq!(rt.node(0).got, sim.node(0).got);
+        assert_eq!(rt.sim().net_totals().dropped, sim.net_totals().dropped);
     }
 }

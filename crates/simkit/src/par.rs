@@ -5,9 +5,10 @@
 //!
 //! * **Window.** Each epoch executes every queued event in `[T, T + L)`,
 //!   where `T` is the earliest pending event and `L` is the network latency
-//!   ([`NetConfig::latency`]). No cross-node message sent at `t` can be
-//!   delivered before `t + L`, so events inside one window on *different*
-//!   nodes cannot affect each other — they may run concurrently.
+//!   ([`NetConfig::latency`](crate::sim::NetConfig::latency)). No cross-node
+//!   message sent at `t` can be delivered before `t + L`, so events inside
+//!   one window on *different* nodes cannot affect each other — they may
+//!   run concurrently.
 //! * **Shards.** Nodes are partitioned round-robin over worker shards. A
 //!   shard owns its nodes' state, RNG streams, and resources for the epoch
 //!   (moved to a worker thread and back — ownership ping-pong, no locks).
@@ -1072,18 +1073,46 @@ mod tests {
         }
     }
 
+    /// A crash with restart, a lossy link and a straggler, all biting the
+    /// six-node mesh.
+    fn plan() -> FaultPlan {
+        FaultPlan::new(5)
+            .crash(
+                2,
+                SimTime::ZERO + SimDuration::from_micros(900),
+                Some(SimTime::ZERO + SimDuration::from_millis(2)),
+            )
+            .drop_link(None, Some(4), (SimTime::ZERO, SimTime::MAX), 0.3)
+            .straggle(1, (SimTime::ZERO, SimTime::MAX), 3.0)
+    }
+
+    /// The stepping surface a pacer drives is the serial loop, one event
+    /// at a time: same final time, event count, totals and node state,
+    /// healthy or faulty, and a stop ends it at the same event.
+    #[test]
+    fn stepping_matches_run() {
+        for faults in [None, Some(plan())] {
+            let mut ran = mesh(6, faults.clone());
+            ran.run();
+            let mut stepped = mesh(6, faults);
+            while stepped.step() {}
+            assert_eq!(digest(&stepped), digest(&ran));
+        }
+        let mut ran = counter_sim(17, true);
+        ran.run();
+        let mut stepped = counter_sim(17, true);
+        while stepped.step() {}
+        assert!(stepped.stopped());
+        assert_eq!(
+            (stepped.time(), stepped.events_processed()),
+            (ran.time(), ran.events_processed())
+        );
+        let seen = |sim: &Sim<Counter>| sim.nodes().map(|n| n.seen).collect::<Vec<_>>();
+        assert_eq!(seen(&stepped), seen(&ran));
+    }
+
     #[test]
     fn parallel_matches_serial_with_faults() {
-        let plan = || {
-            FaultPlan::new(5)
-                .crash(
-                    2,
-                    SimTime::ZERO + SimDuration::from_micros(900),
-                    Some(SimTime::ZERO + SimDuration::from_millis(2)),
-                )
-                .drop_link(None, Some(4), (SimTime::ZERO, SimTime::MAX), 0.3)
-                .straggle(1, (SimTime::ZERO, SimTime::MAX), 3.0)
-        };
         let mut serial = mesh(6, Some(plan()));
         serial.run();
         let want = digest(&serial);

@@ -1,11 +1,12 @@
 //! Kernel instrumentation: a pluggable probe observing resource grants,
 //! message loss, link delays, and fault transitions as they happen.
 //!
-//! A [`SimProbe`] is installed with [`Sim::set_probe`](crate::sim::Sim::
-//! set_probe) and invoked synchronously from inside the event loop, so every
-//! callback sees simulated time exactly as the kernel does. Probes carry no
-//! `Send` bound: a simulation cell is single-threaded by construction, and
-//! probes typically share state with the node actors via `Rc`.
+//! A [`SimProbe`] is installed with
+//! [`Sim::set_probe`](crate::sim::Sim::set_probe) and invoked synchronously
+//! from inside the event loop, so every callback sees simulated time
+//! exactly as the kernel does. Probes carry no `Send` bound: a simulation
+//! cell is single-threaded by construction, and probes typically share
+//! state with the node actors via `Rc`.
 //!
 //! All hooks default to no-ops; with no probe installed the instrumented
 //! paths reduce to a single `Option` check.

@@ -551,8 +551,10 @@ impl<N: Node> Sim<N> {
         self.inner.push(at, EventKind::Inject { to, msg, bytes });
     }
 
-    /// Run all `on_start` callbacks once (idempotent).
-    pub(crate) fn run_starts(&mut self) {
+    /// Run all `on_start` callbacks once (idempotent). Every run entry
+    /// point calls this; a pacer calls it itself so start-time timers are
+    /// queued before it first asks for [`Sim::next_time`].
+    pub fn run_starts(&mut self) {
         if !self.started {
             self.started = true;
             for id in 0..self.nodes.len() {
@@ -563,8 +565,12 @@ impl<N: Node> Sim<N> {
     }
 
     /// Dispatch one already-popped event at its timestamp. Shared by the
-    /// serial loop; the parallel kernel routes events through its shards
-    /// instead but replays the identical semantics.
+    /// serial loop and [`Sim::step`]; the parallel kernel routes events
+    /// through its shards instead but replays the identical semantics.
+    /// Forced inline: it was inlined into the serial loop while that was
+    /// its only caller, and a second caller must not turn the loop's
+    /// per-event dispatch into a call.
+    #[inline(always)]
     fn dispatch(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
         match kind {
             EventKind::Deliver { from, to, msg } => {
@@ -589,10 +595,12 @@ impl<N: Node> Sim<N> {
                 self.nodes[to].on_message(from, msg, &mut ctx);
             }
             EventKind::Inject { to, msg, bytes } => {
-                // The message leaves its external source now; loss and
-                // dead-receiver checks stay on the Deliver path, where
+                // The message leaves its external source now (the clock
+                // is the event time unless a pacer advanced it past); loss
+                // and dead-receiver checks stay on the Deliver path, where
                 // in-flight messages are judged for node sends too.
-                self.inner.send_message(time, EXTERNAL, to, msg, bytes);
+                let now = time.max(self.inner.time);
+                self.inner.send_message(now, EXTERNAL, to, msg, bytes);
             }
             EventKind::Timer { node, tag } => {
                 if let Some(plan) = &self.inner.faults {
@@ -662,6 +670,54 @@ impl<N: Node> Sim<N> {
     /// Run until the event queue drains or a node stops the simulation.
     pub fn run(&mut self) -> SimTime {
         self.run_until(SimTime::MAX)
+    }
+
+    // ---- the stepping surface: what an external pacer (the wall-clock
+    // backend in `jl-runtime`) needs to drive this kernel one event at a
+    // time against a clock of its own. The loops above never call these.
+
+    /// Timestamp of the earliest pending event, if any.
+    pub fn next_time(&mut self) -> Option<SimTime> {
+        self.inner.queue.next_time()
+    }
+
+    /// Move the clock forward to `t` (never backward) without dispatching
+    /// anything: callbacks then read `t` as now, and anything they schedule
+    /// earlier than `t` clamps to it.
+    pub fn advance_clock(&mut self, t: SimTime) {
+        self.inner.time = self.inner.time.max(t);
+    }
+
+    /// Dispatch the earliest pending event with the clock at the later of
+    /// its timestamp and the current clock. Returns `false`, dispatching
+    /// nothing, once the queue is empty or a stop was requested. Stepping
+    /// until `false` is [`Sim::run`], event for event.
+    pub fn step(&mut self) -> bool {
+        self.run_starts();
+        if self.inner.stopped {
+            return false;
+        }
+        let Some((time, _, kind)) = self.inner.queue.pop() else {
+            return false;
+        };
+        self.advance_clock(time);
+        self.inner.events_processed += 1;
+        self.dispatch(time, kind);
+        true
+    }
+
+    /// Send a message from outside the simulation *now*: it enters the
+    /// network at the current clock, exactly as a [`Sim::post`] scheduled
+    /// for this instant would when it pops, without the queue hop.
+    pub fn inject(&mut self, to: NodeId, msg: N::Msg, bytes: u64) {
+        let now = self.inner.time;
+        self.inner.send_message(now, EXTERNAL, to, msg, bytes);
+    }
+
+    /// Request a stop from outside a callback (what [`Ctx::stop`] does
+    /// from inside one).
+    pub fn request_stop(&mut self) {
+        self.inner.stopped = true;
     }
 
     /// Current simulated time.
@@ -912,6 +968,47 @@ mod tests {
         // Resume: the remaining timers still fire.
         sim.run();
         assert_eq!(sim.node(0).fired, 10);
+    }
+
+    #[test]
+    fn advanced_clock_is_what_callbacks_read_and_push_clamps_to() {
+        struct T {
+            fired: Vec<(u64, SimTime)>,
+        }
+        impl Node for T {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer(SimTime(10_000_000), 1);
+            }
+            fn on_message(&mut self, _f: NodeId, _m: (), ctx: &mut Ctx<'_, ()>) {
+                self.fired.push((0, ctx.now()));
+            }
+            fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, ()>) {
+                self.fired.push((tag, ctx.now()));
+                if tag == 1 {
+                    ctx.set_timer(SimTime(20_000_000), 2); // already past
+                }
+            }
+        }
+        let mut sim: Sim<T> = Sim::new(0, NetConfig::default());
+        sim.add_node(T { fired: vec![] }, NodeSpec::default());
+        sim.post(SimTime(30_000_000), 0, (), 0);
+        sim.run_starts();
+        assert_eq!(sim.next_time(), Some(SimTime(10_000_000)));
+        let late = SimTime(50_000_000);
+        sim.advance_clock(late);
+        sim.advance_clock(SimTime(1)); // never backward
+        assert_eq!(sim.time(), late);
+        assert!(sim.step());
+        // The overdue post pops next and enters the network at the clock,
+        // not at its own timestamp: delivered one latency after `late`,
+        // behind the past-dated timer that clamped to `late`.
+        assert_eq!(sim.next_time(), Some(SimTime(30_000_000)));
+        assert!(sim.step());
+        assert_eq!(sim.next_time(), Some(late), "past-dated timer clamps");
+        while sim.step() {}
+        let arrived = late + NetConfig::default().latency;
+        assert_eq!(sim.node(0).fired, [(1, late), (2, late), (0, arrived)]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (synthetic keys — big-endian so numeric and lexicographic order agree)
 //! and UTF-8 strings (annotation tokens).
 //!
-//! Short keys (≤ [`INLINE_CAP`] bytes — every `from_u64` key and most
+//! Short keys (≤ `INLINE_CAP` bytes — every `from_u64` key and most
 //! annotation tokens) are stored inline in the struct, so constructing,
 //! cloning, hashing and comparing them never touches the heap. Longer keys
 //! fall back to a refcounted [`Bytes`] buffer with O(1) clones.

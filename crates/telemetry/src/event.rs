@@ -109,7 +109,7 @@ const INLINE_ARGS: usize = 4;
 ///
 /// Instrumented runs record hundreds of thousands of events, most carrying
 /// one or two arguments; storing those in a heap `Vec` made the allocator
-/// the dominant telemetry cost. The first [`INLINE_ARGS`] arguments live
+/// the dominant telemetry cost. The first `INLINE_ARGS` arguments live
 /// inside the event itself (kept small — the event is moved by value
 /// through the builder and into the sink); only wider lists allocate.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -308,6 +308,34 @@ fn serve_loopback_answers_every_request() {
     assert_eq!(stats.report.shed, 0);
 }
 
+/// A request line asking for a payload over `MAX_PARAMS_BYTES` is
+/// refused where it enters — counted malformed like any other bad line,
+/// never materialised — so the valid requests around it are answered and
+/// the session stays fast (unbounded, this one line held ~2 GB and the
+/// loop thread for over a minute).
+#[test]
+fn serve_refuses_an_oversized_params_line() {
+    let cfg = ServeConfig {
+        rows: 128,
+        value_size: 1_024,
+        ..ServeConfig::default()
+    };
+    let input = "1 128\n2 1000000000\n3 128\n";
+    let mut out = Vec::new();
+    let t0 = std::time::Instant::now();
+    let stats = serve(input.as_bytes(), &mut out, &cfg).expect("serve session");
+    let elapsed = t0.elapsed();
+    assert_eq!((stats.served, stats.malformed), (2, 1));
+    assert_eq!(stats.report.completed, 2);
+    let text = String::from_utf8(out).expect("utf8");
+    assert_eq!(text.lines().count(), 2, "{text}");
+    assert!(text.lines().all(|l| l.contains(" ok ")), "{text}");
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "took {elapsed:?}"
+    );
+}
+
 /// In-band `DRAIN <node>` decommissions a data node live: the command is
 /// acknowledged on the response stream, every request before/after it is
 /// still answered exactly once (the drain migrates regions under load
