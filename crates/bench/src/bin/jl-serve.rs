@@ -22,11 +22,12 @@
 //! additionally opens a second listener that answers the same commands
 //! out-of-band, so a scraper never competes with request traffic.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use jl_bench::serve::{read_line, Line};
 use jl_bench::{serve_observed, ObserveConfig, ServeConfig, ServeShared, ServeStats};
 
 fn help_text() -> &'static str {
@@ -137,19 +138,18 @@ fn stats_listener(listener: TcpListener, shared: Arc<ServeShared>) {
             continue;
         };
         let mut reader = BufReader::new(read_half);
-        let mut line = String::new();
+        let mut buf = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            let reply = match line.trim() {
-                "" => continue,
-                "METRICS" => shared.metrics(),
-                "STATS" => shared.stats(),
-                "DUMP" => shared.dump(),
-                other => format!("error unknown command {other}"),
+            let reply = match read_line(&mut reader, &mut buf) {
+                Ok(Line::Eof) | Err(_) => break,
+                Ok(Line::Malformed) => "error malformed line".to_string(),
+                Ok(Line::Text(line)) => match line.trim() {
+                    "" => continue,
+                    "METRICS" => shared.metrics(),
+                    "STATS" => shared.stats(),
+                    "DUMP" => shared.dump(),
+                    other => format!("error unknown command {other}"),
+                },
             };
             if writeln!(stream, "{}", reply.trim_end()).is_err() {
                 break;

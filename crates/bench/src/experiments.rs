@@ -247,16 +247,15 @@ impl SyntheticCell {
         (job, store, digest_udfs(spec.output_size as usize), tuples)
     }
 
-    /// Run the cell on `backend`: the identical job on the serial kernel,
-    /// the parallel kernel, or the wall clock — join results match across
-    /// all three, and the simulated two agree byte for byte (the parity
-    /// and determinism suites pin it).
+    /// Run the cell on `backend`: the identical job on the simulated
+    /// clock or the wall clock — join results match across both (the
+    /// parity suites pin it).
     pub fn run(&self, backend: Backend) -> (RunReport, Option<RunTelemetry>) {
         let (job, store, udfs, tuples) = self.build();
         run_job_on(&job, backend, store, udfs, tuples, vec![])
     }
 
-    /// Simulated seconds the cell takes on the serial kernel.
+    /// Simulated seconds the cell takes on the simulation kernel.
     fn sim_secs(&self) -> f64 {
         self.run(Backend::Sim).0.duration.as_secs_f64()
     }
@@ -643,15 +642,12 @@ pub fn chaos_retry(baseline: SimDuration) -> RetryConfig {
 }
 
 /// Run one synthetic chaos cell: first a fault-free, untraced run of
-/// `cell` on the serial kernel (its duration calibrates the fault plan's
-/// timeline and the retry timeouts, and its fingerprint is the
-/// exactly-once reference), then the same job on `backend` under injected
-/// faults with timeout/retry/failover enabled — recording telemetry if
-/// the cell asks for it. Returns `(healthy, chaos, chaos telemetry)`.
-pub fn run_chaos_report(
-    cell: &SyntheticCell,
-    backend: Backend,
-) -> (RunReport, RunReport, Option<RunTelemetry>) {
+/// `cell` (its duration calibrates the fault plan's timeline and the
+/// retry timeouts, and its fingerprint is the exactly-once reference),
+/// then the same job under injected faults with timeout/retry/failover
+/// enabled — recording telemetry if the cell asks for it. Returns
+/// `(healthy, chaos, chaos telemetry)`.
+pub fn run_chaos_report(cell: &SyntheticCell) -> (RunReport, RunReport, Option<RunTelemetry>) {
     let healthy = SyntheticCell {
         telemetry: None,
         ..cell.clone()
@@ -661,7 +657,7 @@ pub fn run_chaos_report(
     let (mut job, store, udfs, tuples) = cell.build();
     job.faults = Some(chaos_fault_plan(&cell.cluster, healthy.duration, cell.seed));
     job.retry = Some(chaos_retry(healthy.duration));
-    let (chaos, tel) = run_job_on(&job, backend, store, udfs, tuples, vec![]);
+    let (chaos, tel) = run_job_on(&job, Backend::Sim, store, udfs, tuples, vec![]);
     (healthy, chaos, tel)
 }
 
@@ -671,20 +667,18 @@ pub fn run_chaos_report(
 /// resource tracks, request lifecycles, placement decisions, cache
 /// activity, and the crash/straggler/lossy-link fault path with its
 /// retries and failovers. One single simulation cell, so its trace is
-/// byte-identical at any `--threads` count — and on `Backend::Par(n)` at
-/// any shard count, flight ring armed or not (the determinism suite pins
-/// all of it).
+/// byte-identical at any `--threads` count, flight ring armed or not (the
+/// determinism suite pins both).
 pub fn traced_chaos_run(
     tuple_scale: f64,
     seed: u64,
     telemetry: TelemetryConfig,
-    backend: Backend,
 ) -> (RunReport, RunTelemetry) {
     let cell = SyntheticCell {
         telemetry: Some(telemetry),
         ..bench_cell("DH", tuple_scale, seed)
     };
-    let (_healthy, chaos, tel) = run_chaos_report(&cell, backend);
+    let (_healthy, chaos, tel) = run_chaos_report(&cell);
     (chaos, tel.expect("telemetry was requested"))
 }
 
@@ -740,7 +734,7 @@ pub fn fig_chaos(tuple_scale: f64, seed: u64) -> FigTable {
                     strategy,
                     ..full.clone()
                 };
-                let (h, c, _) = run_chaos_report(&cell, Backend::Sim);
+                let (h, c, _) = run_chaos_report(&cell);
                 (strategy.label().to_string(), h, c)
             }
             None => {

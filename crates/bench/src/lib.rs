@@ -13,7 +13,6 @@
 
 use std::path::{Path, PathBuf};
 
-use jl_engine::Backend;
 use jl_telemetry::TelemetryConfig;
 use jl_workloads::SyntheticSpec;
 
@@ -54,11 +53,6 @@ pub struct BenchArgs {
     /// run ([`traced_chaos_run`]), from `--trace <path>` or the `JL_TRACE`
     /// environment variable. `None` disables telemetry entirely.
     pub trace: Option<PathBuf>,
-    /// Worker-shard count for the traced run, from `--trace-shards N` or
-    /// `JL_TRACE_SHARDS`. `None` hosts it on the serial kernel; `Some(n)`
-    /// on the parallel kernel with `n` shards — the trace bytes are
-    /// identical either way.
-    pub trace_shards: Option<usize>,
     /// Experiment-grid thread count from `--threads N` or
     /// `JL_BENCH_THREADS` (see [`bench_threads`]); `None` is every core.
     threads: Option<usize>,
@@ -176,9 +170,7 @@ usage: figs <name> [dh|ch|dch] [options]
              --threads N grid threads (default JL_BENCH_THREADS, else all cores)
              --faults    `all` only: append the chaos figure
              --trace PATH       also write the traced chaos run's Chrome trace
-                                and PATH's .metrics.json (default JL_TRACE)
-             --trace-shards N   host that run on N parallel-kernel shards
-                                (default JL_TRACE_SHARDS)";
+                                and PATH's .metrics.json (default JL_TRACE)";
 
 /// Parse the `figs` command line out of `args` (the process arguments
 /// without the program name); `env` looks up an environment variable.
@@ -187,9 +179,8 @@ usage: figs <name> [dh|ch|dch] [options]
 /// full-scale figure under the wrong label: the figure name is one of
 /// [`FIGURES`], the `dh|ch|dch` selector goes only with a [`Run::PerSpec`]
 /// figure and `--faults` only with `all`, `--scale` is a finite number
-/// ≥ 0, `--threads` and `--trace-shards` integers ≥ 1. Where `--trace` /
-/// `--trace-shards` / `--threads` are absent, `JL_TRACE` /
-/// `JL_TRACE_SHARDS` / `JL_BENCH_THREADS` stand in, under the same checks.
+/// ≥ 0, `--threads` an integer ≥ 1. Where `--trace` / `--threads` are
+/// absent, `JL_TRACE` / `JL_BENCH_THREADS` stand in, under the same checks.
 /// Returns what to run with its arguments; has no side effects.
 pub fn parse_from(
     args: &[String],
@@ -218,7 +209,6 @@ pub fn parse_from(
         seed: 42,
         faults: false,
         trace: None,
-        trace_shards: None,
         threads: None,
     };
     let mut positionals = Vec::new();
@@ -231,7 +221,6 @@ pub fn parse_from(
             }
             "--seed" => parsed.seed = value(arg, it.next(), |_| true, "an unsigned integer")?,
             "--trace" => parsed.trace = Some(path(arg, it.next())?),
-            "--trace-shards" => parsed.trace_shards = Some(count(arg, it.next())?),
             "--threads" => parsed.threads = Some(count(arg, it.next())?),
             "--faults" => parsed.faults = true,
             flag if flag.starts_with("--") => return Err(format!("{flag}: unknown option")),
@@ -240,9 +229,6 @@ pub fn parse_from(
     }
     if let (None, Some(raw)) = (&parsed.trace, env("JL_TRACE")) {
         parsed.trace = Some(path("JL_TRACE", Some(&raw))?);
-    }
-    if let (None, Some(raw)) = (parsed.trace_shards, env("JL_TRACE_SHARDS")) {
-        parsed.trace_shards = Some(count("JL_TRACE_SHARDS", Some(&raw))?);
     }
     if let (None, Some(raw)) = (parsed.threads, env("JL_BENCH_THREADS")) {
         parsed.threads = Some(count("JL_BENCH_THREADS", Some(&raw))?);
@@ -304,25 +290,18 @@ impl BenchArgs {
     /// If `--trace` / `JL_TRACE` named a path, run the canonical traced
     /// chaos cell and write its Chrome trace-event JSON there and the
     /// metrics snapshot next to it with a `.metrics.json` extension;
-    /// otherwise do nothing. `trace_shards` picks the hosting kernel —
-    /// the output bytes are identical. Load the trace in Perfetto
-    /// (ui.perfetto.dev) or `chrome://tracing`.
+    /// otherwise do nothing. Load the trace in Perfetto (ui.perfetto.dev)
+    /// or `chrome://tracing`.
     pub fn write_trace(&self) {
         let Some(path) = &self.trace else { return };
-        let backend = self.trace_shards.map_or(Backend::Sim, Backend::Par);
-        let (report, tel) =
-            traced_chaos_run(self.scale, self.seed, TelemetryConfig::default(), backend);
+        let (report, tel) = traced_chaos_run(self.scale, self.seed, TelemetryConfig::default());
         std::fs::write(path, tel.to_chrome_json())
             .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
         let metrics_path = path.with_extension("metrics.json");
         std::fs::write(&metrics_path, tel.metrics_json())
             .unwrap_or_else(|e| panic!("cannot write metrics {}: {e}", metrics_path.display()));
-        let kernel = match self.trace_shards {
-            None => "serial".to_string(),
-            Some(n) => format!("par{n}"),
-        };
         eprintln!(
-            "trace [{kernel}]: {} events -> {} (metrics -> {}); chaos run: retries={} failovers={} dropped={}",
+            "trace [serial]: {} events -> {} (metrics -> {}); chaos run: retries={} failovers={} dropped={}",
             tel.events.len(),
             path.display(),
             metrics_path.display(),
@@ -354,8 +333,8 @@ mod tests {
     fn good_arguments_parse_wherever_the_selector_stands() {
         let a = parse(&["fig5"]).unwrap();
         assert_eq!(
-            (a.figure, a.scale, a.seed, a.faults, a.trace, a.trace_shards),
-            ("fig5", 1.0, 42, false, None, None)
+            (a.figure, a.scale, a.seed, a.faults, a.trace),
+            ("fig5", 1.0, 42, false, None)
         );
         let a = parse(&[
             "--scale",
@@ -368,14 +347,11 @@ mod tests {
             "2",
             "--trace",
             "out.json",
-            "--trace-shards",
-            "8",
         ])
         .unwrap();
         assert_eq!((a.figure, a.faults), ("all", true));
         assert_eq!((a.scale, a.seed, a.threads), (0.1, 7, Some(2)));
         assert_eq!(a.trace, Some("out.json".into()));
-        assert_eq!(a.trace_shards, Some(8));
 
         let names = |a: &BenchArgs| a.specs.iter().map(|s| s.name).collect::<Vec<_>>();
         assert_eq!(names(&parse(&["fig11"]).unwrap()), ["DH", "CH", "DCH"]);
@@ -387,14 +363,11 @@ mod tests {
         assert_eq!((a.figure, a.scale, a.seed), ("ablate ski", 0.2, 1));
 
         // The environment stands in for an absent flag only.
-        let env = [("JL_TRACE", "env.json"), ("JL_TRACE_SHARDS", "2")];
+        let env = [("JL_TRACE", "env.json")];
         let a = parse_env(&["chaos"], &env).unwrap();
-        assert_eq!(
-            (a.trace, a.trace_shards),
-            (Some("env.json".into()), Some(2))
-        );
-        let a = parse_env(&["chaos", "--trace", "t.json", "--trace-shards", "8"], &env).unwrap();
-        assert_eq!((a.trace, a.trace_shards), (Some("t.json".into()), Some(8)));
+        assert_eq!(a.trace, Some("env.json".into()));
+        let a = parse_env(&["chaos", "--trace", "t.json"], &env).unwrap();
+        assert_eq!(a.trace, Some("t.json".into()));
         let env = [("JL_BENCH_THREADS", "x")];
         let a = parse_env(&["chaos", "--threads", "2"], &env).unwrap();
         assert_eq!(a.threads, Some(2));
@@ -410,14 +383,15 @@ mod tests {
             &["--seed", "-3"],
             &["--threads", "0"],
             &["--threads", "two"],
-            &["--trace-shards", "0"],
             &["--trace", ""],
             &["--scale"],
             &["--seed"],
             &["--threads"],
             &["--trace"],
-            &["dh", "--seed", "1", "--trace-shards"],
             &["fig8", "--sclae", "0.1"],
+            // A removed flag is an unknown option, never silently ignored.
+            &["chaos", "--trace-shards", "8"],
+            &["chaos", "--trace", "t.json", "--trace-shards", "8"],
             &["fig5", "--faults"],
         ] {
             let err = parse(bad).expect_err(&format!("{bad:?} parsed"));
@@ -440,8 +414,6 @@ mod tests {
             assert!(err.contains("name"), "{bad:?}: {err}");
         }
         for (var, value) in [
-            ("JL_TRACE_SHARDS", "x"),
-            ("JL_TRACE_SHARDS", "0"),
             ("JL_TRACE", ""),
             ("JL_BENCH_THREADS", "x"),
             ("JL_BENCH_THREADS", "0"),

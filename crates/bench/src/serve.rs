@@ -19,8 +19,9 @@
 //! request hits); `params_size` is an optional payload size in bytes
 //! (default 128, at most [`MAX_PARAMS_BYTES`] — the server materialises
 //! that payload). Blank lines and lines starting with `#` are ignored;
-//! anything else — unparseable, or a `params_size` over the bound — is
-//! counted in [`ServeStats::malformed`] and skipped.
+//! anything else — unparseable, a `params_size` over the bound, longer
+//! than [`MAX_LINE_BYTES`], or not UTF-8 — is counted in
+//! [`ServeStats::malformed`] and skipped.
 //!
 //! Response lines, in completion order (not request order — the engine
 //! pipelines):
@@ -60,7 +61,7 @@
 //! * `JOIN <node>` — re-activate a standby data node; the controller
 //!   rebalances regions onto it. Replies `join <node> requested`.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -237,6 +238,64 @@ fn parse_request(line: &str) -> Result<Option<(u64, u32)>, ()> {
         return Err(());
     }
     Ok(Some((key, params)))
+}
+
+/// Longest line the request reader (and the `jl-serve` stats socket)
+/// buffers, excluding its newline. Every legitimate line is far shorter —
+/// `<u64> <u32>`, `JOIN <n>`, `METRICS` — so 4 KiB leaves ample slack while
+/// a newline-free flood costs the server no more than this much memory.
+pub const MAX_LINE_BYTES: usize = 4096;
+
+/// One line read by [`read_line`].
+#[derive(Debug)]
+pub enum Line<'a> {
+    /// The line, without its newline.
+    Text(&'a str),
+    /// Longer than [`MAX_LINE_BYTES`] or not UTF-8; already consumed
+    /// through its newline.
+    Malformed,
+    /// End of input.
+    Eof,
+}
+
+/// Read the next line of `input` into `buf` (reused across calls). At most
+/// [`MAX_LINE_BYTES`] + 1 bytes are buffered: the rest of an over-long
+/// line is skipped up to its newline without being stored, so no input
+/// can make the reader allocate without bound. An I/O error is returned
+/// as is; the line it interrupted is lost.
+pub fn read_line<'a>(input: &mut impl BufRead, buf: &'a mut Vec<u8>) -> io::Result<Line<'a>> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    if (&mut *input).take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_LINE_BYTES {
+        skip_past_newline(input)?;
+        return Ok(Line::Malformed);
+    }
+    Ok(std::str::from_utf8(buf).map_or(Line::Malformed, Line::Text))
+}
+
+/// Consume `input` through the next newline (or to EOF) without keeping it.
+fn skip_past_newline(input: &mut impl BufRead) -> io::Result<()> {
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                input.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = chunk.len();
+                input.consume(n);
+            }
+        }
+    }
 }
 
 /// One item on the single-writer response channel: a tuple completion
@@ -451,10 +510,25 @@ where
             let processes = processes.clone();
             let dump_path = observe.as_ref().and_then(|o| o.dump_path.clone());
             s.spawn(move || {
+                let mut input = input;
+                let mut buf = Vec::new();
+                let bad = || {
+                    malformed.fetch_add(1, Ordering::Relaxed);
+                    if let Some(l) = &live {
+                        l.on_malformed();
+                    }
+                };
                 let mut seq = 0u64;
-                for line in input.lines() {
-                    let Ok(line) = line else { break };
-                    if let Some((join, node)) = parse_member_cmd(&line) {
+                loop {
+                    let line = match read_line(&mut input, &mut buf) {
+                        Ok(Line::Text(line)) => line,
+                        Ok(Line::Malformed) => {
+                            bad();
+                            continue;
+                        }
+                        Ok(Line::Eof) | Err(_) => break,
+                    };
+                    if let Some((join, node)) = parse_member_cmd(line) {
                         let reply = if node < n_data {
                             let (verb, msg) = if join {
                                 ("join", Msg::Join { node })
@@ -473,7 +547,7 @@ where
                     }
                     if let Some(l) = &live {
                         if let Some(reply) = handle_command(
-                            &line,
+                            line,
                             l,
                             tel.as_ref(),
                             &processes,
@@ -486,14 +560,9 @@ where
                             continue;
                         }
                     }
-                    match parse_request(&line) {
+                    match parse_request(line) {
                         Ok(None) => {}
-                        Err(()) => {
-                            malformed.fetch_add(1, Ordering::Relaxed);
-                            if let Some(l) = &live {
-                                l.on_malformed();
-                            }
-                        }
+                        Err(()) => bad(),
                         Ok(Some((key, params_size))) => {
                             let arrival = ingress.now();
                             arrivals.lock().expect("arrivals lock").insert(seq, arrival);
@@ -707,6 +776,42 @@ mod tests {
         assert_eq!(parse_request("1 1048576"), Ok(Some((1, MAX_PARAMS_BYTES))));
         assert_eq!(parse_request("1 1048577"), Err(()));
         assert_eq!(parse_request("1 4294967295"), Err(()));
+    }
+
+    /// Every line [`read_line`] yields from `input`: `None` for a
+    /// malformed one.
+    fn lines_of(mut input: &[u8]) -> Vec<Option<String>> {
+        let mut buf = Vec::new();
+        let mut out = Vec::new();
+        loop {
+            match read_line(&mut input, &mut buf).expect("in-memory read") {
+                Line::Text(line) => out.push(Some(line.to_string())),
+                Line::Malformed => out.push(None),
+                Line::Eof => return out,
+            }
+        }
+    }
+
+    #[test]
+    fn line_reader_bounds_every_line() {
+        let max = "7".repeat(MAX_LINE_BYTES);
+        let over = "7".repeat(MAX_LINE_BYTES + 1);
+        let parts: [&[u8]; 5] = [
+            b"1\n",
+            max.as_bytes(),
+            b"\n",
+            over.as_bytes(),
+            b"\n2\n\xff\n3",
+        ];
+        let want = [
+            Some("1".to_string()),
+            Some(max.clone()), // exactly MAX_LINE_BYTES
+            None,              // one byte over; the reader resyncs at its newline
+            Some("2".to_string()),
+            None, // invalid UTF-8
+            Some("3".to_string()),
+        ];
+        assert_eq!(lines_of(&parts.concat()), want);
     }
 
     #[test]

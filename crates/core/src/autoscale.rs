@@ -56,7 +56,7 @@ pub enum AutoscaleDecision {
 
 /// An elasticity policy: given the current time and the load snapshot,
 /// decide whether the active set should grow, shrink, or hold.
-pub trait AutoscalePolicy: Send {
+pub trait AutoscalePolicy {
     /// Decide this tick. The controller clamps infeasible decisions
     /// (renting with no standby, releasing at `min_active`) to `Hold`.
     fn decide(&mut self, now: SimTime, signals: &AutoscaleSignals) -> AutoscaleDecision;

@@ -86,7 +86,7 @@ pub struct DecisionCtx {
 /// [`on_cache_hit`]: PlacementPolicy::on_cache_hit
 /// [`on_feedback`]: PlacementPolicy::on_feedback
 /// [`on_invalidate`]: PlacementPolicy::on_invalidate
-pub trait PlacementPolicy<K>: Send {
+pub trait PlacementPolicy<K> {
     /// Choose a placement for one tuple that missed the cache.
     fn decide(&mut self, key: &K, ctx: &DecisionCtx) -> Placement;
 
@@ -140,7 +140,7 @@ pub struct DecisionEvent<'a, K> {
 
 /// Observer of the decision stream. The runtime calls this after every
 /// [`PlacementPolicy::decide`]; the default configuration installs none.
-pub trait DecisionSink<K>: Send {
+pub trait DecisionSink<K> {
     /// One decision was taken.
     fn on_decision(&mut self, event: &DecisionEvent<'_, K>);
 }
@@ -152,7 +152,7 @@ pub struct FnSink<F>(pub F);
 
 impl<K, F> DecisionSink<K> for FnSink<F>
 where
-    F: FnMut(&DecisionEvent<'_, K>) + Send,
+    F: FnMut(&DecisionEvent<'_, K>),
 {
     fn on_decision(&mut self, event: &DecisionEvent<'_, K>) {
         (self.0)(event);
@@ -164,7 +164,7 @@ where
 /// reproducible.
 pub fn policy_for<K>(cfg: &OptimizerConfig, seed: u64) -> Box<dyn PlacementPolicy<K>>
 where
-    K: Hash + Eq + Clone + Ord + Send + 'static,
+    K: Hash + Eq + Clone + Ord + 'static,
 {
     match cfg.strategy {
         Strategy::NoOpt | Strategy::ComputeSide => Box::new(ComputeSidePolicy),

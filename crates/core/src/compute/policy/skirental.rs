@@ -78,8 +78,8 @@ where
 
 impl<K, F> PlacementPolicy<K> for SkiRentalPolicy<K, F>
 where
-    K: Hash + Eq + Clone + Send,
-    F: FrequencyEstimator<K> + Send,
+    K: Hash + Eq + Clone,
+    F: FrequencyEstimator<K>,
 {
     fn decide(&mut self, key: &K, ctx: &DecisionCtx) -> Placement {
         if ctx.frozen {

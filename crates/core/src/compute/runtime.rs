@@ -101,7 +101,7 @@ where
 
 impl<K, P, V> ComputeRuntime<K, P, V>
 where
-    K: Hash + Eq + Clone + Ord + Send + 'static,
+    K: Hash + Eq + Clone + Ord + 'static,
     P: Clone,
     V: CacheValue,
 {

@@ -34,7 +34,7 @@ pub struct ShedCandidate<K> {
 ///
 /// Returning an out-of-range index is a driver bug; the engine clamps it
 /// defensively to the last candidate.
-pub trait ShedPolicy<K>: Send {
+pub trait ShedPolicy<K> {
     /// Choose the victim among `candidates` (never empty).
     fn choose_victim(&mut self, now: SimTime, candidates: &[ShedCandidate<K>]) -> usize;
 

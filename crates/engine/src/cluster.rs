@@ -283,23 +283,10 @@ impl RuntimeNode for ClusterNode {
             ClusterNode::Compute(_) | ClusterNode::Controller(_) => {}
         }
     }
-
-    fn may_stop(&self) -> bool {
-        // Only the controller ever calls `ctx.stop()`; declaring it here
-        // lets `Sim::run_parallel` pin the controller to the stop shard.
-        matches!(self, ClusterNode::Controller(_))
-    }
 }
 
 /// The kernel every backend runs: the cluster's nodes hosted on [`Sim`].
 pub type ClusterSim = Sim<Hosted<ClusterNode>>;
-
-// `Sim::run_parallel` moves node state across worker threads; this pin
-// catches any non-`Send` field (e.g. an `Rc` handle) sneaking back in.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<ClusterNode>();
-};
 
 impl ClusterNode {
     /// The compute node inside, if any.

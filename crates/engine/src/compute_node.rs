@@ -69,7 +69,7 @@ pub enum TupleFate {
 /// Observer called once per tuple when its fate is decided:
 /// `(seq, fate, now)`. Used by `jl-serve` to answer requests as they
 /// finish; `None` (every sim path) costs one branch per completion.
-pub type CompletionHook = Box<dyn FnMut(u64, TupleFate, SimTime) + Send>;
+pub type CompletionHook = Box<dyn FnMut(u64, TupleFate, SimTime)>;
 
 struct PendingLocal {
     key: EKey,
@@ -170,7 +170,7 @@ pub struct ComputeNode {
     /// installed for every traced run (see
     /// [`decision_tee_staged`](crate::telemetry::decision_tee_staged)).
     /// Drained right after every optimizer call that can decide.
-    decision_stage: Option<std::sync::Arc<crate::telemetry::DecisionStage>>,
+    decision_stage: Option<std::rc::Rc<crate::telemetry::DecisionStage>>,
     /// In-pipeline tuple count over time, tracked locally per sample and
     /// adopted into the metrics registry at snapshot (traced runs only).
     outstanding_gauge: Option<jl_simkit::stats::TimeWeightedGauge>,
@@ -313,19 +313,17 @@ impl ComputeNode {
     /// sink (traced runs only). Call before the run starts.
     pub(crate) fn set_decision_stage(
         &mut self,
-        stage: std::sync::Arc<crate::telemetry::DecisionStage>,
+        stage: std::rc::Rc<crate::telemetry::DecisionStage>,
     ) {
         self.decision_stage = Some(stage);
     }
 
-    /// [`tel_record`] for the hottest emitters, from event
-    /// parts: the direct branch records allocation-free (no ~220-byte
-    /// `TraceEvent` built just to be unpacked), the speculative branch
-    /// moves the parts into the journaled closure.
+    /// [`tel_record`] for the hottest emitters, from event parts: records
+    /// allocation-free (no ~220-byte `TraceEvent` built just to be
+    /// unpacked).
     #[inline]
-    fn tel_record_parts<C: RuntimeCtx<Msg>, const N: usize>(
+    fn tel_record_parts<const N: usize>(
         &self,
-        ctx: &mut C,
         track: Track,
         name: &'static str,
         start: SimTime,
@@ -333,55 +331,24 @@ impl ComputeNode {
         args: [Arg; N],
     ) {
         let Some(t) = &self.tel else { return };
-        let node = self.tel_node;
-        if ctx.is_speculative() {
-            let t = t.clone();
-            ctx.defer(Box::new(move || {
-                t.borrow_mut()
-                    .record_parts(node, track, name, start, dur, &args)
-            }));
-        } else {
-            t.borrow_mut()
-                .record_parts(node, track, name, start, dur, &args);
-        }
+        t.borrow_mut()
+            .record_parts(self.tel_node, track, name, start, dur, &args);
     }
 
-    /// Drain decisions captured by the staged sink since the last drain
-    /// and record them — directly under final-order execution, deferred
-    /// through the shard journal when speculative (traced runs only; the
-    /// stage is absent elsewhere, and the no-decision fast path is one
-    /// atomic load). Must run right after any `self.rt` call that can
-    /// fire the sink, *before* this node records anything else, so the
-    /// decision lands at the same trace position on every kernel.
-    fn drain_decisions<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
-        let Some(stage) = &self.decision_stage else {
-            return;
-        };
-        if stage.is_idle() {
-            return;
-        }
-        let Some(t) = &self.tel else { return };
-        let node = self.tel_node;
-        let now = ctx.now();
-        if ctx.is_speculative() {
-            // The batch must outlive this callback to journal through the
-            // commit walk, so take ownership and defer the replay.
-            let Some(batch) = stage.take() else { return };
-            let t = t.clone();
-            ctx.defer(Box::new(move || {
-                crate::telemetry::replay_decisions(&t, node, now, batch);
-            }));
-        } else {
-            stage.replay_serial(t, node, now);
+    /// Record the decisions the staged sink captured since the last drain
+    /// (traced runs only; the stage is absent elsewhere). Must run right
+    /// after any `self.rt` call that can fire the sink, *before* this node
+    /// records anything else, so each decision lands at its trace position.
+    fn drain_decisions<C: RuntimeCtx<Msg>>(&self, ctx: &mut C) {
+        if let (Some(stage), Some(t)) = (&self.decision_stage, &self.tel) {
+            stage.drain(t, self.tel_node, ctx.now());
         }
     }
 
     /// Track the in-pipeline tuple count as a time-weighted gauge. The
     /// gauge is node-local state (like the latency histograms), updated in
-    /// place on every sample — no registry lookup, no recorder lock, and
-    /// under the parallel kernel no deferral, since only this node writes
-    /// it and its callbacks execute in timestamp order on every kernel.
-    /// The runner adopts the finished gauge into the registry at snapshot.
+    /// place on every sample — no registry lookup, no recorder lock. The
+    /// runner adopts the finished gauge into the registry at snapshot.
     fn tel_outstanding<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
         if self.tel.is_none() {
             return;
@@ -941,7 +908,6 @@ impl ComputeNode {
             if let Some(t0) = self.started_at.remove(&seq) {
                 self.latency.record(ctx.now().since(t0));
                 self.tel_record_parts(
-                    ctx,
                     Track::Lifecycle,
                     "tuple",
                     t0,
@@ -1055,7 +1021,6 @@ impl ComputeNode {
                     if let Some(t0) = self.sent_at.remove(&item.req_id) {
                         self.remote_lat.record(ctx.now().since(t0));
                         self.tel_record_parts(
-                            ctx,
                             Track::Wire,
                             "request",
                             t0,

@@ -82,7 +82,7 @@ pub struct Controller {
     /// Data nodes mid-drain (still active, being emptied).
     draining: Vec<bool>,
     /// Runtime ownership: `(table, region) -> data node`. A `BTreeMap` so
-    /// planning iterates in deterministic order on every kernel.
+    /// planning iterates in deterministic order on every backend.
     owner_of: BTreeMap<(TableId, usize), usize>,
     /// Catalog epoch, bumped once per completed migration.
     epoch: u64,

@@ -409,9 +409,9 @@ impl DataNode {
 
     /// Track the admitted-item queue depth as a time-weighted gauge. The
     /// gauge is node-local state updated in place — no registry lookup, no
-    /// recorder lock, no speculative deferral (only this node writes it,
-    /// and its callbacks execute in timestamp order on every kernel). The
-    /// runner adopts the finished gauge into the registry at snapshot.
+    /// recorder lock (only this node writes it, and its callbacks execute
+    /// in timestamp order). The runner adopts the finished gauge into the
+    /// registry at snapshot.
     fn tel_queue_depth<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
         if self.tel.is_none() {
             return;

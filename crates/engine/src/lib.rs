@@ -9,10 +9,9 @@
 //! The data plane is real — every strategy must reproduce the reference
 //! join fingerprint ([`verify::reference_run`]) — while time is pluggable
 //! through the `jl-runtime` seam: [`run_job_on`] takes a [`Backend`] —
-//! simulated (the deterministic oracle), parallel-simulated, or wall-clock
-//! (also what the `jl-serve` request/response layer builds on, by pacing
-//! the kernel [`runner::load_host`] returns). All three run the same
-//! [`ClusterSim`].
+//! simulated (the deterministic oracle) or wall-clock (also what the
+//! `jl-serve` request/response layer builds on, by pacing the kernel
+//! [`runner::load_host`] returns). Both run the same [`ClusterSim`].
 
 #![warn(missing_docs)]
 

@@ -1,8 +1,9 @@
 //! Building and running a job end-to-end: [`run_job_on`] is the one
 //! implementation of a run, parameterised by [`Backend`] — the simulator
-//! (the deterministic oracle), its parallel kernel, or the wall clock —
-//! over the same construction, loading and gathering code.
+//! (the deterministic oracle) or the wall clock — over the same
+//! construction, loading and gathering code.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
@@ -332,18 +333,13 @@ pub fn build_store_active(
 /// `(time, table, key, value)` applied at the owning data node.
 pub type UpdateEvent = (SimTime, jl_store::TableId, RowKey, StoredValue);
 
-/// Which runtime hosts a run. The construction, policies and
-/// fault/overload/membership machinery are identical on all three; only
-/// the event loop differs.
+/// Which clock hosts a run. The construction, policies and
+/// fault/overload/membership machinery are identical on both; only the
+/// pacing of the one event loop differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The serial simulation kernel — the deterministic oracle.
+    /// The simulation kernel's own loop — the deterministic oracle.
     Sim,
-    /// The node-sharded conservative-PDES kernel with this many worker
-    /// threads (see [`jl_simkit::par`]). Report, Chrome trace and metrics
-    /// JSON are byte-identical to [`Backend::Sim`] at any thread count;
-    /// the determinism suite pins it.
-    Par(usize),
     /// The wall-clock backend: time is real nanoseconds, so durations and
     /// latencies reflect the host machine while join results and tuple
     /// accounting match the simulator (the parity tests pin this). A
@@ -374,16 +370,19 @@ pub fn run_job_traced(
     run_job_on(spec, Backend::Sim, store, udfs, tuples, updates)
 }
 
-/// [`run_job_on`] the parallel kernel with `threads` shards, report only.
+/// [`run_job`] under its former parallel-kernel name. That kernel was
+/// slower than the serial loop at every measured shape and is gone;
+/// `_threads` is ignored and the report is `run_job`'s. Kept so existing
+/// callers (the standalone `benchmark/` package) still compile.
 pub fn run_job_parallel(
     spec: &JobSpec,
     store: StoreCluster,
     udfs: UdfRegistry,
     tuples: Vec<JobTuple>,
     updates: Vec<UpdateEvent>,
-    threads: usize,
+    _threads: usize,
 ) -> RunReport {
-    run_job_on(spec, Backend::Par(threads), store, udfs, tuples, updates).0
+    run_job(spec, store, udfs, tuples, updates)
 }
 
 /// A cluster built for either backend: nodes in sim-id order (computes,
@@ -467,13 +466,10 @@ pub fn build_cluster(
         let mut stage = None;
         if tel.is_some() {
             // Traced runs observe the decision plane through a staged tee:
-            // the sink (which has no clock, and under the parallel kernel
-            // runs during speculative shard execution) buffers each
-            // decision, and the node drains the buffer right after the
-            // optimizer call — recording directly when serial, through
-            // the shard journal when speculative.
-            let s: Arc<crate::telemetry::DecisionStage> = Default::default();
-            sink = Some(crate::telemetry::decision_tee_staged(Arc::clone(&s), sink));
+            // the sink (which has no clock) buffers each decision, and the
+            // node records the buffer right after the optimizer call.
+            let s: Rc<crate::telemetry::DecisionStage> = Default::default();
+            sink = Some(crate::telemetry::decision_tee_staged(Rc::clone(&s), sink));
             stage = Some(s);
         }
         let shed = spec.overload.map(|ov| match &spec.shed_policy {
@@ -657,10 +653,6 @@ fn drive(
     match backend {
         Backend::Sim => {
             let end = sim.run_until(horizon);
-            finish(&sim, end)
-        }
-        Backend::Par(threads) => {
-            let end = sim.run_parallel_until(horizon, threads);
             finish(&sim, end)
         }
         Backend::Real => {
@@ -1245,6 +1237,10 @@ mod tests {
         assert_eq!(a.duration, b.duration);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.net_bytes, b.net_bytes);
+        // `run_job_parallel` is an alias: the same report at any `threads`.
+        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let c = run_job_parallel(&job, store, udfs, tuples, vec![], 2);
+        assert_eq!(format!("{c:?}"), format!("{a:?}"));
     }
 
     /// The runner-test chaos scenario: crash + failover, a straggler, and
@@ -1388,13 +1384,7 @@ mod tests {
         let (oracle_trace, oracle_metrics) =
             (oracle_tel.to_chrome_json(), oracle_tel.metrics_json());
 
-        let simulated = [
-            Backend::Sim,
-            Backend::Par(1),
-            Backend::Par(2),
-            Backend::Par(8),
-        ];
-        for backend in simulated.into_iter().chain([Backend::Real]) {
+        for backend in [Backend::Sim, Backend::Real] {
             for traced in [false, true] {
                 let at = format!("{backend:?} traced={traced}");
                 let (report, tel) = run(backend, traced);
@@ -1406,9 +1396,8 @@ mod tests {
                     (oracle.gave_up, oracle.shed, &oracle.outcomes),
                     "{at}"
                 );
-                if simulated.contains(&backend) {
-                    // Observation must not perturb the simulation, and
-                    // neither may the kernel hosting it.
+                if backend == Backend::Sim {
+                    // Observation must not perturb the simulation.
                     assert_eq!(format!("{report:?}"), format!("{oracle:?}"), "{at}");
                 }
                 let Some(tel) = tel else { continue };
@@ -1416,7 +1405,7 @@ mod tests {
                 let check =
                     jl_telemetry::json::validate_chrome_trace(&trace).expect("trace validates");
                 assert!(check.spans > 0 && check.metadata > 0, "{at}");
-                if simulated.contains(&backend) {
+                if backend == Backend::Sim {
                     assert_eq!(tel.events.len(), oracle_tel.events.len(), "{at}");
                     assert_eq!(trace, oracle_trace, "{at}: trace JSON diverged");
                     assert_eq!(tel.metrics_json(), oracle_metrics, "{at}: metrics diverged");

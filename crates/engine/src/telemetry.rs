@@ -13,8 +13,8 @@
 //! by [`ComputeNode`](crate::compute_node::ComputeNode) and
 //! [`DataNode`](crate::data_node::DataNode) through the same shared handle.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use jl_core::{DecisionEvent, DecisionSink, FnSink, Placement};
 use jl_runtime::RuntimeCtx;
@@ -24,10 +24,8 @@ use jl_telemetry::{ArgVal, TelemetryHandle, TraceEvent, Track};
 use crate::cluster::EKey;
 
 /// Record one node-side trace event, stamped by `mk` from the callback's
-/// clock: directly under final-order execution, deferred through the shard
-/// journal (commit-walk replay in exact serial order) when the callback is
-/// speculative. The closure only runs when a recorder is attached, so
-/// untraced runs pay one branch.
+/// clock. The closure only runs when a recorder is attached, so untraced
+/// runs pay one branch.
 #[inline]
 pub(crate) fn tel_record<M, C: RuntimeCtx<M>>(
     tel: &Option<TelemetryHandle>,
@@ -36,12 +34,7 @@ pub(crate) fn tel_record<M, C: RuntimeCtx<M>>(
 ) {
     let Some(t) = tel else { return };
     let ev = mk(ctx.now());
-    if ctx.is_speculative() {
-        let t = t.clone();
-        ctx.defer(Box::new(move || t.borrow_mut().record(ev)));
-    } else {
-        t.borrow_mut().record(ev);
-    }
+    t.borrow_mut().record(ev);
 }
 
 /// Kernel probe that records resource grants and fault-plan effects as
@@ -124,8 +117,8 @@ impl SimProbe for EngineProbe {
     }
 }
 
-/// One decision captured by the staged tee, pending replay. Carries the
-/// event fields minus the timestamp: decisions are stamped with the
+/// One decision captured by the staged tee, pending its drain. Carries
+/// the event fields minus the timestamp: decisions are stamped with the
 /// callback's sim time when the node drains the stage — which is the
 /// callback time the old clock-publishing tee used, since sim time never
 /// advances mid-callback.
@@ -137,58 +130,22 @@ pub(crate) struct StagedDecision {
     freq: u64,
 }
 
-/// Staging buffer between one compute node and its decision sink. The
-/// node polls the stage after every optimizer call that can decide; the
-/// `nonempty` flag keeps that poll to one relaxed atomic load on the
-/// (overwhelmingly common) no-decision path, and the mutex — per-node,
-/// only ever taken from the thread currently running the node — guards
-/// the rare push/drain.
+/// Staging buffer between one compute node and its decision sink: the
+/// sink pushes, and the node drains right after every optimizer call that
+/// can decide.
 #[derive(Default)]
-pub(crate) struct DecisionStage {
-    nonempty: AtomicBool,
-    buf: Mutex<Vec<StagedDecision>>,
-}
+pub(crate) struct DecisionStage(RefCell<Vec<StagedDecision>>);
 
 impl DecisionStage {
-    fn push(&self, d: StagedDecision) {
-        self.buf.lock().unwrap_or_else(|p| p.into_inner()).push(d);
-        self.nonempty.store(true, Ordering::Release);
-    }
-
-    /// Whether nothing is staged — the poll the node runs after every
-    /// optimizer call, kept to one atomic load.
-    #[inline]
-    pub(crate) fn is_idle(&self) -> bool {
-        !self.nonempty.load(Ordering::Acquire)
-    }
-
-    /// Drain everything staged since the last take, or `None`. Allocates
-    /// the returned batch; used only on the speculative (parallel-kernel)
-    /// path, where the batch must outlive the callback to journal through
-    /// the commit walk.
-    #[inline]
-    pub(crate) fn take(&self) -> Option<Vec<StagedDecision>> {
-        if self.is_idle() {
-            return None;
+    /// Record everything staged into `tel`, stamped `now`, reusing the
+    /// buffer. Nothing staged (the common case) costs one empty check.
+    pub(crate) fn drain(&self, tel: &TelemetryHandle, node: u32, now: SimTime) {
+        let mut staged = self.0.borrow_mut();
+        if staged.is_empty() {
+            return;
         }
-        let mut g = self.buf.lock().unwrap_or_else(|p| p.into_inner());
-        self.nonempty.store(false, Ordering::Relaxed);
-        if g.is_empty() {
-            None
-        } else {
-            Some(std::mem::take(&mut *g))
-        }
-    }
-
-    /// Record everything staged straight into `tel`, reusing the staging
-    /// buffer. The serial-kernel drain: no speculation means no deferral,
-    /// so nothing needs to own the batch and the per-drain `Vec`
-    /// allocation of [`DecisionStage::take`] is skipped entirely.
-    pub(crate) fn replay_serial(&self, tel: &TelemetryHandle, node: u32, now: SimTime) {
-        let mut g = self.buf.lock().unwrap_or_else(|p| p.into_inner());
-        self.nonempty.store(false, Ordering::Relaxed);
         let mut t = tel.borrow_mut();
-        for d in g.drain(..) {
+        for d in staged.drain(..) {
             record_decision(&mut t, node, now, d);
         }
     }
@@ -196,16 +153,12 @@ impl DecisionStage {
 
 /// Build the decision sink for one compute node of a traced run: every
 /// [`DecisionEvent`] is staged (the sink lives inside the compute runtime,
-/// which has no clock and — under the parallel kernel — runs during
-/// speculative shard execution where touching the shared recorder would
-/// race), then flows on to the user's sink, if any. The node drains the
-/// stage after each optimizer call: recording directly under the serial
-/// kernel, or deferring [`replay_decisions`] through the shard journal so
-/// it runs on the coordinator at commit. Either way the recorded bytes
-/// are identical — this is how tracing observes the decision plane
-/// without changing its golden-tested event shape.
+/// which has no clock), then flows on to the user's sink, if any. The
+/// node drains the stage after each optimizer call, so each decision is
+/// recorded at its callback's time — this is how tracing observes the
+/// decision plane without changing its golden-tested event shape.
 pub(crate) fn decision_tee_staged(
-    stage: Arc<DecisionStage>,
+    stage: Rc<DecisionStage>,
     user: Option<Box<dyn DecisionSink<EKey>>>,
 ) -> Box<dyn DecisionSink<EKey>> {
     let mut user = user;
@@ -214,7 +167,7 @@ pub(crate) fn decision_tee_staged(
             Placement::Rent => "rent",
             Placement::Buy(_) => "buy",
         };
-        stage.push(StagedDecision {
+        stage.0.borrow_mut().push(StagedDecision {
             name,
             dest: ev.dest as u64,
             rent_eff: ev.rent_eff,
@@ -225,22 +178,6 @@ pub(crate) fn decision_tee_staged(
             u.on_decision(ev);
         }
     }))
-}
-
-/// Record a drained batch of staged decisions. Byte-identical to the
-/// serial [`DecisionStage::replay_serial`] drain — both funnel through
-/// [`record_decision`] — which is what lets the parallel kernel journal
-/// the batch and replay it at commit without changing the trace.
-pub(crate) fn replay_decisions(
-    tel: &TelemetryHandle,
-    node: u32,
-    now: SimTime,
-    batch: Vec<StagedDecision>,
-) {
-    let mut t = tel.borrow_mut();
-    for d in batch {
-        record_decision(&mut t, node, now, d);
-    }
 }
 
 /// Record one staged decision: the instant event on the decision track

@@ -8,13 +8,12 @@
 //! [`Hosted`]. There is **one kernel and two clocks**:
 //!
 //! * **Simulated** — a [`Sim`](jl_simkit::sim::Sim)`<Hosted<N>>` run by its
-//!   own serial or parallel loop. [`jl_simkit::sim::Ctx`] implements
+//!   own event loop. [`jl_simkit::sim::Ctx`] implements
 //!   [`RuntimeCtx`] and [`Hosted`] implements
 //!   [`Node`], both by `#[inline]` delegation: the
 //!   adapter adds no state, no allocation, and no branches, so a hosted
 //!   actor is byte-identical to one written against the kernel directly
-//!   (the 1/2/8 thread determinism digests and golden decision traces pin
-//!   this).
+//!   (the determinism digests and golden decision traces pin this).
 //! * **Real** — [`real::RealRuntime`] paces *that same kernel* against the
 //!   wall clock: one OS thread owns it and a monotonic clock
 //!   ([`std::time::Instant`]) anchored at run start, dispatching each event
@@ -120,22 +119,6 @@ pub trait RuntimeCtx<M> {
 
     /// Request that the run stop after the current callback returns.
     fn stop(&mut self);
-
-    /// Whether this callback is executing speculatively (a parallel-kernel
-    /// shard). Both the serial simulator and the real backend run
-    /// callbacks in final order, so the default is `false`.
-    fn is_speculative(&self) -> bool {
-        false
-    }
-
-    /// Run a side effect in exact global serial order: immediately on
-    /// backends that execute in final order (the default), journaled for
-    /// commit-walk replay on the speculative parallel kernel. Actors route
-    /// trace recording and shared-registry updates through this so traced
-    /// parallel runs replay them byte-identically to serial.
-    fn defer(&mut self, f: Box<dyn FnOnce() + Send>) {
-        f();
-    }
 }
 
 impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
@@ -183,16 +166,6 @@ impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
     fn stop(&mut self) {
         Ctx::stop(self)
     }
-
-    #[inline]
-    fn is_speculative(&self) -> bool {
-        Ctx::is_speculative(self)
-    }
-
-    #[inline]
-    fn defer(&mut self, f: Box<dyn FnOnce() + Send>) {
-        Ctx::defer(self, f)
-    }
 }
 
 /// Behaviour of a node, written once against [`RuntimeCtx`].
@@ -220,12 +193,6 @@ pub trait RuntimeNode {
 
     /// Called when a scheduled fault transition hits this node.
     fn handle_fault<C: RuntimeCtx<Self::Msg>>(&mut self, _kind: FaultKind, _ctx: &mut C) {}
-
-    /// Whether this node may ever call [`RuntimeCtx::stop`]; see
-    /// [`Node::may_stop`] (only the parallel kernel reads it).
-    fn may_stop(&self) -> bool {
-        false
-    }
 }
 
 /// The one adapter between the two traits: hosts a [`RuntimeNode`] on the
@@ -272,11 +239,6 @@ impl<N: RuntimeNode> Node for Hosted<N> {
     #[inline]
     fn on_fault(&mut self, kind: FaultKind, ctx: &mut Ctx<'_, N::Msg>) {
         self.0.handle_fault(kind, ctx);
-    }
-
-    #[inline]
-    fn may_stop(&self) -> bool {
-        self.0.may_stop()
     }
 }
 

@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod par;
 pub mod probe;
 pub mod queue;
 pub mod resource;

@@ -12,12 +12,6 @@
 //! analytic completion times from
 //! [`FifoResource`](crate::resource::FifoResource)s; nodes then schedule
 //! messages or timers at those instants.
-//!
-//! Two execution modes share this kernel: the serial loop below, and the
-//! deterministic node-sharded parallel loop in [`crate::par`]
-//! (`Sim::run_parallel`), which produces bit-identical results via
-//! conservative-lookahead epochs. [`Ctx`] is a thin enum over the two
-//! backends so node code is oblivious to the mode.
 
 use std::collections::BTreeMap;
 
@@ -57,17 +51,6 @@ pub trait Node {
     /// default ignores faults, which is correct for nodes whose plan never
     /// touches them.
     fn on_fault(&mut self, _kind: FaultKind, _ctx: &mut Ctx<'_, Self::Msg>) {}
-
-    /// Declare whether this node may ever call [`Ctx::stop`]. The serial
-    /// loop ignores this; [`Sim::run_parallel`] executes events of
-    /// stop-capable nodes on the coordinating thread *before* the sharded
-    /// wave of each epoch, so a stop request establishes the exact
-    /// serial-order watermark past which no other shard executes. A node
-    /// that calls `stop` without declaring itself here panics loudly under
-    /// the parallel kernel (and is unaffected in serial runs).
-    fn may_stop(&self) -> bool {
-        false
-    }
 }
 
 /// Hardware description of a node.
@@ -96,9 +79,8 @@ impl Default for NodeSpec {
 /// Network-wide parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// One-way propagation + protocol latency per message. Also the
-    /// conservative-lookahead window of the parallel kernel: no cross-node
-    /// message can be delivered sooner than `latency` after it is sent.
+    /// One-way propagation + protocol latency per message: no cross-node
+    /// message is delivered sooner than `latency` after it is sent.
     pub latency: SimDuration,
 }
 
@@ -110,7 +92,7 @@ impl Default for NetConfig {
     }
 }
 
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     Deliver {
         from: NodeId,
         to: NodeId,
@@ -152,43 +134,37 @@ pub struct NetTotals {
 
 /// Everything in the simulation except the nodes themselves; nodes interact
 /// with it through [`Ctx`].
-pub(crate) struct SimInner<M> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) queue: CalendarQueue<EventKind<M>>,
-    pub(crate) resources: Vec<NodeResources>,
-    pub(crate) rngs: Vec<StdRng>,
-    pub(crate) net: NetConfig,
-    pub(crate) totals: NetTotals,
-    pub(crate) events_processed: u64,
-    pub(crate) stopped: bool,
-    pub(crate) faults: Option<FaultPlan>,
+struct SimInner<M> {
+    time: SimTime,
+    seq: u64,
+    queue: CalendarQueue<EventKind<M>>,
+    resources: Vec<NodeResources>,
+    rngs: Vec<StdRng>,
+    net: NetConfig,
+    totals: NetTotals,
+    events_processed: u64,
+    stopped: bool,
+    faults: Option<FaultPlan>,
     /// Monotone per-send counter feeding the fault plan's deterministic
     /// link-drop coin. Advances once per cross-node send while a plan is
     /// installed, so the coin sequence depends only on the (deterministic)
     /// event order, never on host parallelism.
-    pub(crate) fault_sends: u64,
+    fault_sends: u64,
     /// Per-link drop/delay accounting; populated only at fault-plan sites,
     /// so healthy runs never touch it.
-    pub(crate) links: BTreeMap<(NodeId, NodeId), LinkStats>,
-    pub(crate) probe: Option<Box<dyn SimProbe>>,
+    links: BTreeMap<(NodeId, NodeId), LinkStats>,
+    probe: Option<Box<dyn SimProbe>>,
 }
 
 impl<M> SimInner<M> {
-    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let time = time.max(self.time);
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(time, seq, kind);
     }
 
-    pub(crate) fn transfer(
-        &mut self,
-        ready: SimTime,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) -> SimTime {
+    fn transfer(&mut self, ready: SimTime, from: NodeId, to: NodeId, bytes: u64) -> SimTime {
         if from == to {
             // Local hand-off: no NIC, no latency.
             return ready;
@@ -232,7 +208,7 @@ impl<M> SimInner<M> {
     /// delivery. With a fault plan installed, a lossy link may eat the
     /// message *after* it occupied the wire (loss is charged like a sent
     /// packet); the returned instant is when it would have arrived.
-    pub(crate) fn send_message(
+    fn send_message(
         &mut self,
         ready: SimTime,
         from: NodeId,
@@ -260,36 +236,21 @@ impl<M> SimInner<M> {
     }
 }
 
-/// Which execution backend a [`Ctx`] is bound to: the serial kernel
-/// (direct access to the whole simulation) or one shard of the parallel
-/// kernel (node-local state plus an effect journal replayed in serial
-/// order at the epoch commit).
-pub(crate) enum CtxBackend<'a, M> {
-    Serial(&'a mut SimInner<M>),
-    Shard(&'a mut crate::par::ShardCtx<M>),
-}
-
 /// Handle through which a node interacts with the simulation while one of
 /// its callbacks is running.
 pub struct Ctx<'a, M> {
-    pub(crate) backend: CtxBackend<'a, M>,
-    pub(crate) self_id: NodeId,
+    inner: &'a mut SimInner<M>,
+    self_id: NodeId,
 }
 
 impl<'a, M> Ctx<'a, M> {
-    pub(crate) fn serial(inner: &'a mut SimInner<M>, self_id: NodeId) -> Self {
-        Ctx {
-            backend: CtxBackend::Serial(inner),
-            self_id,
-        }
+    fn new(inner: &'a mut SimInner<M>, self_id: NodeId) -> Self {
+        Ctx { inner, self_id }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.backend {
-            CtxBackend::Serial(inner) => inner.time,
-            CtxBackend::Shard(shard) => shard.time,
-        }
+        self.inner.time
     }
 
     /// The node this callback belongs to.
@@ -300,28 +261,15 @@ impl<'a, M> Ctx<'a, M> {
     /// Send `msg` of `bytes` payload to `to`, leaving now. Returns the
     /// delivery time. The transfer occupies this node's outbound NIC and the
     /// receiver's inbound NIC; self-sends bypass the network.
-    ///
-    /// Under [`Sim::run_parallel`] the receiver's inbound NIC is charged at
-    /// the epoch commit (in exact serial order), so the returned instant for
-    /// a *cross-node* send is a lower bound that excludes inbound queueing.
-    /// The engine never branches on this value; code that must not see the
-    /// difference belongs on the serial kernel.
     pub fn send(&mut self, to: NodeId, msg: M, bytes: u64) -> SimTime {
         self.send_ready_at(self.now(), to, msg, bytes)
     }
 
     /// Send `msg`, but the payload only becomes available at `ready`
-    /// (e.g. after a CPU or disk completion). Returns the delivery time
-    /// (see [`Ctx::send`] for the parallel-kernel caveat).
+    /// (e.g. after a CPU or disk completion). Returns the delivery time.
     pub fn send_ready_at(&mut self, ready: SimTime, to: NodeId, msg: M, bytes: u64) -> SimTime {
-        let self_id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => {
-                let ready = ready.max(inner.time);
-                inner.send_message(ready, self_id, to, msg, bytes)
-            }
-            CtxBackend::Shard(shard) => shard.send_ready_at(self_id, ready, to, msg, bytes),
-        }
+        let ready = ready.max(self.inner.time);
+        self.inner.send_message(ready, self.self_id, to, msg, bytes)
     }
 
     /// Charge `service` time on one of this node's resources, becoming ready
@@ -332,24 +280,19 @@ impl<'a, M> Ctx<'a, M> {
         ready: SimTime,
         service: SimDuration,
     ) -> Grant {
-        let self_id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => {
-                let ready = ready.max(inner.time);
-                let service = match &inner.faults {
-                    Some(plan) => plan.scale_service(self_id, inner.time, service),
-                    None => service,
-                };
-                let grant = inner.resources[self_id]
-                    .get_mut(kind)
-                    .submit(ready, service);
-                if let Some(probe) = &mut inner.probe {
-                    probe.on_grant(self_id, kind, ready, service, grant);
-                }
-                grant
-            }
-            CtxBackend::Shard(shard) => shard.use_resource(self_id, kind, ready, service),
+        let (inner, self_id) = (&mut *self.inner, self.self_id);
+        let ready = ready.max(inner.time);
+        let service = match &inner.faults {
+            Some(plan) => plan.scale_service(self_id, inner.time, service),
+            None => service,
+        };
+        let grant = inner.resources[self_id]
+            .get_mut(kind)
+            .submit(ready, service);
+        if let Some(probe) = &mut inner.probe {
+            probe.on_grant(self_id, kind, ready, service, grant);
         }
+        grant
     }
 
     /// Charge CPU time starting no earlier than now.
@@ -364,40 +307,21 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Read-only view of this node's resources (for load introspection).
     pub fn resources(&self) -> &NodeResources {
-        match &self.backend {
-            CtxBackend::Serial(inner) => &inner.resources[self.self_id],
-            CtxBackend::Shard(shard) => shard.resources(self.self_id),
-        }
+        &self.inner.resources[self.self_id]
     }
 
     /// Read-only view of another node's resources. Real systems cannot peek
     /// at remote load; engines use this only for *measurement*, never for
     /// decisions, so the paper's decentralised-information constraint holds.
-    ///
-    /// # Panics
-    /// Panics under [`Sim::run_parallel`]: remote resource state is not
-    /// coherent inside an epoch. Nothing in the engine calls this from a
-    /// callback; measurement happens after the run.
     pub fn resources_of(&self, node: NodeId) -> &NodeResources {
-        match &self.backend {
-            CtxBackend::Serial(inner) => &inner.resources[node],
-            CtxBackend::Shard(_) => panic!(
-                "Ctx::resources_of is not available under run_parallel: \
-                 remote resources are only coherent at epoch boundaries"
-            ),
-        }
+        &self.inner.resources[node]
     }
 
     /// Arrange for `on_timer(tag)` to fire at absolute time `at`
     /// (clamped to now if in the past).
     pub fn set_timer(&mut self, at: SimTime, tag: u64) {
-        let self_id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => {
-                inner.push(at, EventKind::Timer { node: self_id, tag });
-            }
-            CtxBackend::Shard(shard) => shard.set_timer(self_id, at, tag),
-        }
+        let node = self.self_id;
+        self.inner.push(at, EventKind::Timer { node, tag });
     }
 
     /// Arrange for `on_timer(tag)` to fire after `delay`.
@@ -408,59 +332,24 @@ impl<'a, M> Ctx<'a, M> {
 
     /// This node's deterministic random stream.
     pub fn rng(&mut self) -> &mut StdRng {
-        let self_id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => &mut inner.rngs[self_id],
-            CtxBackend::Shard(shard) => shard.rng(self_id),
-        }
-    }
-
-    /// Whether this callback is executing speculatively on a parallel-
-    /// kernel shard. Serial execution (including [`Sim::run`] and the
-    /// coordinator-side start callbacks of [`Sim::run_parallel`]) returns
-    /// `false`. Code with globally-ordered side effects (trace recording,
-    /// shared-registry updates) should route them through [`Ctx::defer`]
-    /// when this is `true`.
-    pub fn is_speculative(&self) -> bool {
-        matches!(self.backend, CtxBackend::Shard(_))
-    }
-
-    /// Run a side effect in exact global serial order. Serially the
-    /// closure runs immediately (zero cost beyond the call); under
-    /// [`Sim::run_parallel`] it is journaled on the shard and replayed on
-    /// the coordinator during the epoch's commit walk, interleaved with
-    /// this callback's resource grants and cross-sends in issue order.
-    /// This is how traced parallel runs stay byte-identical to serial.
-    pub fn defer(&mut self, f: Box<dyn FnOnce() + Send>) {
-        match &mut self.backend {
-            CtxBackend::Serial(_) => f(),
-            CtxBackend::Shard(shard) => shard.defer(f),
-        }
+        &mut self.inner.rngs[self.self_id]
     }
 
     /// Request that the simulation stop after the current callback returns.
-    ///
-    /// Under [`Sim::run_parallel`] only nodes declaring
-    /// [`Node::may_stop`] may call this (they execute serially each epoch,
-    /// so the stop point is an exact serial-order watermark); any other
-    /// caller panics.
     pub fn stop(&mut self) {
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => inner.stopped = true,
-            CtxBackend::Shard(shard) => shard.stop(),
-        }
+        self.inner.stopped = true;
     }
 }
 
 /// A discrete-event simulation over nodes of type `N`.
 pub struct Sim<N: Node> {
-    pub(crate) nodes: Vec<N>,
-    pub(crate) inner: SimInner<N::Msg>,
-    pub(crate) started: bool,
-    pub(crate) seed: u64,
+    nodes: Vec<N>,
+    inner: SimInner<N::Msg>,
+    started: bool,
+    seed: u64,
     /// Hardware specs, retained so a fault-plan restart can rebuild a
     /// node's resources from scratch.
-    pub(crate) specs: Vec<NodeSpec>,
+    specs: Vec<NodeSpec>,
 }
 
 impl<N: Node> Sim<N> {
@@ -558,18 +447,16 @@ impl<N: Node> Sim<N> {
         if !self.started {
             self.started = true;
             for id in 0..self.nodes.len() {
-                let mut ctx = Ctx::serial(&mut self.inner, id);
+                let mut ctx = Ctx::new(&mut self.inner, id);
                 self.nodes[id].on_start(&mut ctx);
             }
         }
     }
 
     /// Dispatch one already-popped event at its timestamp. Shared by the
-    /// serial loop and [`Sim::step`]; the parallel kernel routes events
-    /// through its shards instead but replays the identical semantics.
-    /// Forced inline: it was inlined into the serial loop while that was
-    /// its only caller, and a second caller must not turn the loop's
-    /// per-event dispatch into a call.
+    /// run loop and [`Sim::step`]. Forced inline: it was inlined into the
+    /// loop while that was its only caller, and a second caller must not
+    /// turn the loop's per-event dispatch into a call.
     #[inline(always)]
     fn dispatch(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
         match kind {
@@ -591,7 +478,7 @@ impl<N: Node> Sim<N> {
                     }
                 }
                 self.inner.totals.messages += 1;
-                let mut ctx = Ctx::serial(&mut self.inner, to);
+                let mut ctx = Ctx::new(&mut self.inner, to);
                 self.nodes[to].on_message(from, msg, &mut ctx);
             }
             EventKind::Inject { to, msg, bytes } => {
@@ -609,7 +496,7 @@ impl<N: Node> Sim<N> {
                         return;
                     }
                 }
-                let mut ctx = Ctx::serial(&mut self.inner, node);
+                let mut ctx = Ctx::new(&mut self.inner, node);
                 self.nodes[node].on_timer(tag, &mut ctx);
             }
             EventKind::Fault { node, kind } => {
@@ -623,7 +510,7 @@ impl<N: Node> Sim<N> {
                     self.inner.resources[node] =
                         NodeResources::new(spec.cores, spec.disk_channels, spec.net_bw_bps, time);
                 }
-                let mut ctx = Ctx::serial(&mut self.inner, node);
+                let mut ctx = Ctx::new(&mut self.inner, node);
                 self.nodes[node].on_fault(kind, &mut ctx);
             }
         }
@@ -674,7 +561,7 @@ impl<N: Node> Sim<N> {
 
     // ---- the stepping surface: what an external pacer (the wall-clock
     // backend in `jl-runtime`) needs to drive this kernel one event at a
-    // time against a clock of its own. The loops above never call these.
+    // time against a clock of its own. The loop above never calls these.
 
     /// Timestamp of the earliest pending event, if any.
     pub fn next_time(&mut self) -> Option<SimTime> {
@@ -1217,5 +1104,190 @@ mod tests {
             SimTime::ZERO + SimDuration::from_millis(200)
         );
         assert_eq!(res.cpu.jobs(), 16);
+    }
+
+    /// A mesh worker exercising every Ctx surface: CPU/disk charges, RNG
+    /// draws, timers, self-sends, and cross-node sends with data-dependent
+    /// fan-out. `hops` bounds total traffic so runs always drain.
+    struct Worker {
+        peers: usize,
+        log: Vec<(SimTime, NodeId, u64)>,
+        timer_log: Vec<(SimTime, u64)>,
+        faults: Vec<FaultKind>,
+    }
+
+    impl Node for Worker {
+        type Msg = u64;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            ctx.set_timer_after(SimDuration::from_micros(50), 999);
+        }
+        fn on_message(&mut self, from: NodeId, hops: u64, ctx: &mut Ctx<'_, u64>) {
+            use rand::Rng;
+            self.log.push((ctx.now(), from, hops));
+            if hops == 0 {
+                return;
+            }
+            let cpu_us = ctx.rng().gen_range(1..200);
+            let done = ctx.use_cpu(SimDuration::from_micros(cpu_us)).done;
+            if cpu_us % 3 == 0 {
+                ctx.use_disk(SimDuration::from_micros(cpu_us * 2));
+            }
+            let to = ctx.rng().gen_range(0..self.peers);
+            if to == ctx.self_id() {
+                ctx.send(to, hops - 1, 64);
+            } else {
+                ctx.send_ready_at(done, to, hops - 1, 1000 + hops * 7);
+            }
+            if hops.is_multiple_of(4) {
+                ctx.set_timer_after(SimDuration::from_micros(cpu_us / 2 + 1), hops);
+            }
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, u64>) {
+            self.timer_log.push((ctx.now(), tag));
+        }
+        fn on_fault(&mut self, kind: FaultKind, _ctx: &mut Ctx<'_, u64>) {
+            self.faults.push(kind);
+        }
+    }
+
+    fn mesh(n: usize, plan: Option<FaultPlan>) -> Sim<Worker> {
+        let mut sim: Sim<Worker> = Sim::new(7, NetConfig::default());
+        for i in 0..n {
+            let worker = Worker {
+                peers: n,
+                log: Vec::new(),
+                timer_log: Vec::new(),
+                faults: Vec::new(),
+            };
+            sim.add_node(
+                worker,
+                NodeSpec {
+                    cores: 2 + i % 3,
+                    disk_channels: 1,
+                    net_bw_bps: 125_000_000.0 * (1.0 + i as f64 * 0.1),
+                },
+            );
+        }
+        if let Some(plan) = plan {
+            sim.set_fault_plan(plan);
+        }
+        for i in 0..n * 4 {
+            sim.post(
+                SimTime(i as u64 * 37_000),
+                i % n,
+                12 + (i as u64 % 5),
+                500 + i as u64,
+            );
+        }
+        sim
+    }
+
+    /// Everything observable about a finished run.
+    fn digest(sim: &Sim<Worker>) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        let t = sim.net_totals();
+        writeln!(
+            out,
+            "time={} events={} msgs={} bytes={} dropped={} delayed={}",
+            sim.time().nanos(),
+            sim.events_processed(),
+            t.messages,
+            t.bytes,
+            t.dropped,
+            t.delayed
+        )
+        .unwrap();
+        for ((f, to), ls) in sim.link_stats() {
+            writeln!(out, "link {f}->{to} d={} y={}", ls.dropped, ls.delayed).unwrap();
+        }
+        for (i, node) in sim.nodes().enumerate() {
+            let r = sim.resources(i);
+            writeln!(
+                out,
+                "n{i} log={:?} timers={:?} faults={:?} cpu=({},{}) disk=({},{}) \
+                 out=({},{}) in=({},{})",
+                node.log,
+                node.timer_log,
+                node.faults,
+                r.cpu.jobs(),
+                r.cpu.drained_at().nanos(),
+                r.disk.jobs(),
+                r.disk.drained_at().nanos(),
+                r.nic_out.jobs(),
+                r.nic_out.drained_at().nanos(),
+                r.nic_in.jobs(),
+                r.nic_in.drained_at().nanos(),
+            )
+            .unwrap();
+        }
+        out
+    }
+
+    /// A crash with restart, a lossy link and a straggler, all biting the
+    /// six-node mesh.
+    fn plan() -> FaultPlan {
+        FaultPlan::new(5)
+            .crash(
+                2,
+                SimTime::ZERO + SimDuration::from_micros(900),
+                Some(SimTime::ZERO + SimDuration::from_millis(2)),
+            )
+            .drop_link(None, Some(4), (SimTime::ZERO, SimTime::MAX), 0.3)
+            .straggle(1, (SimTime::ZERO, SimTime::MAX), 3.0)
+    }
+
+    /// Terminates the run after a fixed number of deliveries.
+    struct Counter {
+        seen: u64,
+        limit: u64,
+    }
+
+    impl Node for Counter {
+        type Msg = u64;
+        fn on_message(&mut self, _from: NodeId, _msg: u64, ctx: &mut Ctx<'_, u64>) {
+            self.seen += 1;
+            if self.seen == self.limit {
+                ctx.stop();
+            }
+        }
+    }
+
+    fn counter_sim(limit: u64) -> Sim<Counter> {
+        let mut sim: Sim<Counter> = Sim::new(3, NetConfig::default());
+        for _ in 0..4 {
+            sim.add_node(Counter { seen: 0, limit }, NodeSpec::default());
+        }
+        for i in 0..200u64 {
+            // Several deliveries share a timestamp, so the stop cuts
+            // within a same-time batch.
+            sim.post(SimTime((i / 4) * 10_000), (i % 4) as usize, i, 100);
+        }
+        sim
+    }
+
+    /// The stepping surface a pacer drives is the run loop, one event at
+    /// a time: same final time, event count, totals and node state,
+    /// healthy or faulty, and a stop ends it at the same event.
+    #[test]
+    fn stepping_matches_run() {
+        for faults in [None, Some(plan())] {
+            let mut ran = mesh(6, faults.clone());
+            ran.run();
+            let mut stepped = mesh(6, faults);
+            while stepped.step() {}
+            assert_eq!(digest(&stepped), digest(&ran));
+        }
+        let mut ran = counter_sim(17);
+        ran.run();
+        let mut stepped = counter_sim(17);
+        while stepped.step() {}
+        assert!(stepped.stopped());
+        assert_eq!(
+            (stepped.time(), stepped.events_processed()),
+            (ran.time(), ran.events_processed())
+        );
+        let seen = |sim: &Sim<Counter>| sim.nodes().map(|n| n.seen).collect::<Vec<_>>();
+        assert_eq!(seen(&stepped), seen(&ran));
     }
 }

@@ -11,11 +11,10 @@
 //!   the simulation inputs and byte-identical across `--threads` counts.
 //! * **Cell-local.** A [`Telemetry`] recorder is shared by the actors of one
 //!   simulation cell via [`TelemetryHandle`] (an `Arc` over a one-flag
-//!   exclusive cell). Within a cell only one thread touches the recorder at
-//!   a time: serially under the serial kernel, and from the coordinator's
-//!   commit walk under the parallel kernel (shards journal recording as
-//!   deferred effects, replayed in exact serial order). The bench harness
-//!   additionally parallelizes across cells, each with its own recorder.
+//!   exclusive cell). Within a cell the event loop's thread does all the
+//!   recording; `jl-serve`'s reader and stats threads only read or drain it
+//!   (`METRICS`, `DUMP`) while the loop runs. The bench harness
+//!   parallelizes across cells, each with its own recorder.
 //! * **Zero-cost off.** When a run carries no recorder the instrumented code
 //!   paths reduce to a `None` check; determinism digests and throughput are
 //!   unchanged.

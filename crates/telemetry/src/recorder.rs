@@ -1,14 +1,13 @@
 //! The telemetry recorder: a per-run collector of trace events and metrics.
 //!
 //! A `Telemetry` instance is shared (via [`TelemetryHandle`]) by every
-//! actor in one simulation cell. Within a cell the recorder is only ever
-//! touched from one thread at a time — serially under the serial kernel,
-//! and exclusively from the coordinating thread's commit walk under
-//! `Sim::run_parallel` (shards journal their recording as deferred effects
-//! instead of touching the recorder) — so the handle needs mutual
-//! exclusion only to be *sound*, never to arbitrate real contention. It
-//! therefore uses a single atomic flag plus an `UnsafeCell` rather than a
-//! `Mutex`: one uncontended compare-exchange per access instead of a
+//! actor in one simulation cell. The event loop records from its own
+//! thread; the only other threads that touch it are `jl-serve`'s request
+//! reader, responder and stats socket, which read or drain it (`METRICS`,
+//! `DUMP`) now and then while the loop writes. So the handle needs mutual
+//! exclusion to be *sound*, but almost never arbitrates real contention.
+//! It therefore uses a single atomic flag plus an `UnsafeCell` rather than
+//! a `Mutex`: one uncontended compare-exchange per access instead of a
 //! pthread lock, which is what keeps the traced hot path (a `record` per
 //! event) cheap.
 
@@ -26,8 +25,8 @@ use crate::registry::MetricsRegistry;
 
 /// Destination for recorded trace events. The default [`VecSink`] buffers
 /// them for end-of-run export; a custom sink can stream them elsewhere.
-/// `Send` so a recorder can live inside node state that crosses threads
-/// under the parallel kernel.
+/// `Send` so the recorder behind a [`TelemetryHandle`] can be reached from
+/// the threads that read it while the event loop writes.
 pub trait TelemetrySink: Send {
     /// Accept one event.
     fn record(&mut self, ev: TraceEvent);
@@ -349,11 +348,11 @@ impl Drop for TelemetryGuard<'_> {
 
 /// Shared handle to one simulation cell's recorder.
 ///
-/// Historically `Rc<RefCell<Telemetry>>`, then `Arc<Mutex<_>>` for the
-/// parallel kernel's `Send` requirement; now an `Arc` over a one-flag
-/// exclusive cell, because the access pattern is single-threaded by
-/// construction and a pthread mutex on the per-event hot path was the bulk
-/// of the traced-run overhead. The `borrow`/`borrow_mut` names are kept so
+/// An `Arc` over a one-flag exclusive cell: `jl-serve` reads the recorder
+/// from its reader, responder and stats-socket threads while the loop
+/// thread writes it, so the handle must be shareable across threads, but
+/// those reads are rare and a pthread mutex on the per-event hot path was
+/// the bulk of the traced-run overhead. The `borrow`/`borrow_mut` names are kept so
 /// call sites read the same as the `RefCell` era; both take exclusive
 /// access.
 #[derive(Clone)]

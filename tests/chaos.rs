@@ -4,7 +4,7 @@
 
 use jl_bench::{bench_cell, run_chaos_report, SyntheticCell, CHAOS_STRATEGIES};
 use jl_core::Strategy;
-use jl_engine::{Backend, RunReport};
+use jl_engine::RunReport;
 
 /// `(healthy, chaos)` reports of the DH cell at 5% scale — the same regime
 /// as the synthetic figures: block cache off so every request pays the
@@ -14,7 +14,7 @@ fn chaos(strategy: Strategy) -> (RunReport, RunReport) {
         strategy,
         ..bench_cell("DH", 0.05, 42)
     };
-    let (healthy, chaos, _) = run_chaos_report(&cell, Backend::Sim);
+    let (healthy, chaos, _) = run_chaos_report(&cell);
     (healthy, chaos)
 }
 

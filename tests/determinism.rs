@@ -57,7 +57,7 @@ fn grid_results_are_thread_count_invariant() {
         let chaos = fig_chaos(scale, seed).render();
         // Telemetry is sampled on simulated time only, so the exported
         // trace and metrics JSON must be byte-identical too.
-        let (_, tel) = traced_chaos_run(scale, seed, TelemetryConfig::default(), Backend::Sim);
+        let (_, tel) = traced_chaos_run(scale, seed, TelemetryConfig::default());
         let trace = tel.to_chrome_json();
         let metrics = tel.metrics_json();
         // The overload grid adds the protection plane — bounded queues,
@@ -136,147 +136,52 @@ fn grid_results_are_thread_count_invariant() {
     }
 }
 
-/// Parallel-kernel invariance: the node-sharded conservative PDES backend
-/// (`Sim::run_parallel`) must reproduce the serial kernel's `RunReport` —
-/// join fingerprint, decision counts, float stats, everything Debug
-/// reaches — bit-for-bit at every worker-shard count. This is the
-/// engine-level counterpart of the simkit `par` unit tests: a full DH
-/// batch job with the real optimizer, store, and controller stop.
-#[test]
-fn parallel_kernel_matches_serial_at_every_shard_count() {
-    let scale = 0.05;
-    let seed = 7;
-
-    let cell = bench_cell("DH", scale, seed);
-    let serial = format!("{:?}", cell.run(Backend::Sim).0);
-    let serial_digest = fnv1a(serial.as_bytes());
-
-    for threads in [1usize, 2, 8] {
-        let par = format!("{:?}", cell.run(Backend::Par(threads)).0);
-        assert_eq!(
-            par, serial,
-            "parallel RunReport differs from serial at {threads} worker shards"
-        );
-        assert_eq!(fnv1a(par.as_bytes()), serial_digest);
-    }
-}
-
-/// Traced-parallel invariance: with telemetry recording on, the parallel
-/// kernel journals node trace events and decision replays through the
-/// commit walk, so the exported Chrome trace and metrics JSON — and the
-/// chaos run's `RunReport` — must be byte-identical to the serial traced
-/// run at every worker-shard count. Chaos is armed, so the trace carries
-/// the full fault path: crash/restart instants, retry and timeout spans,
-/// failovers, decision instants, queue-depth gauges.
-#[test]
-fn traced_parallel_kernel_replays_the_serial_trace() {
-    let scale = 0.05;
-    let seed = 7;
-
-    let traced = |backend| traced_chaos_run(scale, seed, TelemetryConfig::default(), backend);
-    let (serial_report, serial_tel) = traced(Backend::Sim);
-    let serial_report = format!("{serial_report:?}");
-    let serial_trace = serial_tel.to_chrome_json();
-    let serial_metrics = serial_tel.metrics_json();
-    let check = jl_telemetry::json::validate_chrome_trace(&serial_trace)
-        .expect("serial trace must be valid Chrome trace JSON");
-    assert!(check.spans > 0, "trace carries no spans");
-
-    for threads in [1usize, 2, 8] {
-        let (report, tel) = traced(Backend::Par(threads));
-        assert_eq!(
-            format!("{report:?}"),
-            serial_report,
-            "traced-parallel RunReport differs from serial at {threads} worker shards"
-        );
-        let trace = tel.to_chrome_json();
-        assert_eq!(
-            trace, serial_trace,
-            "trace JSON differs from serial at {threads} worker shards"
-        );
-        jl_telemetry::json::validate_chrome_trace(&trace)
-            .expect("parallel trace must be valid Chrome trace JSON");
-        assert_eq!(
-            tel.metrics_json(),
-            serial_metrics,
-            "metrics JSON differs from serial at {threads} worker shards"
-        );
-    }
-}
-
 /// Flight-recorder invariance: the always-on ring is a pure tee off the
 /// recorder's event path, so arming it must change *nothing* about the
 /// run — the `RunReport`, the buffered Chrome trace, and the metrics JSON
-/// all stay byte-identical to the unarmed run, serially and at every
-/// worker-shard count. The ring itself must hold a bounded, non-empty
-/// tail that stitches into a valid Chrome trace, identical across shard
-/// counts (same events, same order — the journaled commit walk feeds it).
+/// all stay byte-identical to the unarmed run. The ring itself must hold
+/// a bounded, non-empty tail that stitches into a valid Chrome trace.
 #[test]
-fn flight_recorder_is_a_pure_tee_at_every_shard_count() {
+fn flight_recorder_is_a_pure_tee() {
     let scale = 0.05;
     let seed = 7;
     let cap = 2_048;
 
-    let (bare_report, bare_tel) =
-        traced_chaos_run(scale, seed, TelemetryConfig::default(), Backend::Sim);
+    let (bare_report, bare_tel) = traced_chaos_run(scale, seed, TelemetryConfig::default());
     let bare_report = format!("{bare_report:?}");
     let bare_trace = bare_tel.to_chrome_json();
     let bare_metrics = bare_tel.metrics_json();
     assert!(bare_tel.flight.is_none(), "unarmed run must carry no ring");
 
     let armed = TelemetryConfig::with_flight(cap);
-    let (serial_report, serial_tel) = traced_chaos_run(scale, seed, armed, Backend::Sim);
+    let (report, tel) = traced_chaos_run(scale, seed, armed);
     assert_eq!(
-        format!("{serial_report:?}"),
+        format!("{report:?}"),
         bare_report,
-        "arming the flight ring changed the serial RunReport"
+        "arming the flight ring changed the RunReport"
     );
     assert_eq!(
-        serial_tel.to_chrome_json(),
+        tel.to_chrome_json(),
         bare_trace,
-        "arming the flight ring changed the serial trace bytes"
+        "arming the flight ring changed the trace bytes"
     );
     assert_eq!(
-        serial_tel.metrics_json(),
+        tel.metrics_json(),
         bare_metrics,
-        "arming the flight ring changed the serial metrics bytes"
+        "arming the flight ring changed the metrics bytes"
     );
-    let serial_flight = serial_tel
+    let flight = tel
         .flight_chrome_json()
         .expect("armed run must retain a flight tail");
-    let check = jl_telemetry::json::validate_chrome_trace(&serial_flight)
+    let check = jl_telemetry::json::validate_chrome_trace(&flight)
         .expect("flight dump must be valid Chrome trace JSON");
     assert!(
         check.spans + check.instants > 0,
         "flight ring retained nothing"
     );
-    let retained = serial_tel.flight.as_ref().map(|l| l.len()).unwrap_or(0);
+    let retained = tel.flight.as_ref().map(|l| l.len()).unwrap_or(0);
     assert!(
         retained >= cap && retained <= 2 * cap,
         "two-generation ring retains cap..=2*cap events, got {retained}"
     );
-
-    for threads in [1usize, 2, 8] {
-        let (report, tel) = traced_chaos_run(scale, seed, armed, Backend::Par(threads));
-        assert_eq!(
-            format!("{report:?}"),
-            bare_report,
-            "armed parallel RunReport differs at {threads} worker shards"
-        );
-        assert_eq!(
-            tel.to_chrome_json(),
-            bare_trace,
-            "armed parallel trace differs at {threads} worker shards"
-        );
-        assert_eq!(
-            tel.metrics_json(),
-            bare_metrics,
-            "armed parallel metrics differ at {threads} worker shards"
-        );
-        assert_eq!(
-            tel.flight_chrome_json().as_deref(),
-            Some(serial_flight.as_str()),
-            "flight ring contents differ at {threads} worker shards"
-        );
-    }
 }

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use jl_core::{OptimizerConfig, Strategy};
 use jl_engine::plan::{JobPlan, JobTuple};
 use jl_engine::{
-    build_store_active, reference_run, run_job, run_job_on, run_job_parallel, Backend, ClusterSpec,
-    FeedMode, JobSpec, MembershipConfig, MembershipEvent, RetryConfig,
+    build_store_active, reference_run, run_job, run_job_on, Backend, ClusterSpec, FeedMode,
+    JobSpec, MembershipConfig, MembershipEvent, RetryConfig,
 };
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::rng::stream_rng;
@@ -252,21 +252,16 @@ fn seeded_churn_plan_reconciles_exactly_once() {
     assert!(r.drained_nodes >= 2, "got {} drains", r.drained_nodes);
 }
 
-/// The churn plan — crash, migrations, drains, retries and all — must be
-/// bit-identical between the serial kernel and the parallel kernel at
-/// every shard count (the membership plane's determinism pin).
+/// The churn plan — crash, migrations, drains, retries and all — must
+/// replay bit-identically from its seed (the membership plane's
+/// determinism pin).
 #[test]
-fn churn_is_deterministic_across_parallel_shard_counts() {
-    let (j, s) = churn_job();
-    let serial = format!("{:?}", run_job(&j, s, udfs(), tuples(), vec![]));
-    for threads in [1usize, 2, 8] {
+fn churn_replays_bit_identically() {
+    let run = || {
         let (j, s) = churn_job();
-        let par = format!(
-            "{:?}",
-            run_job_parallel(&j, s, udfs(), tuples(), vec![], threads)
-        );
-        assert_eq!(par, serial, "membership run differs at {threads} shards");
-    }
+        format!("{:?}", run_job(&j, s, udfs(), tuples(), vec![]))
+    };
+    assert_eq!(run(), run(), "membership run differs between replays");
 }
 
 /// Backend parity: a join + drain cycle on the wall-clock runtime

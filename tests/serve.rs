@@ -336,6 +336,35 @@ fn serve_refuses_an_oversized_params_line() {
     );
 }
 
+/// A line that is not UTF-8, or longer than `MAX_LINE_BYTES`, is one
+/// malformed request — not the end of the session, and never buffered
+/// whole: the requests after each are still answered, fast.
+#[test]
+fn serve_survives_bad_bytes_and_an_endless_line() {
+    let cfg = ServeConfig {
+        rows: 128,
+        value_size: 1_024,
+        ..ServeConfig::default()
+    };
+    let long = vec![b'7'; 2 << 20];
+    let input = [&b"1\n\xff\n2\n"[..], &long, b"\n3\n"].concat();
+    let mut out = Vec::new();
+    let t0 = std::time::Instant::now();
+    let stats = serve(&input[..], &mut out, &cfg).expect("serve session");
+    let elapsed = t0.elapsed();
+    assert_eq!((stats.served, stats.malformed), (3, 2));
+    let text = String::from_utf8(out).expect("utf8");
+    assert_eq!(
+        text.lines().filter(|l| l.contains(" ok ")).count(),
+        3,
+        "{text}"
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "took {elapsed:?}"
+    );
+}
+
 /// In-band `DRAIN <node>` decommissions a data node live: the command is
 /// acknowledged on the response stream, every request before/after it is
 /// still answered exactly once (the drain migrates regions under load
