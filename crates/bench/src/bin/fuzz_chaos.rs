@@ -520,6 +520,7 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
     Ok(r)
 }
 
+#[derive(Debug)]
 struct Args {
     seed: u64,
     iters: u64,
@@ -533,8 +534,13 @@ struct Args {
     churn: Option<bool>,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+const USAGE: &str = "usage: fuzz_chaos [--seed N] [--iters N] [--start K] [--tuples N]
+                  [--no-faults] [--no-overload] [--no-deadline] [--churn] [--no-churn]";
+
+/// Parse the command line (without the program name). Every flag must be
+/// known and every value an unsigned integer, or the whole parse fails.
+fn parse(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
         seed: 7,
         iters: 100,
         start: 0,
@@ -544,23 +550,27 @@ fn parse_args() -> Args {
         no_deadline: false,
         churn: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = || it.next().expect("flag needs a value").parse().unwrap();
-        match a.as_str() {
-            "--seed" => args.seed = val(),
-            "--iters" => args.iters = val(),
-            "--start" => args.start = val(),
-            "--tuples" => args.tuples = Some(val()),
-            "--no-faults" => args.no_faults = true,
-            "--no-overload" => args.no_overload = true,
-            "--no-deadline" => args.no_deadline = true,
-            "--churn" => args.churn = Some(true),
-            "--no-churn" => args.churn = Some(false),
-            other => panic!("unknown flag {other}"),
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut num = || -> Result<u64, String> {
+            let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            raw.parse()
+                .map_err(|_| format!("{flag} {raw:?}: expected an unsigned integer"))
+        };
+        match flag.as_str() {
+            "--seed" => parsed.seed = num()?,
+            "--iters" => parsed.iters = num()?,
+            "--start" => parsed.start = num()?,
+            "--tuples" => parsed.tuples = Some(num()?),
+            "--no-faults" => parsed.no_faults = true,
+            "--no-overload" => parsed.no_overload = true,
+            "--no-deadline" => parsed.no_deadline = true,
+            "--churn" => parsed.churn = Some(true),
+            "--no-churn" => parsed.churn = Some(false),
+            other => return Err(format!("{other:?}: unknown option")),
         }
     }
-    args
+    Ok(parsed)
 }
 
 fn apply_overrides(case: &mut Case, args: &Args) {
@@ -622,7 +632,11 @@ fn minimize(mut case: Case, mut err: String) -> (Case, String, Vec<&'static str>
 }
 
 fn main() {
-    let args = parse_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&args).unwrap_or_else(|e| {
+        eprintln!("fuzz_chaos: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     // One firehose calibration pins the service rate; every case's
     // offered load is a multiple of it.
     let mu = {
@@ -706,4 +720,43 @@ fn main() {
         }
     }
     println!("FUZZ_CHAOS_OK iters={}", args.iters);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_strs(args: &[&str]) -> Result<Args, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn bad_arguments_are_errors_not_panics() {
+        let a = parse_strs(&["--seed", "11", "--iters", "100", "--churn"]).unwrap();
+        assert_eq!(
+            (a.seed, a.iters, a.start, a.churn),
+            (11, 100, 0, Some(true))
+        );
+        let a = parse_strs(&["--tuples", "64", "--no-churn", "--no-faults"]).unwrap();
+        assert_eq!(
+            (a.seed, a.tuples, a.churn, a.no_faults),
+            (7, Some(64), Some(false), true)
+        );
+        for (bad, err) in [
+            (&["--iters"][..], "--iters needs a value"),
+            (
+                &["--seed", "x"],
+                "--seed \"x\": expected an unsigned integer",
+            ),
+            (
+                &["--start", "-1"],
+                "--start \"-1\": expected an unsigned integer",
+            ),
+            (&["--bogus"], "\"--bogus\": unknown option"),
+            (&["7"], "\"7\": unknown option"),
+        ] {
+            assert_eq!(parse_strs(bad).unwrap_err(), err, "{bad:?}");
+        }
+    }
 }

@@ -49,13 +49,16 @@ fn window_for(strategy: Strategy, cluster: &ClusterSpec, input_per_node: usize) 
 }
 
 /// Thread count the experiment grid fans out over: the `JL_BENCH_THREADS`
-/// environment variable when set (≥ 1), otherwise the machine's available
+/// environment variable when set, otherwise the machine's available
 /// parallelism. `figs` exposes it as `--threads N`.
+///
+/// # Panics
+/// On a malformed or zero `JL_BENCH_THREADS`, naming the variable — the
+/// value `figs` would refuse must not silently mean "all cores".
 pub fn bench_threads() -> usize {
-    std::env::var("JL_BENCH_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+    let raw = std::env::var_os("JL_BENCH_THREADS").map(|v| v.to_string_lossy().into_owned());
+    crate::env_threads(raw)
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -156,7 +159,7 @@ pub fn synthetic_tuples(
 
 /// Space the tuples' arrivals: tuple `i` arrives `gap(i)` after tuple
 /// `i - 1` (the first one `gap(0)` after time zero).
-fn pace(tuples: &mut [JobTuple], gap: impl Fn(usize) -> SimDuration) {
+pub fn pace(tuples: &mut [JobTuple], gap: impl Fn(usize) -> SimDuration) {
     let mut at = SimTime::ZERO;
     for (i, t) in tuples.iter_mut().enumerate() {
         at += gap(i);
@@ -689,9 +692,17 @@ pub fn traced_chaos_run(
 /// decommissioned at 65% — so live migrations race the crash, the
 /// straggler, and the lossy link. The healthy calibration run stays
 /// static; its fingerprint is the exactly-once reference the churned run
-/// must still reproduce.
-pub fn run_chaos_churn_report(cell: &SyntheticCell) -> (RunReport, RunReport) {
-    let healthy = cell.run(Backend::Sim).0;
+/// must still reproduce. Returns `(healthy, churned chaos, its telemetry)`
+/// like [`run_chaos_report`].
+pub fn run_chaos_churn_report(
+    cell: &SyntheticCell,
+) -> (RunReport, RunReport, Option<RunTelemetry>) {
+    let healthy = SyntheticCell {
+        telemetry: None,
+        ..cell.clone()
+    }
+    .run(Backend::Sim)
+    .0;
     let active = cell.cluster.n_data - 2;
     let (mut job, store, udfs, tuples) = cell.build_on(active);
     let retry = chaos_retry(healthy.duration);
@@ -709,8 +720,8 @@ pub fn run_chaos_churn_report(cell: &SyntheticCell) -> (RunReport, RunReport) {
     job.faults = Some(chaos_fault_plan(&cell.cluster, healthy.duration, cell.seed));
     job.retry = Some(retry);
     job.membership = Some(membership);
-    let chaos = run_job(&job, store, udfs, tuples, vec![]);
-    (healthy, chaos)
+    let (chaos, tel) = run_job_on(&job, Backend::Sim, store, udfs, tuples, vec![]);
+    (healthy, chaos, tel)
 }
 
 /// The chaos figure: the DH workload at z = 1.0 under the
@@ -738,7 +749,7 @@ pub fn fig_chaos(tuple_scale: f64, seed: u64) -> FigTable {
                 (strategy.label().to_string(), h, c)
             }
             None => {
-                let (h, c) = run_chaos_churn_report(&full);
+                let (h, c, _) = run_chaos_churn_report(&full);
                 (format!("{}+churn", Strategy::Full.label()), h, c)
             }
         };

@@ -25,7 +25,7 @@ pub mod serve;
 pub use experiments::{
     ablation_inputs, bench_cell, bench_threads, chaos_fault_plan, chaos_retry,
     check_elastic_invariants, check_overload_invariants, digest_udfs, fig11, fig5, fig6, fig7,
-    fig8, fig9, fig_chaos, fig_elastic, fig_overload, overload_bounded_config,
+    fig8, fig9, fig_chaos, fig_elastic, fig_overload, overload_bounded_config, pace,
     run_chaos_churn_report, run_chaos_report, run_elastic_stream, run_grid, run_overload_stream,
     scaled, synthetic_tuples, traced_chaos_run, ElasticCell, OverloadCell, SyntheticCell,
     CHAOS_STRATEGIES, ELASTIC_PEAK_LOAD, ELASTIC_TROUGH_LOAD, SKEWS,
@@ -172,6 +172,34 @@ usage: figs <name> [dh|ch|dch] [options]
              --trace PATH       also write the traced chaos run's Chrome trace
                                 and PATH's .metrics.json (default JL_TRACE)";
 
+/// Parse `raw`, the value given for `flag`, as a `T` that passes `ok`;
+/// the error names `flag` and what was `expected`.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    raw: Option<&String>,
+    ok: impl Fn(&T) -> bool,
+    expected: &str,
+) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs a value ({expected})"))?;
+    raw.parse()
+        .ok()
+        .filter(ok)
+        .ok_or_else(|| format!("{flag} {raw:?}: expected {expected}"))
+}
+
+/// A count given for `flag`: an integer ≥ 1.
+fn count(flag: &str, raw: Option<&String>) -> Result<usize, String> {
+    value(flag, raw, |&n: &usize| n >= 1, "an integer >= 1")
+}
+
+/// The raw `JL_BENCH_THREADS` value, checked as `--threads` is: `None`
+/// when unset, an error naming the variable when malformed or zero. Both
+/// `figs` and [`bench_threads`] read the variable through this.
+pub(crate) fn env_threads(raw: Option<String>) -> Result<Option<usize>, String> {
+    raw.map(|raw| count("JL_BENCH_THREADS", Some(&raw)))
+        .transpose()
+}
+
 /// Parse the `figs` command line out of `args` (the process arguments
 /// without the program name); `env` looks up an environment variable.
 /// Flags and positionals may come in any order. Everything must be known
@@ -186,21 +214,7 @@ pub fn parse_from(
     args: &[String],
     env: impl Fn(&str) -> Option<String>,
 ) -> Result<(Run, BenchArgs), String> {
-    fn value<T: std::str::FromStr>(
-        flag: &str,
-        raw: Option<&String>,
-        ok: impl Fn(&T) -> bool,
-        expected: &str,
-    ) -> Result<T, String> {
-        let raw = raw.ok_or_else(|| format!("{flag} needs a value ({expected})"))?;
-        raw.parse()
-            .ok()
-            .filter(ok)
-            .ok_or_else(|| format!("{flag} {raw:?}: expected {expected}"))
-    }
     let path = |flag: &str, raw| value(flag, raw, |p: &PathBuf| p != Path::new(""), "a path");
-    let count =
-        |flag: &str, raw: Option<&String>| value(flag, raw, |&n: &usize| n >= 1, "an integer >= 1");
 
     let mut parsed = BenchArgs {
         figure: "",
@@ -230,8 +244,8 @@ pub fn parse_from(
     if let (None, Some(raw)) = (&parsed.trace, env("JL_TRACE")) {
         parsed.trace = Some(path("JL_TRACE", Some(&raw))?);
     }
-    if let (None, Some(raw)) = (parsed.threads, env("JL_BENCH_THREADS")) {
-        parsed.threads = Some(count("JL_BENCH_THREADS", Some(&raw))?);
+    if parsed.threads.is_none() {
+        parsed.threads = env_threads(env("JL_BENCH_THREADS"))?;
     }
 
     let mut positionals = positionals.into_iter();
@@ -420,6 +434,11 @@ mod tests {
         ] {
             let err = parse_env(&["chaos"], &[(var, value)]).expect_err(var);
             assert!(err.starts_with(var), "{var}={value:?}: {err}");
+        }
+        // The library path (`bench_threads`) reads the variable the same way.
+        for value in ["x", "0"] {
+            let err = env_threads(Some(value.into())).expect_err(value);
+            assert!(err.starts_with("JL_BENCH_THREADS"), "{value:?}: {err}");
         }
     }
 

@@ -461,8 +461,8 @@ struct SessionHooks {
     tel: Option<TelemetryHandle>,
     processes: Vec<(u32, String)>,
     dump_path: Option<PathBuf>,
-    /// Run clock, lent by the runtime's ingress handle.
-    clock: Arc<dyn jl_telemetry::TelemetryClock>,
+    /// Run clock, read through the runtime's ingress handle.
+    clock: Arc<dyn Fn() -> SimTime + Send + Sync>,
 }
 
 /// Cross-thread seam between a serve session and an out-of-band scrape
@@ -494,7 +494,7 @@ impl ServeShared {
         tel: Option<TelemetryHandle>,
         processes: Vec<(u32, String)>,
         dump_path: Option<PathBuf>,
-        clock: Arc<dyn jl_telemetry::TelemetryClock>,
+        clock: Arc<dyn Fn() -> SimTime + Send + Sync>,
     ) {
         *self.hooks.lock().expect("hooks") = Some(SessionHooks {
             live,
@@ -515,7 +515,7 @@ impl ServeShared {
     pub fn metrics(&self) -> String {
         let g = self.hooks.lock().expect("hooks");
         match g.as_ref() {
-            Some(h) => render_metrics(&h.live, h.tel.as_ref(), h.clock.now()),
+            Some(h) => render_metrics(&h.live, h.tel.as_ref(), (h.clock)()),
             None => {
                 let mut b = ExpoBuilder::new();
                 b.gauge("jl_serve_up", &[], 0.0);
@@ -528,7 +528,7 @@ impl ServeShared {
     pub fn stats(&self) -> String {
         let g = self.hooks.lock().expect("hooks");
         match g.as_ref() {
-            Some(h) => stats_json(&h.live, h.tel.as_ref(), h.clock.now()),
+            Some(h) => stats_json(&h.live, h.tel.as_ref(), (h.clock)()),
             None => "{\"schema\":\"jl-serve-stats/v1\",\"up\":false}".to_string(),
         }
     }

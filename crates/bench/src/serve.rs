@@ -78,7 +78,7 @@ use jl_engine::{
 use jl_runtime::RealRuntime;
 use jl_simkit::time::{SimDuration, SimTime};
 use jl_store::{DigestUdf, RowKey, UdfRegistry};
-use jl_telemetry::{FnClock, TelemetryConfig, TelemetryHandle};
+use jl_telemetry::{TelemetryConfig, TelemetryHandle};
 use jl_workloads::SyntheticSpec;
 
 use crate::experiments::overload_bounded_config;
@@ -394,18 +394,11 @@ where
     let ingress = rt.handle();
     let control = rt.handle();
 
-    // The run clock, lent to telemetry (the wall-clock analogue of the
-    // simulator's manual clock) and to every out-of-band scrape.
-    let clock_handle = rt.handle();
-    let clock: Arc<dyn jl_telemetry::TelemetryClock> = {
-        let h = clock_handle.clone();
-        Arc::new(FnClock::new(move || h.now()))
+    // The run clock every out-of-band scrape stamps its snapshot with.
+    let clock: Arc<dyn Fn() -> SimTime + Send + Sync> = {
+        let h = rt.handle();
+        Arc::new(move || h.now())
     };
-    if let Some(t) = &tel {
-        let h = clock_handle.clone();
-        t.borrow_mut()
-            .set_clock(Box::new(FnClock::new(move || h.now())));
-    }
 
     let live: Option<Arc<ServeLive>> = cfg.observe.as_ref().map(|o| Arc::new(ServeLive::new(o)));
 

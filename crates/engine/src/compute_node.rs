@@ -15,14 +15,14 @@ use jl_runtime::RuntimeCtx;
 use jl_simkit::prelude::*;
 use jl_simkit::sim::NodeId;
 use jl_store::{Catalog, TableId, UdfRegistry};
-use jl_telemetry::{Arg, ArgVal, TelemetryHandle, TraceEvent, Track};
+use jl_telemetry::{ArgVal, TelemetryHandle, Track};
 
 use jl_core::shed::{ShedCandidate, ShedPolicy};
 
 use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, ITEM_OVERHEAD};
 use crate::config::{ClusterSpec, FeedMode, OverloadConfig, RetryConfig};
 use crate::plan::{decode_params, encode_params, output_fingerprint, survives, JobPlan, JobTuple};
-use crate::telemetry::tel_record;
+use crate::telemetry::NodeTrace;
 
 /// Timer tag reserved for batch-deadline polling.
 const DEADLINE_TAG: u64 = u64::MAX;
@@ -161,11 +161,8 @@ pub struct ComputeNode {
     /// Per-tuple `(seq, outcome)` log, kept only when
     /// `overload.record_outcomes` is set.
     outcomes: Vec<(u64, TupleOutcome)>,
-    /// Shared recorder, when the run is traced. `None` costs one branch
-    /// per emission site and nothing else.
-    tel: Option<TelemetryHandle>,
-    /// This node's id in the trace (its sim node id).
-    tel_node: u32,
+    /// This node's tracing handle (inert on untraced runs).
+    trace: NodeTrace,
     /// Staging buffer between this node and its staged decision sink,
     /// installed for every traced run (see
     /// [`decision_tee_staged`](crate::telemetry::decision_tee_staged)).
@@ -263,8 +260,7 @@ impl ComputeNode {
             n_pressured: 0,
             shed_inflight: 0,
             outcomes: Vec::new(),
-            tel: None,
-            tel_node: 0,
+            trace: NodeTrace::default(),
             decision_stage: None,
             outstanding_gauge: None,
             on_complete: None,
@@ -302,37 +298,17 @@ impl ComputeNode {
         self.on_complete = Some(hook);
     }
 
-    /// Attach a telemetry recorder. `node` is this node's sim id, used as
+    /// Attach a telemetry recorder and the staging buffer shared with this
+    /// node's staged decision sink. `node` is this node's sim id, used as
     /// the trace process id. Call before the simulation starts.
-    pub fn set_telemetry(&mut self, tel: TelemetryHandle, node: u32) {
-        self.tel = Some(tel);
-        self.tel_node = node;
-    }
-
-    /// Attach the staging buffer shared with this node's staged decision
-    /// sink (traced runs only). Call before the run starts.
-    pub(crate) fn set_decision_stage(
+    pub(crate) fn set_telemetry(
         &mut self,
+        tel: TelemetryHandle,
+        node: u32,
         stage: std::rc::Rc<crate::telemetry::DecisionStage>,
     ) {
+        self.trace.attach(tel, node);
         self.decision_stage = Some(stage);
-    }
-
-    /// [`tel_record`] for the hottest emitters, from event parts: records
-    /// allocation-free (no ~220-byte `TraceEvent` built just to be
-    /// unpacked).
-    #[inline]
-    fn tel_record_parts<const N: usize>(
-        &self,
-        track: Track,
-        name: &'static str,
-        start: SimTime,
-        dur: Option<SimDuration>,
-        args: [Arg; N],
-    ) {
-        let Some(t) = &self.tel else { return };
-        t.borrow_mut()
-            .record_parts(self.tel_node, track, name, start, dur, &args);
     }
 
     /// Record the decisions the staged sink captured since the last drain
@@ -340,8 +316,8 @@ impl ComputeNode {
     /// after any `self.rt` call that can fire the sink, *before* this node
     /// records anything else, so each decision lands at its trace position.
     fn drain_decisions<C: RuntimeCtx<Msg>>(&self, ctx: &mut C) {
-        if let (Some(stage), Some(t)) = (&self.decision_stage, &self.tel) {
-            stage.drain(t, self.tel_node, ctx.now());
+        if let Some(stage) = &self.decision_stage {
+            stage.drain(&self.trace, ctx.now());
         }
     }
 
@@ -350,7 +326,7 @@ impl ComputeNode {
     /// place on every sample — no registry lookup, no recorder lock. The
     /// runner adopts the finished gauge into the registry at snapshot.
     fn tel_outstanding<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
-        if self.tel.is_none() {
+        if !self.trace.is_on() {
             return;
         }
         let now = ctx.now();
@@ -488,11 +464,8 @@ impl ComputeNode {
         if let Some(hook) = &mut self.on_complete {
             hook(seq, TupleFate::Shed, ctx.now());
         }
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |now| {
-            TraceEvent::instant(node, Track::Fault, "shed", now)
-                .arg("seq", seq)
-                .arg("why", why)
+        self.trace.instant(Track::Fault, "shed", ctx.now(), || {
+            [("seq", seq.into()), ("why", why.into())]
         });
     }
 
@@ -673,11 +646,11 @@ impl ComputeNode {
             }
             if let Some(&b) = self.backups.get(&dest) {
                 self.report.failovers += 1;
-                let node = self.tel_node;
-                tel_record(&self.tel, ctx, |now| {
-                    TraceEvent::instant(node, Track::Fault, "failover", now)
-                        .arg("dest", dest as u64)
-                        .arg("backup", b as u64)
+                self.trace.instant(Track::Fault, "failover", ctx.now(), || {
+                    [
+                        ("dest", ArgVal::U64(dest as u64)),
+                        ("backup", ArgVal::U64(b as u64)),
+                    ]
                 });
                 return self.spec.data_id(b);
             }
@@ -741,12 +714,11 @@ impl ComputeNode {
             self.n_pressured += 1;
         }
         self.rt.set_health(from_data, NodeHealth::Degraded);
-        let node = self.tel_node;
-        let n_items = req_ids.len() as u64;
-        tel_record(&self.tel, ctx, |now| {
-            TraceEvent::instant(node, Track::Fault, "nacked", now)
-                .arg("from_data", from_data as u64)
-                .arg("items", n_items)
+        self.trace.instant(Track::Fault, "nacked", ctx.now(), || {
+            [
+                ("from_data", ArgVal::U64(from_data as u64)),
+                ("items", ArgVal::U64(req_ids.len() as u64)),
+            ]
         });
         for req_id in req_ids {
             if self.rt.inflight_info(req_id).is_none() {
@@ -828,12 +800,12 @@ impl ComputeNode {
         self.rt.set_health(old_dest, health);
         let attempt = self.attempts.remove(&req_id).unwrap_or(0) + 1;
         if let Some(&t0) = self.sent_at.get(&req_id) {
-            let node = self.tel_node;
-            tel_record(&self.tel, ctx, |now| {
-                TraceEvent::span(node, Track::Fault, "timeout", t0, now.since(t0))
-                    .arg("req", req_id)
-                    .arg("dest", old_dest as u64)
-                    .arg("attempt", u64::from(attempt))
+            self.trace.span(Track::Fault, "timeout", t0, ctx.now(), || {
+                [
+                    ("req", req_id.into()),
+                    ("dest", ArgVal::U64(old_dest as u64)),
+                    ("attempt", ArgVal::U64(attempt.into())),
+                ]
             });
         }
         if attempt > rc.max_retries {
@@ -841,9 +813,8 @@ impl ComputeNode {
             self.drain_decisions(ctx);
             self.sent_at.remove(&req_id);
             self.report.gave_up += 1;
-            let node = self.tel_node;
-            tel_record(&self.tel, ctx, |now| {
-                TraceEvent::instant(node, Track::Fault, "gave-up", now).arg("req", req_id)
+            self.trace.instant(Track::Fault, "gave-up", ctx.now(), || {
+                [("req", req_id.into())]
             });
             if let Some((seq, stage)) = self.sent.remove(&req_id) {
                 self.record_outcome(seq, TupleOutcome::GaveUp);
@@ -864,11 +835,11 @@ impl ComputeNode {
             return;
         };
         self.report.retries += 1;
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |now| {
-            TraceEvent::instant(node, Track::Fault, "retry", now)
-                .arg("req", req_id)
-                .arg("attempt", u64::from(attempt))
+        self.trace.instant(Track::Fault, "retry", ctx.now(), || {
+            [
+                ("req", req_id.into()),
+                ("attempt", ArgVal::U64(attempt.into())),
+            ]
         });
         self.attempts.insert(new_id, attempt);
         if let Some(m) = self.sent.remove(&req_id) {
@@ -907,13 +878,10 @@ impl ComputeNode {
             }
             if let Some(t0) = self.started_at.remove(&seq) {
                 self.latency.record(ctx.now().since(t0));
-                self.tel_record_parts(
-                    Track::Lifecycle,
-                    "tuple",
-                    t0,
-                    Some(ctx.now().since(t0)),
-                    [("seq", ArgVal::U64(seq))],
-                );
+                self.trace
+                    .span(Track::Lifecycle, "tuple", t0, ctx.now(), || {
+                        [("seq", seq.into())]
+                    });
             }
             self.report.completed += 1;
             if let Some(hook) = &mut self.on_complete {
@@ -1002,11 +970,10 @@ impl ComputeNode {
                         self.pressured_dests[from_data] = pressured;
                         if pressured {
                             self.n_pressured += 1;
-                            let node = self.tel_node;
-                            tel_record(&self.tel, ctx, |now| {
-                                TraceEvent::instant(node, Track::Fault, "dest-pressured", now)
-                                    .arg("from_data", from_data as u64)
-                            });
+                            self.trace
+                                .instant(Track::Fault, "dest-pressured", ctx.now(), || {
+                                    [("from_data", ArgVal::U64(from_data as u64))]
+                                });
                         } else {
                             self.n_pressured -= 1;
                             let h = self.base_health(from_data);
@@ -1020,16 +987,12 @@ impl ComputeNode {
                 for item in &items {
                     if let Some(t0) = self.sent_at.remove(&item.req_id) {
                         self.remote_lat.record(ctx.now().since(t0));
-                        self.tel_record_parts(
-                            Track::Wire,
-                            "request",
-                            t0,
-                            Some(ctx.now().since(t0)),
+                        self.trace.span(Track::Wire, "request", t0, ctx.now(), || {
                             [
-                                ("req", ArgVal::U64(item.req_id)),
+                                ("req", item.req_id.into()),
                                 ("from_data", ArgVal::U64(from_data as u64)),
-                            ],
-                        );
+                            ]
+                        });
                     }
                 }
                 // Outputs computed at the data node complete their stage.
@@ -1069,12 +1032,16 @@ impl ComputeNode {
                 // base_health and preserve the draining mark).
                 self.draining[node] = health == NodeHealth::Draining;
                 self.rt.set_health(node, health);
-                let tn = self.tel_node;
-                tel_record(&self.tel, ctx, |now| {
-                    TraceEvent::instant(tn, Track::Fault, "health-update", now)
-                        .arg("data", node as u64)
-                        .arg("draining", u64::from(health == NodeHealth::Draining))
-                });
+                self.trace
+                    .instant(Track::Fault, "health-update", ctx.now(), || {
+                        [
+                            ("data", ArgVal::U64(node as u64)),
+                            (
+                                "draining",
+                                ArgVal::U64((health == NodeHealth::Draining).into()),
+                            ),
+                        ]
+                    });
             }
             Msg::EpochUpdate {
                 epoch,
@@ -1086,14 +1053,15 @@ impl ComputeNode {
                 let slot = self.overrides.entry((table, region)).or_insert((0, 0));
                 if epoch > slot.0 {
                     *slot = (epoch, owner);
-                    let tn = self.tel_node;
-                    tel_record(&self.tel, ctx, |now| {
-                        TraceEvent::instant(tn, Track::Fault, "epoch-update", now)
-                            .arg("epoch", epoch)
-                            .arg("table", table as u64)
-                            .arg("region", region as u64)
-                            .arg("owner", owner as u64)
-                    });
+                    self.trace
+                        .instant(Track::Fault, "epoch-update", ctx.now(), || {
+                            [
+                                ("epoch", epoch.into()),
+                                ("table", ArgVal::U64(table as u64)),
+                                ("region", ArgVal::U64(region as u64)),
+                                ("owner", ArgVal::U64(owner as u64)),
+                            ]
+                        });
                 }
             }
             _ => {}

@@ -19,11 +19,11 @@ use jl_runtime::RuntimeCtx;
 use jl_simkit::prelude::*;
 use jl_simkit::sim::NodeId;
 use jl_store::TableId;
-use jl_telemetry::{TelemetryHandle, TraceEvent, Track};
+use jl_telemetry::{ArgVal, TelemetryHandle, Track};
 
 use crate::cluster::Msg;
 use crate::config::{ClusterSpec, MembershipConfig, MembershipEvent};
-use crate::telemetry::tel_record;
+use crate::telemetry::NodeTrace;
 
 /// Timer tag for the autoscaler cadence. `u64::MAX` carries both bit
 /// markers below, so it must be matched first.
@@ -42,7 +42,6 @@ struct Migration {
     table: TableId,
     region: usize,
     source: usize,
-    #[allow(dead_code)]
     target: usize,
 }
 
@@ -106,8 +105,7 @@ pub struct Controller {
     node_secs_acc: f64,
     last_change: SimTime,
 
-    tel: Option<TelemetryHandle>,
-    tel_node: u32,
+    trace: NodeTrace,
 }
 
 impl Controller {
@@ -134,8 +132,7 @@ impl Controller {
             stats: MembershipStats::default(),
             node_secs_acc: 0.0,
             last_change: SimTime::ZERO,
-            tel: None,
-            tel_node: 0,
+            trace: NodeTrace::default(),
         }
     }
 
@@ -160,8 +157,7 @@ impl Controller {
     /// Attach a telemetry recorder. `node` is this node's sim id, used as
     /// the trace process id. Call before the simulation starts.
     pub fn set_telemetry(&mut self, tel: TelemetryHandle, node: u32) {
-        self.tel = Some(tel);
-        self.tel_node = node;
+        self.trace.attach(tel, node);
     }
 
     /// Total tuples completed across the cluster.
@@ -285,14 +281,14 @@ impl Controller {
                 SimDuration::from_nanos(timeout.0.saturating_mul(4)),
                 MIG_TIMEOUT_BIT | mig_id,
             );
-            let node = self.tel_node;
-            tel_record(&self.tel, ctx, |now| {
-                TraceEvent::instant(node, Track::Fault, "mig-plan", now)
-                    .arg("mig", mig_id)
-                    .arg("table", table as u64)
-                    .arg("region", region as u64)
-                    .arg("source", source as u64)
-                    .arg("target", target as u64)
+            self.trace.instant(Track::Fault, "mig-plan", ctx.now(), || {
+                [
+                    ("mig", mig_id.into()),
+                    ("table", ArgVal::U64(table as u64)),
+                    ("region", ArgVal::U64(region as u64)),
+                    ("source", ArgVal::U64(source as u64)),
+                    ("target", ArgVal::U64(target as u64)),
+                ]
             });
         }
         self.pending = still_pending;
@@ -322,10 +318,10 @@ impl Controller {
                 CTRL_BYTES,
             );
         }
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |now| {
-            TraceEvent::instant(node, Track::Fault, "member-join", now).arg("node", j as u64)
-        });
+        self.trace
+            .instant(Track::Fault, "member-join", ctx.now(), || {
+                [("node", ArgVal::U64(j as u64))]
+            });
 
         let share = self.owner_of.len() / self.active_count().max(1);
         let mut counts: BTreeMap<usize, usize> = (0..spec.n_data)
@@ -380,11 +376,10 @@ impl Controller {
             .filter(|&k| k != j && self.active[k] && !self.draining[k])
             .collect();
         if eligible.len() < min_active {
-            let node = self.tel_node;
-            tel_record(&self.tel, ctx, |now| {
-                TraceEvent::instant(node, Track::Fault, "decommission-refused", now)
-                    .arg("node", j as u64)
-            });
+            self.trace
+                .instant(Track::Fault, "decommission-refused", ctx.now(), || {
+                    [("node", ArgVal::U64(j as u64))]
+                });
             return;
         }
         self.draining[j] = true;
@@ -399,10 +394,10 @@ impl Controller {
                 CTRL_BYTES,
             );
         }
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |now| {
-            TraceEvent::instant(node, Track::Fault, "member-drain", now).arg("node", j as u64)
-        });
+        self.trace
+            .instant(Track::Fault, "member-drain", ctx.now(), || {
+                [("node", ArgVal::U64(j as u64))]
+            });
         // Least-loaded targets first; regions round-robin over them.
         eligible.sort_by_key(|&k| (self.owned_count(k), k));
         let regions: Vec<(TableId, usize)> = self
@@ -442,10 +437,10 @@ impl Controller {
             self.active[j] = false;
             self.stats.drained_nodes += 1;
             ctx.send(spec.data_id(j), Msg::Deactivate { node: j }, CTRL_BYTES);
-            let node = self.tel_node;
-            tel_record(&self.tel, ctx, |now| {
-                TraceEvent::instant(node, Track::Fault, "member-drained", now).arg("node", j as u64)
-            });
+            self.trace
+                .instant(Track::Fault, "member-drained", ctx.now(), || {
+                    [("node", ArgVal::U64(j as u64))]
+                });
         }
     }
 
@@ -483,12 +478,12 @@ impl Controller {
                 CTRL_BYTES,
             );
         }
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |now| {
-            TraceEvent::instant(node, Track::Fault, "mig-done", now)
-                .arg("mig", mig_id)
-                .arg("epoch", epoch)
-                .arg("bytes", bytes)
+        self.trace.instant(Track::Fault, "mig-done", ctx.now(), || {
+            [
+                ("mig", mig_id.into()),
+                ("epoch", epoch.into()),
+                ("bytes", bytes.into()),
+            ]
         });
         self.pump_migrations(ctx);
         self.check_drained(ctx);
@@ -500,12 +495,13 @@ impl Controller {
         };
         self.migrating.remove(&(mig.table, mig.region));
         self.stats.migrations_aborted += 1;
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |now| {
-            TraceEvent::instant(node, Track::Fault, "mig-aborted", now)
-                .arg("mig", mig_id)
-                .arg("source", mig.source as u64)
-        });
+        self.trace
+            .instant(Track::Fault, "mig-aborted", ctx.now(), || {
+                [
+                    ("mig", mig_id.into()),
+                    ("source", ArgVal::U64(mig.source as u64)),
+                ]
+            });
         // A drain cannot finish while one of its regions sits still, so a
         // draining source's aborted handoff is re-planned onto the current
         // least-loaded healthy target (the failed target may have crashed
@@ -561,11 +557,10 @@ impl Controller {
                 // Lowest-numbered standby joins.
                 if let Some(j) = (0..n_data).find(|&k| !self.active[k]) {
                     self.stats.autoscale_rents += 1;
-                    let node = self.tel_node;
-                    tel_record(&self.tel, ctx, |now| {
-                        TraceEvent::instant(node, Track::Fault, "autoscale-rent", now)
-                            .arg("node", j as u64)
-                    });
+                    self.trace
+                        .instant(Track::Fault, "autoscale-rent", ctx.now(), || {
+                            [("node", ArgVal::U64(j as u64))]
+                        });
                     self.do_join(j, ctx);
                 }
             }
@@ -578,11 +573,10 @@ impl Controller {
                 if candidates.len() > min_active {
                     if let Some(&j) = candidates.last() {
                         self.stats.autoscale_releases += 1;
-                        let node = self.tel_node;
-                        tel_record(&self.tel, ctx, |now| {
-                            TraceEvent::instant(node, Track::Fault, "autoscale-release", now)
-                                .arg("node", j as u64)
-                        });
+                        self.trace
+                            .instant(Track::Fault, "autoscale-release", ctx.now(), || {
+                                [("node", ArgVal::U64(j as u64))]
+                            });
                         self.do_decommission(j, ctx);
                     }
                 }

@@ -18,7 +18,7 @@ use jl_store::{
     BlockCache, Catalog, InterestTracker, Region, RegionServer, RowKey, StoredValue, TableId,
     UdfRegistry,
 };
-use jl_telemetry::{TelemetryHandle, TraceEvent, Track};
+use jl_telemetry::{ArgVal, TelemetryHandle, Track};
 
 use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, ITEM_OVERHEAD};
 
@@ -34,7 +34,7 @@ type ReplyWave = (
 type ServedItem = (ResponseItem<EKey, Val>, SimTime, u64, Option<Bytes>);
 use crate::config::{ClusterSpec, OverloadConfig};
 use crate::plan::{decode_params, JobPlan};
-use crate::telemetry::tel_record;
+use crate::telemetry::NodeTrace;
 
 /// Timer tag for the autoscaler heartbeat. `u64::MAX` carries both
 /// migration bits below, so it must be matched first.
@@ -133,10 +133,8 @@ pub struct DataNode {
     nacks: u64,
     /// Pressure-on transitions (low→high watermark crossings).
     pressure_events: u64,
-    /// Shared recorder, when the run is traced.
-    tel: Option<TelemetryHandle>,
-    /// This node's id in the trace (its sim node id).
-    tel_node: u32,
+    /// This node's tracing handle (inert on untraced runs).
+    trace: NodeTrace,
     /// Admitted-item queue depth over time, tracked locally per sample and
     /// adopted into the metrics registry at snapshot (traced runs only).
     queue_gauge: Option<jl_simkit::stats::TimeWeightedGauge>,
@@ -219,8 +217,7 @@ impl DataNode {
             peak_depth: 0,
             nacks: 0,
             pressure_events: 0,
-            tel: None,
-            tel_node: 0,
+            trace: NodeTrace::default(),
             queue_gauge: None,
             membership_on: false,
             mem_active: true,
@@ -273,14 +270,8 @@ impl DataNode {
 
     /// Attach a telemetry recorder. `node` is this node's sim id, used as
     /// the trace process id. Call before the simulation starts.
-    ///
-    /// Data nodes do not publish the clock to the recorder: the published
-    /// clock's only reader is the compute-side decision tee, which always
-    /// fires after its own node's callback-entry sync. Every event this
-    /// node records carries an explicit timestamp.
     pub fn set_telemetry(&mut self, tel: TelemetryHandle, node: u32) {
-        self.tel = Some(tel);
-        self.tel_node = node;
+        self.trace.attach(tel, node);
     }
 
     /// Register that this node hosts a failover replica of data node
@@ -413,7 +404,7 @@ impl DataNode {
     /// in timestamp order). The runner adopts the finished gauge into the
     /// registry at snapshot.
     fn tel_queue_depth<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
-        if self.tel.is_none() {
+        if !self.trace.is_on() {
             return;
         }
         let now = ctx.now();
@@ -462,12 +453,8 @@ impl DataNode {
         if !self.draining && self.queued + n > ov.data_queue_cap {
             self.nacks += 1;
             let req_ids: Vec<u64> = batch.items.iter().map(|i| i.req_id).collect();
-            let node = self.tel_node;
-            let depth = self.queued;
-            tel_record(&self.tel, ctx, |now| {
-                TraceEvent::instant(node, Track::Fault, "nack", now)
-                    .arg("items", n)
-                    .arg("depth", depth)
+            self.trace.instant(Track::Fault, "nack", ctx.now(), || {
+                [("items", n.into()), ("depth", self.queued.into())]
             });
             ctx.send(
                 self.spec.compute_id(from_compute),
@@ -484,11 +471,10 @@ impl DataNode {
         if !self.pressured && self.queued >= ov.high_watermark {
             self.pressured = true;
             self.pressure_events += 1;
-            let node = self.tel_node;
-            let depth = self.queued;
-            tel_record(&self.tel, ctx, |now| {
-                TraceEvent::instant(node, Track::Fault, "pressure-on", now).arg("depth", depth)
-            });
+            self.trace
+                .instant(Track::Fault, "pressure-on", ctx.now(), || {
+                    [("depth", self.queued.into())]
+                });
         }
         self.tel_queue_depth(ctx);
         true
@@ -525,12 +511,10 @@ impl DataNode {
         }
         for (owner, (fwd_items, bytes)) in forward {
             let n = fwd_items.len() as u64;
-            let node = self.tel_node;
-            tel_record(&self.tel, ctx, |now| {
-                TraceEvent::instant(node, Track::Fault, "mig-forward", now)
-                    .arg("items", n)
-                    .arg("owner", owner as u64)
-            });
+            self.trace
+                .instant(Track::Fault, "mig-forward", ctx.now(), || {
+                    [("items", n.into()), ("owner", ArgVal::U64(owner as u64))]
+                });
             ctx.send(
                 self.spec.data_id(owner),
                 Msg::Request {
@@ -591,11 +575,10 @@ impl DataNode {
                     let hit = self.block_cache.access(item.key.clone(), v.size());
                     let evictions = self.block_cache.evictions();
                     if evictions > prev_evictions {
-                        let node = self.tel_node;
-                        tel_record(&self.tel, ctx, |now| {
-                            TraceEvent::instant(node, Track::Decision, "cache-evict", now)
-                                .arg("count", evictions - prev_evictions)
-                        });
+                        self.trace
+                            .instant(Track::Decision, "cache-evict", ctx.now(), || {
+                                [("count", (evictions - prev_evictions).into())]
+                            });
                         prev_evictions = evictions;
                     }
                     let done = if hit {
@@ -823,13 +806,13 @@ impl DataNode {
             );
         }
 
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |_| {
-            TraceEvent::span(node, Track::Serve, "batch", now, ready.since(now))
-                .arg("items", n_items as u64)
-                .arg("executed", executed)
-                .arg("bounced", n_compute - executed)
-                .arg("data", n_data)
+        self.trace.span(Track::Serve, "batch", now, ready, || {
+            [
+                ("items", ArgVal::U64(n_items as u64)),
+                ("executed", executed.into()),
+                ("bounced", (n_compute - executed).into()),
+                ("data", n_data.into()),
+            ]
         });
 
         // 6. Drain the queue counters when the batch completes.
@@ -898,10 +881,7 @@ impl DataNode {
         // Charge a disk write.
         let svc = self.spec.disk_service(value.size());
         ctx.use_resource(ResourceKind::Disk, ctx.now(), svc);
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |now| {
-            TraceEvent::instant(node, Track::Serve, "put", now)
-        });
+        self.trace.instant(Track::Serve, "put", ctx.now(), || []);
         self.block_cache.invalidate(&(table, key.clone()));
         if let Some((id, OutPhase::DualWrite)) = mig {
             self.mig_out
@@ -994,13 +974,14 @@ impl DataNode {
             bytes + BATCH_OVERHEAD,
         );
         ctx.set_timer(deadline, SRC_MIG_BIT | mig_id);
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |t| {
-            TraceEvent::instant(node, Track::Fault, "mig-snapshot-out", t)
-                .arg("mig", mig_id)
-                .arg("bytes", bytes)
-                .arg("target", target as u64)
-        });
+        self.trace
+            .instant(Track::Fault, "mig-snapshot-out", ctx.now(), || {
+                [
+                    ("mig", mig_id.into()),
+                    ("bytes", bytes.into()),
+                    ("target", ArgVal::U64(target as u64)),
+                ]
+            });
     }
 
     /// Target staged the snapshot: send the dual-written delta and freeze
@@ -1028,12 +1009,10 @@ impl DataNode {
             bytes,
         );
         ctx.set_timer(deadline, SRC_MIG_BIT | mig_id);
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |t| {
-            TraceEvent::instant(node, Track::Fault, "mig-freeze", t)
-                .arg("mig", mig_id)
-                .arg("delta_bytes", bytes)
-        });
+        self.trace
+            .instant(Track::Fault, "mig-freeze", ctx.now(), || {
+                [("mig", mig_id.into()), ("delta_bytes", bytes.into())]
+            });
     }
 
     /// Target owns the region now: cut over — drop the local copy, evict
@@ -1065,12 +1044,10 @@ impl DataNode {
                 bytes,
             );
         }
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |t| {
-            TraceEvent::instant(node, Track::Fault, "mig-cutover", t)
-                .arg("mig", mig_id)
-                .arg("frozen_flushed", frozen)
-        });
+        self.trace
+            .instant(Track::Fault, "mig-cutover", ctx.now(), || {
+                [("mig", mig_id.into()), ("frozen_flushed", frozen.into())]
+            });
     }
 
     /// A source-side phase deadline expired (the target crashed or the
@@ -1086,13 +1063,13 @@ impl DataNode {
             return; // stale timer from an earlier phase
         }
         let m = self.mig_out.remove(&mig_id).expect("checked above");
-        let node = self.tel_node;
-        let frozen = m.frozen.len() as u64;
-        tel_record(&self.tel, ctx, |t| {
-            TraceEvent::instant(node, Track::Fault, "mig-abort-src", t)
-                .arg("mig", mig_id)
-                .arg("frozen_replayed", frozen)
-        });
+        self.trace
+            .instant(Track::Fault, "mig-abort-src", ctx.now(), || {
+                [
+                    ("mig", mig_id.into()),
+                    ("frozen_replayed", ArgVal::U64(m.frozen.len() as u64)),
+                ]
+            });
         for (key, value) in m.frozen {
             self.handle_put(m.table, key, value, ctx);
         }
@@ -1141,12 +1118,10 @@ impl DataNode {
             CTRL_BYTES,
         );
         ctx.set_timer(deadline, TGT_MIG_BIT | mig_id);
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |t| {
-            TraceEvent::instant(node, Track::Fault, "mig-snapshot-in", t)
-                .arg("mig", mig_id)
-                .arg("bytes", bytes)
-        });
+        self.trace
+            .instant(Track::Fault, "mig-snapshot-in", ctx.now(), || {
+                [("mig", mig_id.into()), ("bytes", bytes.into())]
+            });
     }
 
     /// The delta: apply it to the staged copy, install the region, and
@@ -1198,13 +1173,10 @@ impl DataNode {
             },
             CTRL_BYTES,
         );
-        let node = self.tel_node;
-        let bytes = m.bytes;
-        tel_record(&self.tel, ctx, |t| {
-            TraceEvent::instant(node, Track::Fault, "mig-install", t)
-                .arg("mig", mig_id)
-                .arg("bytes", bytes)
-        });
+        self.trace
+            .instant(Track::Fault, "mig-install", ctx.now(), || {
+                [("mig", mig_id.into()), ("bytes", m.bytes.into())]
+            });
     }
 
     /// A target-side deadline expired waiting for the delta: discard the
@@ -1218,10 +1190,10 @@ impl DataNode {
             return;
         }
         self.mig_in.remove(&mig_id);
-        let node = self.tel_node;
-        tel_record(&self.tel, ctx, |t| {
-            TraceEvent::instant(node, Track::Fault, "mig-abort-tgt", t).arg("mig", mig_id)
-        });
+        self.trace
+            .instant(Track::Fault, "mig-abort-tgt", ctx.now(), || {
+                [("mig", mig_id.into())]
+            });
         ctx.send(
             self.spec.controller_id(),
             Msg::MigAbort {
@@ -1275,25 +1247,18 @@ impl DataNode {
                         self.arm_heartbeat(ctx);
                     }
                 }
-                let node = self.tel_node;
-                tel_record(&self.tel, ctx, |t| {
-                    TraceEvent::instant(node, Track::Fault, "activate", t)
-                });
+                self.trace
+                    .instant(Track::Fault, "activate", ctx.now(), || []);
             }
             Msg::Drain { .. } => {
                 self.draining = true;
-                let node = self.tel_node;
-                tel_record(&self.tel, ctx, |t| {
-                    TraceEvent::instant(node, Track::Fault, "drain", t)
-                });
+                self.trace.instant(Track::Fault, "drain", ctx.now(), || []);
             }
             Msg::Deactivate { .. } => {
                 self.mem_active = false;
                 self.draining = false;
-                let node = self.tel_node;
-                tel_record(&self.tel, ctx, |t| {
-                    TraceEvent::instant(node, Track::Fault, "deactivate", t)
-                });
+                self.trace
+                    .instant(Track::Fault, "deactivate", ctx.now(), || []);
             }
             Msg::MigrateStart {
                 mig_id,
@@ -1340,12 +1305,10 @@ impl DataNode {
                 self.queued = self.queued.saturating_sub(d.admitted);
                 if self.pressured && self.queued <= ov.low_watermark {
                     self.pressured = false;
-                    let node = self.tel_node;
-                    let depth = self.queued;
-                    tel_record(&self.tel, ctx, |now| {
-                        TraceEvent::instant(node, Track::Fault, "pressure-off", now)
-                            .arg("depth", depth)
-                    });
+                    self.trace
+                        .instant(Track::Fault, "pressure-off", ctx.now(), || {
+                            [("depth", self.queued.into())]
+                        });
                 }
                 self.tel_queue_depth(ctx);
             }

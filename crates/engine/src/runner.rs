@@ -501,11 +501,8 @@ pub fn build_cluster(
             // horizon. jl-serve passes no tuples here and stays open.
             node.set_stream_expected(stream_counts[i]);
         }
-        if let Some(t) = &tel {
-            node.set_telemetry(t.clone(), cluster.compute_id(i) as u32);
-        }
-        if let Some(s) = stage {
-            node.set_decision_stage(s);
+        if let (Some(t), Some(s)) = (&tel, stage) {
+            node.set_telemetry(t.clone(), cluster.compute_id(i) as u32, s);
         }
         nodes.push(ClusterNode::Compute(node));
     }

@@ -9,32 +9,82 @@
 //! The probe turns every non-trivial resource grant into a complete span on
 //! the matching per-node track (`cpu` / `disk` / `nic-out` / `nic-in`) and
 //! every injected network/node fault into an instant on the `fault` track.
-//! Node-level lifecycle, wire, serve, decision and retry events are emitted
-//! by [`ComputeNode`](crate::compute_node::ComputeNode) and
-//! [`DataNode`](crate::data_node::DataNode) through the same shared handle.
+//! Node-level lifecycle, wire, serve, decision, retry and membership events
+//! are emitted by [`ComputeNode`](crate::compute_node::ComputeNode),
+//! [`DataNode`](crate::data_node::DataNode) and the controller, each
+//! through its `NodeTrace`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use jl_core::{DecisionEvent, DecisionSink, FnSink, Placement};
-use jl_runtime::RuntimeCtx;
 use jl_simkit::prelude::*;
-use jl_telemetry::{ArgVal, TelemetryHandle, TraceEvent, Track};
+use jl_telemetry::{Arg, ArgVal, TelemetryHandle, Track};
 
 use crate::cluster::EKey;
 
-/// Record one node-side trace event, stamped by `mk` from the callback's
-/// clock. The closure only runs when a recorder is attached, so untraced
-/// runs pay one branch.
-#[inline]
-pub(crate) fn tel_record<M, C: RuntimeCtx<M>>(
-    tel: &Option<TelemetryHandle>,
-    ctx: &mut C,
-    mk: impl FnOnce(SimTime) -> TraceEvent,
-) {
-    let Some(t) = tel else { return };
-    let ev = mk(ctx.now());
-    t.borrow_mut().record(ev);
+/// One node's tracing handle: the run's shared recorder, when the run is
+/// traced, and the node's id in the trace (its sim node id, the Chrome
+/// `pid`). Untraced runs pay one `None` branch per emission site; the
+/// argument closures run only when a recorder is attached, so an untraced
+/// run builds no argument value.
+#[derive(Default)]
+pub(crate) struct NodeTrace {
+    tel: Option<TelemetryHandle>,
+    node: u32,
+}
+
+impl NodeTrace {
+    /// Attach the run's recorder, recording as trace process `node`.
+    pub(crate) fn attach(&mut self, tel: TelemetryHandle, node: u32) {
+        self.tel = Some(tel);
+        self.node = node;
+    }
+
+    /// Whether a recorder is attached.
+    pub(crate) fn is_on(&self) -> bool {
+        self.tel.is_some()
+    }
+
+    /// Record an instant event at `at`.
+    #[inline]
+    pub(crate) fn instant<const N: usize>(
+        &self,
+        track: Track,
+        name: &'static str,
+        at: SimTime,
+        args: impl FnOnce() -> [Arg; N],
+    ) {
+        self.record(track, name, at, None, args);
+    }
+
+    /// Record a complete span covering `[start, end]`.
+    #[inline]
+    pub(crate) fn span<const N: usize>(
+        &self,
+        track: Track,
+        name: &'static str,
+        start: SimTime,
+        end: SimTime,
+        args: impl FnOnce() -> [Arg; N],
+    ) {
+        self.record(track, name, start, Some(end.since(start)), args);
+    }
+
+    #[inline]
+    fn record<const N: usize>(
+        &self,
+        track: Track,
+        name: &'static str,
+        start: SimTime,
+        dur: Option<SimDuration>,
+        args: impl FnOnce() -> [Arg; N],
+    ) {
+        let Some(t) = &self.tel else { return };
+        let args = args();
+        t.borrow_mut()
+            .record_parts(self.node, track, name, start, dur, &args);
+    }
 }
 
 /// Kernel probe that records resource grants and fault-plan effects as
@@ -91,20 +141,20 @@ impl SimProbe for EngineProbe {
     }
 
     fn on_drop(&mut self, from: NodeId, to: NodeId, at: SimTime) {
-        let mut t = self.tel.borrow_mut();
-        t.record(
-            TraceEvent::instant(to as u32, Track::Fault, "msg-dropped", at)
-                .arg("from", from as u64),
-        );
+        let args = [("from", ArgVal::U64(from as u64))];
+        self.tel
+            .borrow_mut()
+            .record_parts(to as u32, Track::Fault, "msg-dropped", at, None, &args);
     }
 
     fn on_delay(&mut self, from: NodeId, to: NodeId, at: SimTime, extra: SimDuration) {
-        let mut t = self.tel.borrow_mut();
-        t.record(
-            TraceEvent::instant(to as u32, Track::Fault, "msg-delayed", at)
-                .arg("from", from as u64)
-                .arg("extra_us", extra.nanos() / 1_000),
-        );
+        let args = [
+            ("from", ArgVal::U64(from as u64)),
+            ("extra_us", ArgVal::U64(extra.nanos() / 1_000)),
+        ];
+        self.tel
+            .borrow_mut()
+            .record_parts(to as u32, Track::Fault, "msg-delayed", at, None, &args);
     }
 
     fn on_fault(&mut self, node: NodeId, kind: FaultKind, at: SimTime) {
@@ -112,8 +162,9 @@ impl SimProbe for EngineProbe {
             FaultKind::Crash => "crash",
             FaultKind::Restart => "restart",
         };
-        let mut t = self.tel.borrow_mut();
-        t.record(TraceEvent::instant(node as u32, Track::Fault, name, at));
+        self.tel
+            .borrow_mut()
+            .record_parts(node as u32, Track::Fault, name, at, None, &[]);
     }
 }
 
@@ -137,16 +188,26 @@ pub(crate) struct StagedDecision {
 pub(crate) struct DecisionStage(RefCell<Vec<StagedDecision>>);
 
 impl DecisionStage {
-    /// Record everything staged into `tel`, stamped `now`, reusing the
-    /// buffer. Nothing staged (the common case) costs one empty check.
-    pub(crate) fn drain(&self, tel: &TelemetryHandle, node: u32, now: SimTime) {
+    /// Record everything staged into `trace`'s recorder, stamped `now`,
+    /// reusing the buffer: per decision, an instant on the decision track
+    /// plus the per-node decision counter. Nothing staged (the common
+    /// case) costs one empty check.
+    pub(crate) fn drain(&self, trace: &NodeTrace, now: SimTime) {
+        let Some(tel) = &trace.tel else { return };
         let mut staged = self.0.borrow_mut();
         if staged.is_empty() {
             return;
         }
         let mut t = tel.borrow_mut();
         for d in staged.drain(..) {
-            record_decision(&mut t, node, now, d);
+            let args = [
+                ("dest", ArgVal::U64(d.dest)),
+                ("rent_eff", ArgVal::F64(d.rent_eff)),
+                ("buy", ArgVal::F64(d.buy)),
+                ("freq", ArgVal::U64(d.freq)),
+            ];
+            t.record_parts(trace.node, Track::Decision, d.name, now, None, &args);
+            t.registry.counter_add(trace.node, "decision", d.name, 1);
         }
     }
 }
@@ -159,9 +220,8 @@ impl DecisionStage {
 /// decision plane without changing its golden-tested event shape.
 pub(crate) fn decision_tee_staged(
     stage: Rc<DecisionStage>,
-    user: Option<Box<dyn DecisionSink<EKey>>>,
+    mut user: Option<Box<dyn DecisionSink<EKey>>>,
 ) -> Box<dyn DecisionSink<EKey>> {
-    let mut user = user;
     Box::new(FnSink(move |ev: &DecisionEvent<'_, EKey>| {
         let name = match ev.placement {
             Placement::Rent => "rent",
@@ -178,25 +238,6 @@ pub(crate) fn decision_tee_staged(
             u.on_decision(ev);
         }
     }))
-}
-
-/// Record one staged decision: the instant event on the decision track
-/// plus the per-node decision counter.
-fn record_decision(t: &mut jl_telemetry::Telemetry, node: u32, now: SimTime, d: StagedDecision) {
-    t.record_parts(
-        node,
-        Track::Decision,
-        d.name,
-        now,
-        None,
-        &[
-            ("dest", ArgVal::U64(d.dest)),
-            ("rent_eff", ArgVal::F64(d.rent_eff)),
-            ("buy", ArgVal::F64(d.buy)),
-            ("freq", ArgVal::U64(d.freq)),
-        ],
-    );
-    t.registry.counter_add(node, "decision", d.name, 1);
 }
 
 #[cfg(test)]

@@ -99,11 +99,6 @@ pub trait RuntimeCtx<M> {
     /// Read-only view of this node's resources (load introspection).
     fn resources(&self) -> &NodeResources;
 
-    /// Read-only view of another node's resources. Engines use this only
-    /// for *measurement*, never decisions (the paper's decentralised-
-    /// information constraint).
-    fn resources_of(&self, node: NodeId) -> &NodeResources;
-
     /// Arrange for the timer callback to fire with `tag` at absolute time
     /// `at` (clamped to now if in the past).
     fn set_timer(&mut self, at: SimTime, tag: u64);
@@ -145,11 +140,6 @@ impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
     #[inline]
     fn resources(&self) -> &NodeResources {
         Ctx::resources(self)
-    }
-
-    #[inline]
-    fn resources_of(&self, node: NodeId) -> &NodeResources {
-        Ctx::resources_of(self, node)
     }
 
     #[inline]

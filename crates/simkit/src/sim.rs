@@ -310,13 +310,6 @@ impl<'a, M> Ctx<'a, M> {
         &self.inner.resources[self.self_id]
     }
 
-    /// Read-only view of another node's resources. Real systems cannot peek
-    /// at remote load; engines use this only for *measurement*, never for
-    /// decisions, so the paper's decentralised-information constraint holds.
-    pub fn resources_of(&self, node: NodeId) -> &NodeResources {
-        &self.inner.resources[node]
-    }
-
     /// Arrange for `on_timer(tag)` to fire at absolute time `at`
     /// (clamped to now if in the past).
     pub fn set_timer(&mut self, at: SimTime, tag: u64) {

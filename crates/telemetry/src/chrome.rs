@@ -146,7 +146,6 @@ pub(crate) fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
     use jl_simkit::time::{SimDuration, SimTime};
 
     #[test]
@@ -158,17 +157,24 @@ mod tests {
 
     #[test]
     fn export_shape() {
-        let events = EventLog::from(vec![
-            TraceEvent::span(
-                0,
-                Track::Cpu,
-                "service",
-                SimTime(2_000),
-                SimDuration::from_nanos(500),
-            )
-            .arg("jobs", 3u64),
-            TraceEvent::instant(1, Track::Decision, "buy", SimTime(3_000)).arg("key", "k\"7"),
-        ]);
+        let mut events = EventLog::new();
+        let span = Some(SimDuration::from_nanos(500));
+        events.push_parts(
+            0,
+            Track::Cpu,
+            "service",
+            SimTime(2_000),
+            span,
+            &[("jobs", 3u64.into())],
+        );
+        events.push_parts(
+            1,
+            Track::Decision,
+            "buy",
+            SimTime(3_000),
+            None,
+            &[("key", "k\"7".into())],
+        );
         let procs = vec![(0, "C0".to_string()), (1, "D0".to_string())];
         let j = chrome_trace_json(&events, &procs);
         assert!(j.contains("\"process_name\""));
@@ -186,12 +192,8 @@ mod tests {
 
     #[test]
     fn export_is_deterministic() {
-        let events = EventLog::from(vec![TraceEvent::instant(
-            5,
-            Track::Fault,
-            "retry",
-            SimTime(9),
-        )]);
+        let mut events = EventLog::new();
+        events.push_parts(5, Track::Fault, "retry", SimTime(9), None, &[]);
         let procs = vec![(5, "C5".to_string())];
         assert_eq!(
             chrome_trace_json(&events, &procs),

@@ -95,165 +95,14 @@ impl From<&str> for ArgVal {
 /// One key/value annotation.
 pub type Arg = (&'static str, ArgVal);
 
-/// How many arguments an [`Args`] list holds without touching the heap.
-/// Four covers every engine emitter — resource grants, wire round-trips
-/// and lifecycle spans carry one or two, and the widest (placement
-/// decisions, batch serves) carry exactly four. Spilling those to a boxed
-/// `Vec` cost two allocations per event and showed up as a double-digit
-/// share of traced-run overhead; the wider inline array trades a larger
-/// per-event memcpy for zero allocations on every hot emitter. The spill
-/// remains as a safety valve for ad-hoc wider events.
-const INLINE_ARGS: usize = 4;
-
-/// Argument list with inline storage for the common case.
-///
-/// Instrumented runs record hundreds of thousands of events, most carrying
-/// one or two arguments; storing those in a heap `Vec` made the allocator
-/// the dominant telemetry cost. The first `INLINE_ARGS` arguments live
-/// inside the event itself (kept small — the event is moved by value
-/// through the builder and into the sink); only wider lists allocate.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Args {
-    len: u8,
-    inline: [Option<Arg>; INLINE_ARGS],
-    // Boxed so the (almost always absent) spill costs one pointer in the
-    // event instead of a full Vec header — every byte here is memcpy'd per
-    // recorded event.
-    #[allow(clippy::box_collection)]
-    spill: Option<Box<Vec<Arg>>>,
-}
-
-impl Args {
-    /// Empty list.
-    #[inline]
-    pub fn new() -> Self {
-        Args::default()
-    }
-
-    /// Append one argument.
-    #[inline]
-    pub fn push(&mut self, key: &'static str, val: ArgVal) {
-        let i = self.len as usize;
-        if i < INLINE_ARGS {
-            self.inline[i] = Some((key, val));
-            self.len += 1;
-        } else {
-            self.spill
-                .get_or_insert_with(Default::default)
-                .push((key, val));
-        }
-    }
-
-    /// Number of arguments.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len as usize + self.spill.as_ref().map_or(0, |s| s.len())
-    }
-
-    /// Whether the list is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate the arguments in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Arg> {
-        self.inline
-            .iter()
-            .filter_map(|a| a.as_ref())
-            .chain(self.spill.iter().flat_map(|s| s.iter()))
-    }
-}
-
-impl std::ops::Index<usize> for Args {
-    type Output = Arg;
-
-    fn index(&self, i: usize) -> &Arg {
-        if i < self.len as usize {
-            self.inline[i].as_ref().expect("arg slot populated")
-        } else {
-            &self.spill.as_ref().expect("index in bounds")[i - self.len as usize]
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a Args {
-    type Item = &'a Arg;
-    type IntoIter = Box<dyn Iterator<Item = &'a Arg> + 'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
-}
-
-/// One recorded trace event. `dur == None` marks an *instant* (Chrome `"i"`
-/// phase); `dur == Some(_)` marks a *complete span* (`"X"` phase).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Simulated node the event belongs to (Chrome `pid`).
-    pub node: u32,
-    /// Track within the node (Chrome `tid`).
-    pub track: Track,
-    /// Event name shown on the slice.
-    pub name: &'static str,
-    /// Event start, in simulated time.
-    pub start: SimTime,
-    /// Span duration, or `None` for an instant event.
-    pub dur: Option<SimDuration>,
-    /// Key/value annotations rendered in the Perfetto detail pane.
-    pub args: Args,
-}
-
-impl TraceEvent {
-    /// A complete span on `track` of `node`, covering `[start, start + dur]`.
-    #[inline]
-    pub fn span(
-        node: u32,
-        track: Track,
-        name: &'static str,
-        start: SimTime,
-        dur: SimDuration,
-    ) -> Self {
-        Self {
-            node,
-            track,
-            name,
-            start,
-            dur: Some(dur),
-            args: Args::new(),
-        }
-    }
-
-    /// An instant event at `at`.
-    #[inline]
-    pub fn instant(node: u32, track: Track, name: &'static str, at: SimTime) -> Self {
-        Self {
-            node,
-            track,
-            name,
-            start: at,
-            dur: None,
-            args: Args::new(),
-        }
-    }
-
-    /// Attach an argument (builder-style).
-    #[inline]
-    pub fn arg(mut self, key: &'static str, val: impl Into<ArgVal>) -> Self {
-        self.args.push(key, val.into());
-        self
-    }
-}
-
 /// Sentinel duration marking an instant event in [`PackedEvent`]. Half a
 /// millennium of simulated time — unreachable by construction (the kernel
 /// would overflow first), asserted against anyway.
 const INSTANT: u64 = u64::MAX;
 
-/// One event of an [`EventLog`], packed: the argument list lives in the
-/// log's shared arena and the span-or-instant distinction folds into a
-/// duration sentinel, bringing the per-event footprint from ~224 bytes
-/// (a full [`TraceEvent`] with inline args) down to 48.
+/// One event of an [`EventLog`], packed into 48 bytes: the argument list
+/// lives in the log's shared arena and the span-or-instant distinction
+/// folds into a duration sentinel.
 #[derive(Debug, Clone)]
 struct PackedEvent {
     name: &'static str,
@@ -267,8 +116,9 @@ struct PackedEvent {
     args_len: u8,
 }
 
-/// Borrowed view of one recorded event: everything a [`TraceEvent`]
-/// carries, with the arguments as a slice into the log's arena.
+/// Borrowed view of one recorded event, with the arguments as a slice
+/// into the log's arena. `dur == None` marks an *instant* (Chrome `"i"`
+/// phase); `dur == Some(_)` marks a *complete span* (`"X"` phase).
 #[derive(Debug, Clone, Copy)]
 pub struct EventView<'a> {
     /// Simulated node the event belongs to (Chrome `pid`).
@@ -287,14 +137,12 @@ pub struct EventView<'a> {
 
 /// Compact columnar buffer of recorded trace events.
 ///
-/// Instrumented runs record hundreds of thousands of events; buffering
-/// them as whole [`TraceEvent`]s writes ~224 bytes of freshly-faulted heap
-/// per event, and that page traffic — not the recording logic — was the
-/// bulk of traced-run overhead. The log splits each event into a 48-byte
-/// packed core plus its arguments appended to one shared arena, roughly
-/// halving the bytes touched per event. Events are read back through
-/// [`EventView`]s; emission order is preserved, so exports over a log are
-/// byte-identical to exports over the equivalent `Vec<TraceEvent>`.
+/// Instrumented runs record hundreds of thousands of events, and the page
+/// traffic of buffering them — not the recording logic — is the bulk of
+/// traced-run overhead. The log splits each event into a 48-byte packed
+/// core plus its arguments appended to one shared arena, about half the
+/// bytes a whole event value with inline argument slots would touch.
+/// Events are read back through [`EventView`]s in emission order.
 #[derive(Debug, Default)]
 pub struct EventLog {
     core: Vec<PackedEvent>,
@@ -317,48 +165,8 @@ impl EventLog {
         }
     }
 
-    /// Append one event, moving its arguments into the arena.
-    #[inline]
-    pub fn push(&mut self, ev: TraceEvent) {
-        let args_at = self.args.len() as u32;
-        let mut args_len = 0u8;
-        for a in ev.args.inline.into_iter().flatten() {
-            self.args.push(a);
-            args_len += 1;
-        }
-        if let Some(spill) = ev.args.spill {
-            for a in *spill {
-                self.args.push(a);
-                args_len += 1;
-            }
-        }
-        let dur_nanos = match ev.dur {
-            Some(d) => {
-                debug_assert!(
-                    d.nanos() != INSTANT,
-                    "span duration hit the instant sentinel"
-                );
-                d.nanos()
-            }
-            None => INSTANT,
-        };
-        self.core.push(PackedEvent {
-            name: ev.name,
-            start: ev.start,
-            dur_nanos,
-            node: ev.node,
-            args_at,
-            track: ev.track,
-            args_len,
-        });
-    }
-
     /// Append one event from its parts, copying `args` straight into the
-    /// arena. Equivalent to `push(TraceEvent { .. })` but skips building
-    /// the event value: hot emitters record hundreds of thousands of
-    /// events per run, and assembling the ~220-byte `TraceEvent` (inline
-    /// argument slots included) just for [`EventLog::push`] to unpack it
-    /// was a measurable share of traced-run overhead.
+    /// arena: no event value is built just to be unpacked.
     #[inline]
     pub fn push_parts(
         &mut self,
@@ -415,37 +223,9 @@ impl EventLog {
     }
 }
 
-impl From<Vec<TraceEvent>> for EventLog {
-    fn from(events: Vec<TraceEvent>) -> Self {
-        let mut log = EventLog::with_capacity(events.len());
-        for ev in events {
-            log.push(ev);
-        }
-        log
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_roundtrip() {
-        let ev = TraceEvent::span(
-            3,
-            Track::Cpu,
-            "service",
-            SimTime(10_000),
-            SimDuration::from_micros(5),
-        )
-        .arg("jobs", 4u64)
-        .arg("util", 0.5f64)
-        .arg("kind", "udf");
-        assert_eq!(ev.node, 3);
-        assert_eq!(ev.track.tid(), 0);
-        assert_eq!(ev.args.len(), 3);
-        assert_eq!(ev.args[0], ("jobs", ArgVal::U64(4)));
-    }
 
     #[test]
     fn track_ids_distinct() {

@@ -15,6 +15,10 @@
 //!   recording; `jl-serve`'s reader and stats threads only read or drain it
 //!   (`METRICS`, `DUMP`) while the loop runs. The bench harness
 //!   parallelizes across cells, each with its own recorder.
+//! * **One recording path.** Every event enters through
+//!   [`Telemetry::record_parts`] as parts — node, track, name, start,
+//!   optional duration, argument slice — and lands in a packed
+//!   [`EventLog`] (plus the flight ring, when armed).
 //! * **Zero-cost off.** When a run carries no recorder the instrumented code
 //!   paths reduce to a `None` check; determinism digests and throughput are
 //!   unchanged.
@@ -22,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod clock;
 pub mod event;
 pub mod expo;
 pub mod flight;
@@ -33,13 +36,10 @@ pub mod summary;
 pub mod window;
 
 pub use chrome::chrome_trace_json;
-pub use clock::{FnClock, TelemetryClock, WallClock};
-pub use event::{Arg, ArgVal, EventLog, EventView, TraceEvent, Track};
+pub use event::{Arg, ArgVal, EventLog, EventView, Track};
 pub use expo::{validate_exposition, ExpoBuilder, ExpoCheck};
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-pub use recorder::{
-    shared, NoopSink, Telemetry, TelemetryConfig, TelemetryHandle, TelemetrySink, VecSink,
-};
+pub use recorder::{shared, Telemetry, TelemetryConfig, TelemetryHandle};
 pub use registry::{Metric, MetricsRegistry};
 pub use summary::summary_text;
 pub use window::{WindowSnapshot, WindowedCounter, WindowedHistogram};
@@ -95,16 +95,13 @@ mod tests {
     #[test]
     fn run_telemetry_exports_all_three_formats() {
         let mut tel = Telemetry::new(TelemetryConfig::default());
-        tel.set_now(SimTime(1_000));
-        tel.record(
-            TraceEvent::span(
-                0,
-                Track::Cpu,
-                "service",
-                tel.now(),
-                SimDuration::from_micros(2),
-            )
-            .arg("jobs", 1u64),
+        tel.record_parts(
+            0,
+            Track::Cpu,
+            "service",
+            SimTime(1_000),
+            Some(SimDuration::from_micros(2)),
+            &[("jobs", ArgVal::U64(1))],
         );
         tel.registry.counter_add(0, "cache", "hits", 5);
         let (events, registry) = tel.finish();

@@ -8,58 +8,19 @@
 //! exclusion to be *sound*, but almost never arbitrates real contention.
 //! It therefore uses a single atomic flag plus an `UnsafeCell` rather than
 //! a `Mutex`: one uncontended compare-exchange per access instead of a
-//! pthread lock, which is what keeps the traced hot path (a `record` per
-//! event) cheap.
+//! pthread lock, which is what keeps the traced hot path (a `record_parts`
+//! per event) cheap.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use jl_simkit::time::SimTime;
+use jl_simkit::time::{SimDuration, SimTime};
 
-use crate::clock::TelemetryClock;
-use crate::event::{Arg, Args, EventLog, TraceEvent};
+use crate::event::{Arg, EventLog, Track};
 use crate::flight::FlightRecorder;
 use crate::registry::MetricsRegistry;
-
-/// Destination for recorded trace events. The default [`VecSink`] buffers
-/// them for end-of-run export; a custom sink can stream them elsewhere.
-/// `Send` so the recorder behind a [`TelemetryHandle`] can be reached from
-/// the threads that read it while the event loop writes.
-pub trait TelemetrySink: Send {
-    /// Accept one event.
-    fn record(&mut self, ev: TraceEvent);
-    /// Hand back everything buffered (empty for streaming sinks).
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-}
-
-/// Buffers every event in order of emission.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    events: Vec<TraceEvent>,
-}
-
-impl TelemetrySink for VecSink {
-    #[inline]
-    fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-
-    fn drain(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-}
-
-/// Discards everything. Useful when only the metrics registry is wanted.
-#[derive(Debug, Default)]
-pub struct NoopSink;
-
-impl TelemetrySink for NoopSink {
-    fn record(&mut self, _ev: TraceEvent) {}
-}
 
 /// Configuration for a run's telemetry.
 #[derive(Debug, Clone, Copy)]
@@ -104,36 +65,23 @@ impl TelemetryConfig {
     }
 }
 
-/// The recorder's event destination: the built-in compact log, stored
-/// inline so the hot [`Telemetry::record`] path is a direct (inlinable)
-/// push, or a user-supplied sink behind a virtual call.
-enum SinkImpl {
-    Buffer(EventLog),
-    Custom(Box<dyn TelemetrySink>),
-}
-
-/// Per-run telemetry collector: trace-event sink plus metrics registry,
+/// Per-run telemetry collector: packed event log plus metrics registry,
 /// stamped exclusively with simulated time.
 pub struct Telemetry {
-    sink: SinkImpl,
+    events: EventLog,
     /// Metrics cells, keyed `(node, scope, name)`.
     pub registry: MetricsRegistry,
-    now: SimTime,
     spans: bool,
     /// Bounded ring of recent events, teed from every record when armed.
     ring: Option<FlightRecorder>,
-    /// Source of [`Telemetry::now`] when installed (wall clock on the real
-    /// backend); `None` keeps the manual `set_now` clock.
-    clock: Option<Box<dyn TelemetryClock>>,
 }
 
 impl Telemetry {
-    /// New recorder buffering events internally. With spans on, the log
-    /// is pre-sized generously: instrumented runs record hundreds of
-    /// thousands of events, and reserving up front keeps buffer regrowth
-    /// (a multi-megabyte copy by the end of a big run) out of the hot
-    /// path. The reservation is virtual address space — untouched pages
-    /// cost nothing.
+    /// New recorder. With spans on, the log is pre-sized generously:
+    /// instrumented runs record hundreds of thousands of events, and
+    /// reserving up front keeps buffer regrowth (a multi-megabyte copy by
+    /// the end of a big run) out of the hot path. The reservation is
+    /// virtual address space — untouched pages cost nothing.
     pub fn new(config: TelemetryConfig) -> Self {
         let events = if config.spans {
             EventLog::with_capacity(256 * 1024)
@@ -141,123 +89,40 @@ impl Telemetry {
             EventLog::new()
         };
         Telemetry {
-            sink: SinkImpl::Buffer(events),
+            events,
             registry: MetricsRegistry::new(),
-            now: SimTime::ZERO,
             spans: config.spans,
             ring: config.flight.map(FlightRecorder::new),
-            clock: None,
         }
     }
 
-    /// New recorder with a custom sink.
-    pub fn with_sink(config: TelemetryConfig, sink: Box<dyn TelemetrySink>) -> Self {
-        Telemetry {
-            sink: SinkImpl::Custom(sink),
-            registry: MetricsRegistry::new(),
-            now: SimTime::ZERO,
-            spans: config.spans,
-            ring: config.flight.map(FlightRecorder::new),
-            clock: None,
-        }
-    }
-
-    /// Install a clock as the source of [`Telemetry::now`]. The simulator
-    /// never installs one (its traces must be a pure function of sim
-    /// inputs); the wall-clock backend lends its run clock so out-of-band
-    /// consumers — windowed metrics, live snapshots — see real time.
-    pub fn set_clock(&mut self, clock: Box<dyn TelemetryClock>) {
-        self.clock = Some(clock);
-    }
-
-    /// Advance the recorder's clock for callers that stamp events with
-    /// [`Telemetry::now`]. The engine stamps every event from its own
-    /// callback clock instead (a per-callback `set_now` was measurable
-    /// overhead), so this exists for out-of-band recording — tests,
-    /// ad-hoc tooling — not the hot path.
-    #[inline]
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
-    /// The recorder's current time: the installed
-    /// [`clock`](Telemetry::set_clock) when present, else the manual
-    /// `set_now` clock.
-    #[inline]
-    pub fn now(&self) -> SimTime {
-        match &self.clock {
-            Some(c) => c.now(),
-            None => self.now,
-        }
-    }
-
-    /// Whether span recording is enabled.
-    #[inline]
-    pub fn spans_enabled(&self) -> bool {
-        self.spans
-    }
-
-    /// Whether recorded events go anywhere: the span buffer/sink, the
-    /// flight ring, or both. Emitters gate on this — with spans off but
-    /// the ring armed, events still flow (into bounded memory).
+    /// Whether recorded events go anywhere: the span buffer, the flight
+    /// ring, or both. Emitters gate on this — with spans off but the ring
+    /// armed, events still flow (into bounded memory).
     #[inline]
     pub fn events_enabled(&self) -> bool {
         self.spans || self.ring.is_some()
     }
 
-    /// Record a trace event. Teed into the flight ring when armed;
-    /// dropped from the span buffer when spans are disabled.
-    #[inline]
-    pub fn record(&mut self, ev: TraceEvent) {
-        if let Some(ring) = &mut self.ring {
-            let args: Vec<Arg> = ev.args.iter().cloned().collect();
-            ring.record_parts(ev.node, ev.track, ev.name, ev.start, ev.dur, &args);
-        }
-        if self.spans {
-            match &mut self.sink {
-                SinkImpl::Buffer(events) => events.push(ev),
-                SinkImpl::Custom(sink) => sink.record(ev),
-            }
-        }
-    }
-
-    /// Record a trace event from its parts — the allocation-free fast
-    /// path for hot emitters, see [`EventLog::push_parts`]. Teed into the
-    /// flight ring when armed; dropped from the span buffer when spans
-    /// are disabled. A custom sink still receives a whole [`TraceEvent`],
-    /// assembled here on the cold branch.
+    /// Record a trace event from its parts (see [`EventLog::push_parts`]):
+    /// a span when `dur` is `Some`, an instant otherwise. Teed into the
+    /// flight ring when armed; dropped from the span buffer when spans are
+    /// disabled.
     #[inline]
     pub fn record_parts(
         &mut self,
         node: u32,
-        track: crate::event::Track,
+        track: Track,
         name: &'static str,
         start: SimTime,
-        dur: Option<jl_simkit::time::SimDuration>,
+        dur: Option<SimDuration>,
         args: &[Arg],
     ) {
         if let Some(ring) = &mut self.ring {
             ring.record_parts(node, track, name, start, dur, args);
         }
-        if !self.spans {
-            return;
-        }
-        match &mut self.sink {
-            SinkImpl::Buffer(events) => events.push_parts(node, track, name, start, dur, args),
-            SinkImpl::Custom(sink) => {
-                let mut list = Args::new();
-                for (key, val) in args {
-                    list.push(key, val.clone());
-                }
-                sink.record(TraceEvent {
-                    node,
-                    track,
-                    name,
-                    start,
-                    dur,
-                    args: list,
-                });
-            }
+        if self.spans {
+            self.events.push_parts(node, track, name, start, dur, args);
         }
     }
 
@@ -276,23 +141,16 @@ impl Telemetry {
     }
 
     /// Tear down, returning the buffered event log and the metrics
-    /// registry. A custom sink's drained events are repacked into a log so
-    /// both paths hand back the same shape. The flight ring, if still
-    /// armed, is dropped — dumps are a mid-run affair
-    /// ([`Telemetry::drain_flight`]).
+    /// registry. The flight ring, if still armed, is dropped — dumps are a
+    /// mid-run affair ([`Telemetry::drain_flight`]).
     pub fn finish(self) -> (EventLog, MetricsRegistry) {
-        let events = match self.sink {
-            SinkImpl::Buffer(events) => events,
-            SinkImpl::Custom(mut sink) => EventLog::from(sink.drain()),
-        };
-        (events, self.registry)
+        (self.events, self.registry)
     }
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("now", &self.now)
             .field("spans", &self.spans)
             .field("flight", &self.ring.as_ref().map(|r| r.capacity()))
             .field("registry_len", &self.registry.len())
@@ -439,13 +297,15 @@ pub fn shared(config: TelemetryConfig) -> TelemetryHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Track;
+
+    fn crash(t: &mut Telemetry, at: SimTime) {
+        t.record_parts(0, Track::Fault, "crash", at, None, &[]);
+    }
 
     #[test]
     fn records_and_drains() {
         let mut t = Telemetry::new(TelemetryConfig::default());
-        t.set_now(SimTime(42));
-        t.record(TraceEvent::instant(0, Track::Fault, "crash", t.now()));
+        crash(&mut t, SimTime(42));
         t.registry.counter_add(0, "fault", "crashes", 1);
         let (events, registry) = t.finish();
         assert_eq!(events.len(), 1);
@@ -459,9 +319,9 @@ mod tests {
             spans: false,
             ..Default::default()
         });
-        t.record(TraceEvent::instant(0, Track::Fault, "crash", SimTime::ZERO));
+        assert!(!t.events_enabled());
+        crash(&mut t, SimTime::ZERO);
         t.registry.counter_add(0, "fault", "crashes", 1);
-        assert!(!t.spans_enabled());
         let (events, registry) = t.finish();
         assert!(events.is_empty());
         assert_eq!(registry.len(), 1);
@@ -471,7 +331,9 @@ mod tests {
     fn shared_handle_is_cloneable() {
         let h = shared(TelemetryConfig::default());
         let h2 = h.clone();
-        h.borrow_mut().set_now(SimTime(7));
-        assert_eq!(h2.borrow().now(), SimTime(7));
+        crash(&mut h.borrow_mut(), SimTime(7));
+        drop(h);
+        let (events, _) = h2.into_inner().finish();
+        assert_eq!(events.iter().next().unwrap().start, SimTime(7));
     }
 }

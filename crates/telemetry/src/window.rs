@@ -10,9 +10,8 @@
 //! the property test below pins that). [`WindowedCounter`] is the same
 //! ring over plain counts, answering events/second over the window.
 //!
-//! Time comes from the caller (typically a
-//! [`TelemetryClock`](crate::clock::TelemetryClock)), so the same type
-//! serves sim-time tests and wall-clock serving.
+//! Time comes from the caller (the serve layer passes its run clock), so
+//! the same type serves sim-time tests and wall-clock serving.
 
 use jl_simkit::stats::DurationHistogram;
 use jl_simkit::time::{SimDuration, SimTime};

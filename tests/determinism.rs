@@ -9,12 +9,26 @@
 //! All thread counts run inside ONE `#[test]` because the knob is the
 //! process-global `JL_BENCH_THREADS` environment variable — parallel test
 //! binaries would race on it.
+//!
+//! Beyond invariance, `traced_cells_pin_every_emitter` pins absolute trace
+//! bytes: golden digests of traced cells that reach every engine event.
+
+use std::collections::BTreeSet;
 
 use jl_bench::experiments::fig6_stream_report;
-use jl_bench::{bench_cell, fig8, fig_chaos, fig_elastic, fig_overload, traced_chaos_run};
-use jl_core::Strategy;
-use jl_engine::Backend;
-use jl_telemetry::TelemetryConfig;
+use jl_bench::{
+    bench_cell, fig8, fig_chaos, fig_elastic, fig_overload, overload_bounded_config, pace,
+    run_chaos_churn_report, scaled, traced_chaos_run, SyntheticCell,
+};
+use jl_core::{AutoscaleMode, Strategy};
+use jl_engine::runner::UpdateEvent;
+use jl_engine::{
+    run_job_on, AutoscaleConfig, Backend, ClusterSpec, FeedMode, JobSpec, JobTuple,
+    MembershipConfig, MembershipEvent, OverloadConfig,
+};
+use jl_simkit::time::{SimDuration, SimTime};
+use jl_store::{RowKey, StoredValue};
+use jl_telemetry::{RunTelemetry, TelemetryConfig};
 use jl_workloads::SyntheticSpec;
 
 /// FNV-1a over a byte string — the same digest construction the golden
@@ -183,5 +197,174 @@ fn flight_recorder_is_a_pure_tee() {
     assert!(
         retained >= cap && retained <= 2 * cap,
         "two-generation ring retains cap..=2*cap events, got {retained}"
+    );
+}
+
+/// Every trace event name the engine emits, by emitter: the kernel probe,
+/// the compute node, the decision tee, the controller, the data node.
+const EVENT_NAMES: &str = "\
+    service msg-dropped msg-delayed crash restart \
+    shed failover nacked timeout gave-up retry tuple dest-pressured request health-update \
+    epoch-update \
+    rent buy \
+    mig-plan member-join decommission-refused member-drain member-drained mig-done mig-aborted \
+    autoscale-rent autoscale-release \
+    nack pressure-on mig-forward cache-evict batch put mig-snapshot-out mig-freeze mig-cutover \
+    mig-abort-src mig-snapshot-in mig-install mig-abort-tgt activate drain deactivate pressure-off";
+
+/// `fnv1a` of each traced cell's Chrome trace and metrics JSON.
+const GOLDEN: [(&str, u64, u64); 5] = [
+    ("chaos", 0x0e8c_c2b8_3455_b546, 0xb34c_53ba_18fb_76d0),
+    ("churn", 0x7d80_8e17_7970_489a, 0xdc6b_4513_4264_ed56),
+    ("overload", 0xcb1b_a00e_f773_164d, 0xc366_0c7e_b043_53cb),
+    ("updates", 0x6442_8707_3b96_2725, 0xf31d_39f3_13d1_c090),
+    ("elastic", 0x6a7a_7a0a_f19b_bd1a, 0x45a4_1ac7_cdee_f416),
+];
+
+/// Run `cell` traced, its regions on the first `active` data nodes, after
+/// `edit` has shaped the job and its input.
+fn traced(
+    cell: &SyntheticCell,
+    active: usize,
+    updates: Vec<UpdateEvent>,
+    edit: impl FnOnce(&mut JobSpec, &mut [JobTuple]),
+) -> RunTelemetry {
+    let (mut job, store, udfs, mut tuples) = cell.build_on(active);
+    job.telemetry = Some(TelemetryConfig::default());
+    edit(&mut job, &mut tuples);
+    let (_, tel) = run_job_on(&job, Backend::Sim, store, udfs, tuples, updates);
+    tel.expect("telemetry was requested")
+}
+
+/// Turn a batch input into a stream of `window` in-flight tuples per
+/// compute node, its arrivals paced by `gap_us` µs (see [`pace`]).
+fn stream(
+    job: &mut JobSpec,
+    tuples: &mut [JobTuple],
+    window: usize,
+    gap_us: impl Fn(usize) -> u64,
+) {
+    pace(tuples, |i| SimDuration::from_micros(gap_us(i)));
+    job.feed = FeedMode::Stream {
+        horizon: SimDuration::from_secs(100_000),
+        window,
+    };
+}
+
+/// Golden trace bytes. Five small traced cells — the chaos run, chaos
+/// plus membership churn, a bounded stream at ~2× its drain rate with a
+/// deadline, store updates against the block cache, and an autoscaled
+/// fleet with scripted joins and drains — between them reach every event
+/// name the engine emits, and each one's trace and metrics bytes are
+/// pinned by digest. A recorder or emitter change that moves one byte of
+/// any trace fails here. A name no deterministic cell can reach would be
+/// listed here as an exception, with the reason; today there is none.
+#[test]
+fn traced_cells_pin_every_emitter() {
+    let dh = || bench_cell("DH", 0.05, 7);
+    let window = dh().cluster.node.cores * 4;
+    let churn = SyntheticCell {
+        telemetry: Some(TelemetryConfig::default()),
+        ..dh()
+    };
+    let all = dh().cluster.n_data;
+    let overload = traced(&dh(), all, vec![], |job, tuples| {
+        // 7 µs gaps offer ~2× the 32k tuples/s this stream drains; the
+        // deadline is twice its p99 at half that rate, over 300 tuples per
+        // compute node. A small data-node queue makes backpressure fire too.
+        stream(job, tuples, window, |_| 7);
+        job.overload = Some(OverloadConfig {
+            data_queue_cap: 32,
+            high_watermark: 16,
+            low_watermark: 8,
+            ..overload_bounded_config(300, Some(SimDuration::from_millis(20)))
+        });
+    });
+    let cached = SyntheticCell {
+        cluster: ClusterSpec {
+            block_cache_bytes: 4 << 20,
+            ..dh().cluster
+        },
+        ..dh()
+    };
+    let updates = (0..40u64)
+        .map(|k| {
+            let value = StoredValue::new(vec![k as u8; 256], 0, SimDuration::from_millis(1));
+            let at = SimTime::ZERO + SimDuration::from_millis(2 * k + 1);
+            (at, 0, RowKey::from_u64(k % 8), value)
+        })
+        .collect();
+    // Small values so region handoffs finish inside the run; three of six
+    // data nodes active, a join and a drain scripted, the autoscaler armed.
+    let fleet = SyntheticCell {
+        spec: SyntheticSpec {
+            value_size: 2 * 1024,
+            udf_cpu: SimDuration::from_micros(100),
+            ..scaled(SyntheticSpec::dh(), 0.1)
+        },
+        cluster: ClusterSpec {
+            n_compute: 4,
+            n_data: 6,
+            ..dh().cluster
+        },
+        mem_cache: 64 * 1024,
+        z: 0.0,
+        ..dh()
+    };
+    let elastic = traced(&fleet, 3, vec![], |job, tuples| {
+        // The three-node fleet drains ~21k tuples/s: the trough offers
+        // ~0.3× that, the peak ~1.9×.
+        let n = tuples.len();
+        stream(job, tuples, 32, |i| {
+            if i < n / 6 || i >= 2 * n / 3 {
+                157
+            } else {
+                25
+            }
+        });
+        job.overload = Some(OverloadConfig::permissive());
+        let mut m = MembershipConfig::static_active(3);
+        m.min_active = 3;
+        let ms = SimDuration::from_millis;
+        m.events = vec![
+            (ms(1), MembershipEvent::Decommission(0)), // refused: the floor is 3
+            (ms(5), MembershipEvent::Join(3)),
+            (ms(6), MembershipEvent::Decommission(1)),
+        ];
+        m.autoscale = Some(AutoscaleConfig {
+            interval: ms(10),
+            heartbeat: ms(2),
+            mode: AutoscaleMode::QueueWatermark {
+                rent_above: 16.0,
+                release_below: 4.0,
+                cooldown: ms(8),
+            },
+        });
+        job.membership = Some(m);
+    });
+    let cells = [
+        (
+            "chaos",
+            traced_chaos_run(0.05, 7, TelemetryConfig::default()).1,
+        ),
+        ("churn", run_chaos_churn_report(&churn).2.expect("traced")),
+        ("overload", overload),
+        ("updates", traced(&cached, all, updates, |_, _| {})),
+        ("elastic", elastic),
+    ];
+
+    let mut seen = BTreeSet::new();
+    let mut digests = Vec::new();
+    for (cell, tel) in &cells {
+        seen.extend(tel.events.iter().map(|ev| ev.name));
+        let trace = fnv1a(tel.to_chrome_json().as_bytes());
+        digests.push((*cell, trace, fnv1a(tel.metrics_json().as_bytes())));
+    }
+    assert_eq!(digests, GOLDEN, "trace or metrics bytes moved");
+    let names: BTreeSet<&str> = EVENT_NAMES.split_whitespace().collect();
+    assert_eq!(names.len(), 44);
+    assert_eq!(
+        seen, names,
+        "the cells must reach exactly the engine's event names"
     );
 }
