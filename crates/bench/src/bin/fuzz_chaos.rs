@@ -631,48 +631,50 @@ fn minimize(mut case: Case, mut err: String) -> (Case, String, Vec<&'static str>
     (case, err, flags)
 }
 
+/// One firehose calibration pins the service rate (tuples/s); every
+/// case's offered load is a multiple of it.
+fn calibrate(seed: u64) -> f64 {
+    let case = Case {
+        seed,
+        z: 0.0,
+        load: 1.0,
+        n_tuples: 400,
+        window: 32,
+        faults: false,
+        bounded: false,
+        data_cap: 0,
+        compute_cap: 0,
+        shed: ShedMode::DeadlineAware,
+        deadline_mult: None,
+        nack_backoff: SimDuration::from_millis(2),
+        retry: false,
+        aggressive_retry: false,
+        churn: false,
+        mu: 0.0,
+    };
+    let spec = fuzz_spec(case.n_tuples);
+    let cluster = fuzz_cluster();
+    let tuples = make_tuples(&spec, 0.0, seed, SimDuration::from_micros(1));
+    let r = run_once(
+        &case,
+        &spec,
+        &cluster,
+        tuples,
+        None,
+        None,
+        OverloadConfig::permissive(),
+        None,
+    );
+    r.throughput().max(1.0)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = parse(&args).unwrap_or_else(|e| {
         eprintln!("fuzz_chaos: {e}\n{USAGE}");
         std::process::exit(2);
     });
-    // One firehose calibration pins the service rate; every case's
-    // offered load is a multiple of it.
-    let mu = {
-        let case = Case {
-            seed: args.seed,
-            z: 0.0,
-            load: 1.0,
-            n_tuples: 400,
-            window: 32,
-            faults: false,
-            bounded: false,
-            data_cap: 0,
-            compute_cap: 0,
-            shed: ShedMode::DeadlineAware,
-            deadline_mult: None,
-            nack_backoff: SimDuration::from_millis(2),
-            retry: false,
-            aggressive_retry: false,
-            churn: false,
-            mu: 0.0,
-        };
-        let spec = fuzz_spec(case.n_tuples);
-        let cluster = fuzz_cluster();
-        let tuples = make_tuples(&spec, 0.0, args.seed, SimDuration::from_micros(1));
-        let r = run_once(
-            &case,
-            &spec,
-            &cluster,
-            tuples,
-            None,
-            None,
-            OverloadConfig::permissive(),
-            None,
-        );
-        r.throughput().max(1.0)
-    };
+    let mu = calibrate(args.seed);
     println!("FUZZ_CAL mu={mu:.0} tuples/s");
 
     for i in args.start..args.start + args.iters {
@@ -729,6 +731,21 @@ mod tests {
     fn parse_strs(args: &[&str]) -> Result<Args, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
         parse(&args)
+    }
+
+    /// The membership-churn sweep, bounded for tier-1: forced-churn cases
+    /// (a join and a drain over seeded faults and overload) must reconcile
+    /// exactly once, as `fuzz_chaos --seed 11 --iters 4 --churn` checks.
+    #[test]
+    fn forced_churn_cases_reconcile_exactly_once() {
+        let mu = calibrate(11);
+        for i in 0..4 {
+            let mut case = Case::derive(11, i, mu);
+            case.churn = true;
+            if let Err(e) = run_case(&case) {
+                panic!("iter {i} {}: {e}", case.describe());
+            }
+        }
     }
 
     #[test]

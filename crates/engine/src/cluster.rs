@@ -24,6 +24,14 @@ pub type EKey = (TableId, RowKey);
 pub const ITEM_OVERHEAD: u64 = 48;
 /// Approximate wire overhead per batch (header + load statistics).
 pub const BATCH_OVERHEAD: u64 = 160;
+/// Wire bytes of a small control message (membership, migration,
+/// heartbeat, completion).
+pub(crate) const CTRL_BYTES: u64 = 64;
+
+/// Wire bytes of one row write: a forwarded put or a delta-log entry.
+pub(crate) fn put_bytes(key: &RowKey, value: &StoredValue) -> u64 {
+    key.len() as u64 + value.size() + ITEM_OVERHEAD
+}
 
 /// [`StoredValue`] wrapped for the optimizer's cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,12 +100,7 @@ pub enum Msg {
         value: StoredValue,
     },
     /// A compute node reporting completion to the controller (batch jobs).
-    Done {
-        /// Tuples fully processed by that node.
-        completed: u64,
-        /// XOR of its output fingerprints.
-        fingerprint: u64,
-    },
+    Done,
 
     // ---- membership plane (only sent when the run carries a
     // `MembershipConfig`; a static run's event stream never contains

@@ -19,7 +19,7 @@ use jl_telemetry::{ArgVal, TelemetryHandle, Track};
 
 use jl_core::shed::{ShedCandidate, ShedPolicy};
 
-use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, ITEM_OVERHEAD};
+use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, CTRL_BYTES, ITEM_OVERHEAD};
 use crate::config::{ClusterSpec, FeedMode, OverloadConfig, RetryConfig};
 use crate::plan::{decode_params, encode_params, output_fingerprint, survives, JobPlan, JobTuple};
 use crate::telemetry::NodeTrace;
@@ -912,14 +912,7 @@ impl ComputeNode {
         };
         if stream_drained && self.input.is_empty() && self.outstanding() == 0 {
             self.done_sent = true;
-            ctx.send(
-                self.spec.controller_id(),
-                Msg::Done {
-                    completed: self.report.completed,
-                    fingerprint: self.report.fingerprint,
-                },
-                64,
-            );
+            ctx.send(self.spec.controller_id(), Msg::Done, CTRL_BYTES);
         }
     }
 

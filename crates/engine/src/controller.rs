@@ -21,7 +21,7 @@ use jl_simkit::sim::NodeId;
 use jl_store::TableId;
 use jl_telemetry::{ArgVal, TelemetryHandle, Track};
 
-use crate::cluster::Msg;
+use crate::cluster::{Msg, CTRL_BYTES};
 use crate::config::{ClusterSpec, MembershipConfig, MembershipEvent};
 use crate::telemetry::NodeTrace;
 
@@ -32,9 +32,6 @@ const AUTOSCALE_TAG: u64 = u64::MAX;
 const MIG_TIMEOUT_BIT: u64 = 1 << 63;
 /// Tag bit marking scripted membership events (`MEMBER_EVENT_BIT | index`).
 const MEMBER_EVENT_BIT: u64 = 1 << 62;
-
-/// Wire bytes for a small control message (activate/drain/migrate-start…).
-const CTRL_BYTES: u64 = 64;
 
 /// One in-flight region migration, as the controller tracks it.
 #[derive(Debug, Clone, Copy)]
@@ -69,9 +66,6 @@ pub struct MembershipStats {
 pub struct Controller {
     expected: usize,
     reported: usize,
-    completed: u64,
-    fingerprint: u64,
-    finished_at: Option<SimTime>,
 
     // ---- membership plane (all unused on static runs) ----
     membership: Option<MembershipConfig>,
@@ -114,9 +108,6 @@ impl Controller {
         Controller {
             expected,
             reported: 0,
-            completed: 0,
-            fingerprint: 0,
-            finished_at: None,
             membership: None,
             spec: None,
             active: Vec::new(),
@@ -158,21 +149,6 @@ impl Controller {
     /// the trace process id. Call before the simulation starts.
     pub fn set_telemetry(&mut self, tel: TelemetryHandle, node: u32) {
         self.trace.attach(tel, node);
-    }
-
-    /// Total tuples completed across the cluster.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// XOR of all output fingerprints.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    /// When the last node reported, if the job finished.
-    pub fn finished_at(&self) -> Option<SimTime> {
-        self.finished_at
     }
 
     /// Membership/migration counters (all zero on static runs).
@@ -600,15 +576,9 @@ impl Controller {
     /// Handle a message.
     pub fn on_message<C: RuntimeCtx<Msg>>(&mut self, _from: NodeId, msg: Msg, ctx: &mut C) {
         match msg {
-            Msg::Done {
-                completed,
-                fingerprint,
-            } => {
+            Msg::Done => {
                 self.reported += 1;
-                self.completed += completed;
-                self.fingerprint ^= fingerprint;
                 if self.reported == self.expected {
-                    self.finished_at = Some(ctx.now());
                     ctx.stop();
                 }
             }

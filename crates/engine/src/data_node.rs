@@ -3,7 +3,6 @@
 //! disk, executing its load-balanced share of the UDFs on its simulated
 //! CPU, and bouncing the rest back as raw values.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -14,13 +13,10 @@ use jl_costmodel::{ExpSmoothed, SizeProfile};
 use jl_runtime::RuntimeCtx;
 use jl_simkit::prelude::*;
 use jl_simkit::sim::NodeId;
-use jl_store::{
-    BlockCache, Catalog, InterestTracker, Region, RegionServer, RowKey, StoredValue, TableId,
-    UdfRegistry,
-};
+use jl_store::{BlockCache, Catalog, InterestTracker, RegionServer, StoredValue, UdfRegistry};
 use jl_telemetry::{ArgVal, TelemetryHandle, Track};
 
-use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, ITEM_OVERHEAD};
+use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, CTRL_BYTES, ITEM_OVERHEAD};
 
 /// One reply wave: ready time, items, computed outputs, wire bytes.
 type ReplyWave = (
@@ -33,60 +29,15 @@ type ReplyWave = (
 /// the computed output (for `Computed` payloads only).
 type ServedItem = (ResponseItem<EKey, Val>, SimTime, u64, Option<Bytes>);
 use crate::config::{ClusterSpec, OverloadConfig};
+use crate::migration::{Effect, Event, Migrations, Peer};
 use crate::plan::{decode_params, JobPlan};
 use crate::telemetry::NodeTrace;
 
-/// Timer tag for the autoscaler heartbeat. `u64::MAX` carries both
-/// migration bits below, so it must be matched first.
+/// Timer tag for the autoscaler heartbeat. `u64::MAX` carries the
+/// migration bit below, so it must be matched first.
 const HEARTBEAT_TAG: u64 = u64::MAX;
-/// Tag bit marking source-side migration phase timeouts
-/// (`SRC_MIG_BIT | mig_id`).
-const SRC_MIG_BIT: u64 = 1 << 63;
-/// Tag bit marking target-side migration phase timeouts
-/// (`TGT_MIG_BIT | mig_id`).
-const TGT_MIG_BIT: u64 = 1 << 62;
-/// Wire bytes for a small migration control message.
-const CTRL_BYTES: u64 = 64;
-
-/// Source-side phase of an outbound region migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OutPhase {
-    /// Snapshot sent; puts apply locally *and* append to the delta log.
-    DualWrite,
-    /// Delta sent (commit in flight); puts buffer unapplied so exactly
-    /// one node ever applies writes. Gets still serve from the local,
-    /// fully-up-to-date copy.
-    Frozen,
-}
-
-/// An outbound (source-side) region migration. Process state: a crash
-/// drops it, and the target's phase timeout aborts the handoff.
-struct MigOut {
-    table: TableId,
-    region: usize,
-    target: usize,
-    phase: OutPhase,
-    /// Rows written here since the snapshot (dual-write log).
-    delta: Vec<(RowKey, StoredValue)>,
-    /// Puts buffered during the freeze: flushed to the target on commit
-    /// ack, or re-applied locally if the handoff aborts.
-    frozen: Vec<(RowKey, StoredValue)>,
-    /// Current phase deadline. Stale timers from earlier phases fire
-    /// before this and are ignored.
-    deadline: SimTime,
-}
-
-/// An inbound (target-side) region migration. Process state.
-struct MigIn {
-    table: TableId,
-    region: usize,
-    source: usize,
-    staged: Region,
-    /// Snapshot + delta bytes received, reported in `MigDone`.
-    bytes: u64,
-    /// Phase deadline (waiting for the commit delta).
-    deadline: SimTime,
-}
+/// Tag bit marking a migration phase timer, either end (`MIG_BIT | mig_id`).
+const MIG_BIT: u64 = 1 << 63;
 
 /// Queue-counter decrements scheduled for a batch's completion time.
 struct PendingDrain {
@@ -153,21 +104,9 @@ pub struct DataNode {
     /// this against `now` on restart (and on each fire) keeps exactly one
     /// heartbeat chain alive.
     next_hb_at: Option<SimTime>,
-    /// Per-phase migration timeout.
-    mig_timeout: SimDuration,
-    /// Outbound migrations by id (process state; dies with a crash).
-    mig_out: BTreeMap<u64, MigOut>,
-    /// Inbound migrations by id (process state; dies with a crash).
-    mig_in: BTreeMap<u64, MigIn>,
-    /// Regions handed off: `(table, region) -> new owner`. On-disk
-    /// metadata — survives crashes; stale-epoch traffic that still lands
-    /// here is forwarded on the wire, never dropped.
-    moved_to: BTreeMap<(TableId, usize), usize>,
-    /// Regions migrated in (the static catalog maps them elsewhere); the
-    /// ownership check accepts them. On-disk metadata — survives crashes.
-    migrated_in: BTreeSet<(TableId, usize)>,
-    /// Completed outbound handoffs, for observability.
-    handoffs: u64,
+    /// Region handoffs, both ends, and the handoff metadata that survives
+    /// crashes.
+    mig: Migrations,
 }
 
 impl DataNode {
@@ -224,12 +163,7 @@ impl DataNode {
             draining: false,
             heartbeat: None,
             next_hb_at: None,
-            mig_timeout: SimDuration::from_secs(5),
-            mig_out: BTreeMap::new(),
-            mig_in: BTreeMap::new(),
-            moved_to: BTreeMap::new(),
-            migrated_in: BTreeSet::new(),
-            handoffs: 0,
+            mig: Migrations::new(idx, SimDuration::from_secs(5)),
         }
     }
 
@@ -245,7 +179,7 @@ impl DataNode {
         self.membership_on = true;
         self.mem_active = active;
         self.heartbeat = heartbeat;
-        self.mig_timeout = mig_timeout;
+        self.mig.set_timeout(mig_timeout);
     }
 
     /// Live membership state for observability: `None` on static runs,
@@ -265,7 +199,7 @@ impl DataNode {
 
     /// Completed outbound region handoffs.
     pub fn handoffs(&self) -> u64 {
-        self.handoffs
+        self.mig.handoffs()
     }
 
     /// Attach a telemetry recorder. `node` is this node's sim id, used as
@@ -311,10 +245,7 @@ impl DataNode {
                 // run statistic and survives.
                 self.queued = 0;
                 self.pressured = false;
-                // Frozen puts die with the process: the source held them
-                // in memory only (no WAL is modeled). Documented loss.
-                self.mig_out.clear();
-                self.mig_in.clear();
+                self.mig.crash();
             }
             FaultKind::Restart => {
                 // Timers armed before the crash are dropped only if they
@@ -480,69 +411,16 @@ impl DataNode {
         true
     }
 
-    /// Wire-level forwarding for regions this node handed off: items whose
-    /// region moved away are re-batched to the new owner (stale-epoch
-    /// senders lose latency, never tuples); the rest of the batch returns
-    /// for local service. `None` when everything moved.
-    fn split_moved<C: RuntimeCtx<Msg>>(
-        &mut self,
-        from_compute: usize,
-        batch: BatchRequest<EKey, Bytes>,
-        ctx: &mut C,
-    ) -> Option<BatchRequest<EKey, Bytes>> {
-        if self.moved_to.is_empty() {
-            return Some(batch);
-        }
-        let BatchRequest { items, stats } = batch;
-        let mut local = Vec::with_capacity(items.len());
-        // owner -> (items, wire bytes)
-        let mut forward: BTreeMap<usize, (Vec<_>, u64)> = BTreeMap::new();
-        for item in items {
-            let (table, row) = &item.key;
-            let (region, _) = self.catalog.locate(*table, row);
-            match self.moved_to.get(&(*table, region)) {
-                Some(&owner) => {
-                    let slot = forward.entry(owner).or_insert((Vec::new(), BATCH_OVERHEAD));
-                    slot.1 += row.len() as u64 + item.params.len() as u64 + ITEM_OVERHEAD;
-                    slot.0.push(item);
-                }
-                None => local.push(item),
-            }
-        }
-        for (owner, (fwd_items, bytes)) in forward {
-            let n = fwd_items.len() as u64;
-            self.trace
-                .instant(Track::Fault, "mig-forward", ctx.now(), || {
-                    [("items", n.into()), ("owner", ArgVal::U64(owner as u64))]
-                });
-            ctx.send(
-                self.spec.data_id(owner),
-                Msg::Request {
-                    from_compute,
-                    batch: BatchRequest {
-                        items: fwd_items,
-                        stats,
-                    },
-                },
-                bytes,
-            );
-        }
-        if local.is_empty() {
-            return None;
-        }
-        Some(BatchRequest {
-            items: local,
-            stats,
-        })
-    }
-
     fn handle_batch<C: RuntimeCtx<Msg>>(
         &mut self,
         from_compute: usize,
         batch: BatchRequest<EKey, Bytes>,
         ctx: &mut C,
     ) {
-        let Some(batch) = self.split_moved(from_compute, batch, ctx) else {
+        // Items for regions this node handed off are forwarded on the wire.
+        let (batch, forwards) = self.mig.split_moved(&self.catalog, from_compute, batch);
+        self.perform(forwards, ctx);
+        let Some(batch) = batch else {
             return;
         };
         if !self.admit(from_compute, &batch, ctx) {
@@ -564,7 +442,7 @@ impl DataNode {
             params_bytes += item.params.len() as u64;
             let (region, server) = self.catalog.locate(*table, row);
             debug_assert!(
-                self.serves_for(server) || self.migrated_in.contains(&(*table, region)),
+                self.serves_for(server) || self.mig.migrated_in(*table, region),
                 "request routed to wrong server: {} is neither owner {server}, its replica, \
                  nor the migrated-in owner of region ({table}, {region})",
                 self.idx
@@ -837,43 +715,25 @@ impl DataNode {
         &mut self,
         table: jl_store::TableId,
         key: jl_store::RowKey,
-        mut value: StoredValue,
+        value: StoredValue,
         ctx: &mut C,
     ) {
         let (region, server) = self.catalog.locate(table, &key);
-        // The region left this node: forward the put to its new owner on
-        // the wire (stale-epoch writers lose latency, never writes).
-        if let Some(&owner) = self.moved_to.get(&(table, region)) {
-            let bytes = key.len() as u64 + value.size() + ITEM_OVERHEAD;
-            ctx.send(
-                self.spec.data_id(owner),
-                Msg::Put { table, key, value },
-                bytes,
-            );
-            return;
-        }
-        // Mid-handoff interception: during the freeze window the put is
+        // A put for a region that left this node is forwarded to its new
+        // owner on the wire (stale-epoch writers lose latency, never
+        // writes). Mid-handoff, during the freeze window, the put is
         // buffered raw (unstamped) so exactly one node ever applies it —
         // either flushed to the new owner on commit ack, or replayed here
         // if the handoff aborts. During dual-write it applies normally
         // below and also lands in the delta log.
-        let mig = self
-            .mig_out
-            .iter()
-            .find(|(_, m)| m.table == table && m.region == region)
-            .map(|(&id, m)| (id, m.phase));
-        if let Some((id, OutPhase::Frozen)) = mig {
-            self.mig_out
-                .get_mut(&id)
-                .expect("frozen migration present")
-                .frozen
-                .push((key, value));
-            return;
-        }
+        let (key, mut value) = match self.mig.intercept_put(table, region, key, value) {
+            Ok(put) => put,
+            Err(forward) => return self.perform(forward, ctx),
+        };
         self.version_clock += 1;
         value.version = self.version_clock;
         debug_assert!(
-            self.serves_for(server) || self.migrated_in.contains(&(table, region)),
+            self.serves_for(server) || self.mig.migrated_in(table, region),
             "put routed to wrong server: {} is neither owner {server}, its replica, \
              nor the migrated-in owner of region ({table}, {region})",
             self.idx
@@ -883,13 +743,7 @@ impl DataNode {
         ctx.use_resource(ResourceKind::Disk, ctx.now(), svc);
         self.trace.instant(Track::Serve, "put", ctx.now(), || []);
         self.block_cache.invalidate(&(table, key.clone()));
-        if let Some((id, OutPhase::DualWrite)) = mig {
-            self.mig_out
-                .get_mut(&id)
-                .expect("dual-write migration present")
-                .delta
-                .push((key.clone(), value.clone()));
-        }
+        self.mig.log_if_dual_write(table, region, &key, &value);
         self.server.put(table, region, key.clone(), value);
         // Invalidate cached copies at compute nodes (§4.2.3): either only
         // the registered holders, or a broadcast.
@@ -909,299 +763,46 @@ impl DataNode {
         }
     }
 
-    // ---- live region migration: source side ----
-
-    /// Controller ordered this node to hand region `(table, region)` to
-    /// `target`: snapshot it (one disk scan), ship the snapshot, and start
-    /// dual-writing puts into a delta log.
-    fn handle_migrate_start<C: RuntimeCtx<Msg>>(
-        &mut self,
-        mig_id: u64,
-        table: TableId,
-        region: usize,
-        target: usize,
-        ctx: &mut C,
-    ) {
-        let already = self
-            .mig_out
-            .values()
-            .any(|m| m.table == table && m.region == region);
-        if already || !self.server.has_region(table, region) {
-            // A crash raced the plan (the region is gone or mid-handoff):
-            // refuse rather than ship nothing.
-            ctx.send(
-                self.spec.controller_id(),
-                Msg::MigAbort {
-                    mig_id,
-                    from_data: self.idx,
-                },
-                CTRL_BYTES,
-            );
-            return;
-        }
-        let rows = self
-            .server
-            .region(table, region)
-            .expect("has_region checked")
-            .clone();
-        let bytes = rows.bytes();
-        let now = ctx.now();
-        // The snapshot scan is a real disk read.
-        let svc = self.spec.disk_service(bytes.max(1));
-        ctx.use_resource(ResourceKind::Disk, now, svc);
-        let deadline = now + self.mig_timeout;
-        self.mig_out.insert(
-            mig_id,
-            MigOut {
-                table,
-                region,
-                target,
-                phase: OutPhase::DualWrite,
-                delta: Vec::new(),
-                frozen: Vec::new(),
-                deadline,
-            },
-        );
-        ctx.send(
-            self.spec.data_id(target),
-            Msg::MigSnapshot {
-                mig_id,
-                table,
-                region,
-                from_data: self.idx,
-                rows,
-            },
-            bytes + BATCH_OVERHEAD,
-        );
-        ctx.set_timer(deadline, SRC_MIG_BIT | mig_id);
-        self.trace
-            .instant(Track::Fault, "mig-snapshot-out", ctx.now(), || {
-                [
-                    ("mig", mig_id.into()),
-                    ("bytes", bytes.into()),
-                    ("target", ArgVal::U64(target as u64)),
-                ]
-            });
+    /// Live region migration: feed one handoff event to the migration
+    /// table ([`crate::migration`]) and perform what it returns.
+    fn migrate<C: RuntimeCtx<Msg>>(&mut self, mig_id: u64, event: Event, ctx: &mut C) {
+        let effects = self.mig.step(mig_id, event, ctx.now());
+        self.perform(effects, ctx);
     }
 
-    /// Target staged the snapshot: send the dual-written delta and freeze
-    /// the region — from here until the commit ack, puts buffer unapplied
-    /// so exactly one node ever applies writes.
-    fn handle_mig_fetched<C: RuntimeCtx<Msg>>(&mut self, mig_id: u64, ctx: &mut C) {
+    /// Perform the IO the migration table returned, in the order listed.
+    fn perform<C: RuntimeCtx<Msg>>(&mut self, effects: Vec<Effect>, ctx: &mut C) {
         let now = ctx.now();
-        let deadline = now + self.mig_timeout;
-        let Some(m) = self.mig_out.get_mut(&mig_id) else {
-            return;
-        };
-        if m.phase != OutPhase::DualWrite {
-            return; // duplicate
-        }
-        m.phase = OutPhase::Frozen;
-        m.deadline = deadline;
-        let delta = std::mem::take(&mut m.delta);
-        let target = m.target;
-        let bytes = delta.iter().fold(BATCH_OVERHEAD, |acc, (k, v)| {
-            acc + k.len() as u64 + v.size() + ITEM_OVERHEAD
-        });
-        ctx.send(
-            self.spec.data_id(target),
-            Msg::MigCommit { mig_id, delta },
-            bytes,
-        );
-        ctx.set_timer(deadline, SRC_MIG_BIT | mig_id);
-        self.trace
-            .instant(Track::Fault, "mig-freeze", ctx.now(), || {
-                [("mig", mig_id.into()), ("delta_bytes", bytes.into())]
-            });
-    }
-
-    /// Target owns the region now: cut over — drop the local copy, evict
-    /// its keys from the block cache (warmup restarts at the target),
-    /// record the forwarding pointer, and flush the frozen puts to the
-    /// new owner in arrival order.
-    fn handle_mig_commit_ack<C: RuntimeCtx<Msg>>(&mut self, mig_id: u64, ctx: &mut C) {
-        let Some(m) = self.mig_out.remove(&mig_id) else {
-            return;
-        };
-        if let Some(region) = self.server.take_region(m.table, m.region) {
-            for (key, _) in region.scan(None, None) {
-                self.block_cache.invalidate(&(m.table, key.clone()));
+        for effect in effects {
+            match effect {
+                Effect::Disk(bytes) => {
+                    ctx.use_resource(ResourceKind::Disk, now, self.spec.disk_service(bytes));
+                }
+                Effect::Send(peer, msg, bytes) => {
+                    let to = match peer {
+                        Peer::Data(j) => self.spec.data_id(j),
+                        Peer::Controller => self.spec.controller_id(),
+                    };
+                    ctx.send(to, msg, bytes);
+                }
+                Effect::Timer(at, mig_id) => ctx.set_timer(at, MIG_BIT | mig_id),
+                Effect::Trace(name, args) => {
+                    self.trace.instant_built(Track::Fault, name, now, &args);
+                }
+                Effect::Install(table, region, rows) => {
+                    self.server.take_region(table, region);
+                    self.server.install_region(table, region, rows);
+                }
+                Effect::Evict(table, region) => {
+                    if let Some(rows) = self.server.take_region(table, region) {
+                        for (key, _) in rows.scan(None, None) {
+                            self.block_cache.invalidate(&(table, key.clone()));
+                        }
+                    }
+                }
+                Effect::Replay(table, key, value) => self.handle_put(table, key, value, ctx),
             }
         }
-        self.moved_to.insert((m.table, m.region), m.target);
-        self.migrated_in.remove(&(m.table, m.region));
-        self.handoffs += 1;
-        let frozen = m.frozen.len() as u64;
-        for (key, value) in m.frozen {
-            let bytes = key.len() as u64 + value.size() + ITEM_OVERHEAD;
-            ctx.send(
-                self.spec.data_id(m.target),
-                Msg::Put {
-                    table: m.table,
-                    key,
-                    value,
-                },
-                bytes,
-            );
-        }
-        self.trace
-            .instant(Track::Fault, "mig-cutover", ctx.now(), || {
-                [("mig", mig_id.into()), ("frozen_flushed", frozen.into())]
-            });
-    }
-
-    /// A source-side phase deadline expired (the target crashed or the
-    /// wire lost the handoff): abandon the migration and keep the region.
-    /// Frozen puts replay through the normal put path — the region never
-    /// left, so this node is still the one applier.
-    fn src_mig_timeout<C: RuntimeCtx<Msg>>(&mut self, mig_id: u64, ctx: &mut C) {
-        let now = ctx.now();
-        let Some(m) = self.mig_out.get(&mig_id) else {
-            return;
-        };
-        if now < m.deadline {
-            return; // stale timer from an earlier phase
-        }
-        let m = self.mig_out.remove(&mig_id).expect("checked above");
-        self.trace
-            .instant(Track::Fault, "mig-abort-src", ctx.now(), || {
-                [
-                    ("mig", mig_id.into()),
-                    ("frozen_replayed", ArgVal::U64(m.frozen.len() as u64)),
-                ]
-            });
-        for (key, value) in m.frozen {
-            self.handle_put(m.table, key, value, ctx);
-        }
-        ctx.send(
-            self.spec.controller_id(),
-            Msg::MigAbort {
-                mig_id,
-                from_data: self.idx,
-            },
-            CTRL_BYTES,
-        );
-    }
-
-    // ---- live region migration: target side ----
-
-    /// Snapshot arriving from the source: stage it (one disk write) and
-    /// ask for the delta.
-    fn handle_mig_snapshot<C: RuntimeCtx<Msg>>(
-        &mut self,
-        mig_id: u64,
-        table: TableId,
-        region: usize,
-        from_data: usize,
-        rows: Region,
-        ctx: &mut C,
-    ) {
-        let bytes = rows.bytes();
-        let now = ctx.now();
-        let svc = self.spec.disk_service(bytes.max(1));
-        ctx.use_resource(ResourceKind::Disk, now, svc);
-        let deadline = now + self.mig_timeout;
-        self.mig_in.insert(
-            mig_id,
-            MigIn {
-                table,
-                region,
-                source: from_data,
-                staged: rows,
-                bytes,
-                deadline,
-            },
-        );
-        ctx.send(
-            self.spec.data_id(from_data),
-            Msg::MigFetched { mig_id },
-            CTRL_BYTES,
-        );
-        ctx.set_timer(deadline, TGT_MIG_BIT | mig_id);
-        self.trace
-            .instant(Track::Fault, "mig-snapshot-in", ctx.now(), || {
-                [("mig", mig_id.into()), ("bytes", bytes.into())]
-            });
-    }
-
-    /// The delta: apply it to the staged copy, install the region, and
-    /// report ownership to the source (cutover) and the controller (epoch
-    /// bump).
-    fn handle_mig_commit<C: RuntimeCtx<Msg>>(
-        &mut self,
-        mig_id: u64,
-        delta: Vec<(RowKey, StoredValue)>,
-        ctx: &mut C,
-    ) {
-        let Some(mut m) = self.mig_in.remove(&mig_id) else {
-            return; // aborted locally (crash or timeout) — source will abort too
-        };
-        let mut delta_bytes = 0u64;
-        for (key, value) in delta {
-            delta_bytes += value.size();
-            m.staged.put(key, value);
-        }
-        m.bytes += delta_bytes;
-        if delta_bytes > 0 {
-            let svc = self.spec.disk_service(delta_bytes);
-            ctx.use_resource(ResourceKind::Disk, ctx.now(), svc);
-        }
-        // A failover replica of this region may already sit here (chaos
-        // runs absorb replicas at build time); the migrated copy is the
-        // authoritative, freshly dual-written one and replaces it.
-        if self.server.has_region(m.table, m.region) {
-            self.server.take_region(m.table, m.region);
-        }
-        self.server.install_region(m.table, m.region, m.staged);
-        self.migrated_in.insert((m.table, m.region));
-        // The region may be returning to a node that once handed it off:
-        // the forwarding pointer is dead now.
-        self.moved_to.remove(&(m.table, m.region));
-        ctx.send(
-            self.spec.data_id(m.source),
-            Msg::MigCommitAck { mig_id },
-            CTRL_BYTES,
-        );
-        ctx.send(
-            self.spec.controller_id(),
-            Msg::MigDone {
-                mig_id,
-                table: m.table,
-                region: m.region,
-                target: self.idx,
-                bytes: m.bytes,
-            },
-            CTRL_BYTES,
-        );
-        self.trace
-            .instant(Track::Fault, "mig-install", ctx.now(), || {
-                [("mig", mig_id.into()), ("bytes", m.bytes.into())]
-            });
-    }
-
-    /// A target-side deadline expired waiting for the delta: discard the
-    /// staged copy and tell the controller.
-    fn tgt_mig_timeout<C: RuntimeCtx<Msg>>(&mut self, mig_id: u64, ctx: &mut C) {
-        let now = ctx.now();
-        let Some(m) = self.mig_in.get(&mig_id) else {
-            return;
-        };
-        if now < m.deadline {
-            return;
-        }
-        self.mig_in.remove(&mig_id);
-        self.trace
-            .instant(Track::Fault, "mig-abort-tgt", ctx.now(), || {
-                [("mig", mig_id.into())]
-            });
-        ctx.send(
-            self.spec.controller_id(),
-            Msg::MigAbort {
-                mig_id,
-                from_data: self.idx,
-            },
-            CTRL_BYTES,
-        );
     }
 
     /// The armed heartbeat fired. Only the live chain's fire matches
@@ -1260,40 +861,25 @@ impl DataNode {
                 self.trace
                     .instant(Track::Fault, "deactivate", ctx.now(), || []);
             }
-            Msg::MigrateStart {
-                mig_id,
-                table,
-                region,
-                target,
-            } => self.handle_migrate_start(mig_id, table, region, target, ctx),
-            Msg::MigSnapshot {
-                mig_id,
-                table,
-                region,
-                from_data,
-                rows,
-            } => self.handle_mig_snapshot(mig_id, table, region, from_data, rows, ctx),
-            Msg::MigFetched { mig_id } => self.handle_mig_fetched(mig_id, ctx),
-            Msg::MigCommit { mig_id, delta } => self.handle_mig_commit(mig_id, delta, ctx),
-            Msg::MigCommitAck { mig_id } => self.handle_mig_commit_ack(mig_id, ctx),
-            _ => {}
+            msg => {
+                let hosted = |table, region| self.server.region(table, region).cloned();
+                if let Some((mig_id, event)) = Event::decode(msg, hosted) {
+                    self.migrate(mig_id, event, ctx);
+                }
+            }
         }
     }
 
     /// Kernel timer dispatch: heartbeats, migration phase deadlines, and
     /// batch-completion queue drains.
     pub fn on_timer<C: RuntimeCtx<Msg>>(&mut self, tag: u64, ctx: &mut C) {
-        // HEARTBEAT_TAG is u64::MAX, which carries both bits — match first.
+        // HEARTBEAT_TAG is u64::MAX, which carries MIG_BIT — match first.
         if tag == HEARTBEAT_TAG {
             self.on_heartbeat_timer(ctx);
             return;
         }
-        if tag & SRC_MIG_BIT != 0 {
-            self.src_mig_timeout(tag & !SRC_MIG_BIT, ctx);
-            return;
-        }
-        if tag & TGT_MIG_BIT != 0 {
-            self.tgt_mig_timeout(tag & !TGT_MIG_BIT, ctx);
+        if tag & MIG_BIT != 0 {
+            self.migrate(tag & !MIG_BIT, Event::Timeout, ctx);
             return;
         }
         if let Some(d) = self.drains.remove(&tag) {

@@ -12,6 +12,10 @@
 //! simulated (the deterministic oracle) or wall-clock (also what the
 //! `jl-serve` request/response layer builds on, by pacing the kernel
 //! [`runner::load_host`] returns). Both run the same [`ClusterSim`].
+//!
+//! Live region migration is one sans-IO transition table (the private
+//! `migration` module) that the data node feeds events and whose effects
+//! it performs; the [`controller`] plans migrations and drains.
 
 #![warn(missing_docs)]
 
@@ -21,6 +25,7 @@ pub mod compute_node;
 pub mod config;
 pub mod controller;
 pub mod data_node;
+mod migration;
 pub mod plan;
 pub mod runner;
 pub mod shuffle;

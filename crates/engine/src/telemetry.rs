@@ -58,6 +58,21 @@ impl NodeTrace {
         self.record(track, name, at, None, args);
     }
 
+    /// Record an instant event whose arguments are already built (the
+    /// migration table's trace effects).
+    pub(crate) fn instant_built(
+        &self,
+        track: Track,
+        name: &'static str,
+        at: SimTime,
+        args: &[Arg],
+    ) {
+        if let Some(t) = &self.tel {
+            t.borrow_mut()
+                .record_parts(self.node, track, name, at, None, args);
+        }
+    }
+
     /// Record a complete span covering `[start, end]`.
     #[inline]
     pub(crate) fn span<const N: usize>(

@@ -204,6 +204,31 @@ fn target_crash_mid_handoff_aborts_cleanly() {
     assert_eq!(r.drained_nodes, 0);
 }
 
+/// A node decommissioned while its own join is still streaming regions in
+/// (the first handoff in flight, the rest pending behind the one-per-target
+/// admission rule) must still drain: every region that lands on it after
+/// the drain began is planned off again.
+#[test]
+fn drain_that_starts_mid_join_still_completes() {
+    let c = cluster(4);
+    let mut m = MembershipConfig::static_active(3);
+    m.events = vec![
+        (ms(10), MembershipEvent::Join(3)),
+        (
+            SimDuration::from_micros(10_300),
+            MembershipEvent::Decommission(3),
+        ),
+    ];
+    let r = run_job(&job(&c, m), store(&c, 3), udfs(), tuples(), vec![]);
+    assert_eq!(r.completed, N_TUPLES, "lost or duplicated tuples");
+    assert_eq!(
+        r.fingerprint,
+        reference_fingerprint(),
+        "join output changed"
+    );
+    assert_eq!(r.drained_nodes, 1, "the mid-join drain never finished");
+}
+
 /// The acceptance churn plan: 3 joins, 3 decommissions, and a crash
 /// during an active migration (restarting later), on a 6-node fleet
 /// starting at 3 active. Reconciliation is exact.
