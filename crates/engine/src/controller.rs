@@ -191,15 +191,9 @@ impl Controller {
     }
 
     /// Plan a migration: claim the region and queue it behind whatever
-    /// is already moving over the same source or target node.
-    fn start_migration<C: RuntimeCtx<Msg>>(
-        &mut self,
-        source: usize,
-        target: usize,
-        table: TableId,
-        region: usize,
-        ctx: &mut C,
-    ) {
+    /// is already moving over the same source or target node. The caller
+    /// pumps the queue.
+    fn plan_migration(&mut self, source: usize, target: usize, table: TableId, region: usize) {
         self.migrating.insert((table, region));
         self.pending.push_back(Migration {
             table,
@@ -207,7 +201,35 @@ impl Controller {
             source,
             target,
         });
-        self.pump_migrations(ctx);
+    }
+
+    /// The one re-plan rule for drains: every region a draining node owns
+    /// that is not already migrating is planned round-robin over the
+    /// active, non-draining nodes, least-loaded first (owned count, then
+    /// index). Run when a drain begins and whenever a migration ends, it
+    /// moves the drain's own regions, a draining source's aborted handoff,
+    /// and a region that lands on a node after its drain began. Does
+    /// nothing while no node is eligible.
+    fn plan_drains(&mut self) {
+        let stranded: Vec<((TableId, usize), usize)> = self
+            .owner_of
+            .iter()
+            .filter(|&(k, &o)| self.draining[o] && !self.migrating.contains(k))
+            .map(|(&k, &o)| (k, o))
+            .collect();
+        if stranded.is_empty() {
+            return;
+        }
+        let mut eligible: Vec<usize> = (0..self.active.len())
+            .filter(|&k| self.active[k] && !self.draining[k])
+            .collect();
+        if eligible.is_empty() {
+            return;
+        }
+        eligible.sort_by_key(|&k| (self.owned_count(k), k));
+        for (i, ((table, region), source)) in stranded.into_iter().enumerate() {
+            self.plan_migration(source, eligible[i % eligible.len()], table, region);
+        }
     }
 
     /// Launch every pending migration whose source and target are both
@@ -331,13 +353,14 @@ impl Controller {
             j_count += 1;
         }
         for (t, r, src) in moves {
-            self.start_migration(src, j, t, r, ctx);
+            self.plan_migration(src, j, t, r);
         }
+        self.pump_migrations(ctx);
     }
 
     /// Gracefully drain `j`: rent-penalize it cluster-wide, migrate every
-    /// region it owns off (round-robin over the least-loaded survivors),
-    /// and deactivate it once empty.
+    /// region it owns off ([`Self::plan_drains`]), and deactivate it once
+    /// empty.
     fn do_decommission<C: RuntimeCtx<Msg>>(&mut self, j: usize, ctx: &mut C) {
         let Some(spec) = self.spec.clone() else {
             return;
@@ -348,10 +371,10 @@ impl Controller {
         if j >= spec.n_data || !self.active[j] || self.draining[j] {
             return;
         }
-        let mut eligible: Vec<usize> = (0..spec.n_data)
+        let eligible = (0..spec.n_data)
             .filter(|&k| k != j && self.active[k] && !self.draining[k])
-            .collect();
-        if eligible.len() < min_active {
+            .count();
+        if eligible < min_active {
             self.trace
                 .instant(Track::Fault, "decommission-refused", ctx.now(), || {
                     [("node", ArgVal::U64(j as u64))]
@@ -374,17 +397,8 @@ impl Controller {
             .instant(Track::Fault, "member-drain", ctx.now(), || {
                 [("node", ArgVal::U64(j as u64))]
             });
-        // Least-loaded targets first; regions round-robin over them.
-        eligible.sort_by_key(|&k| (self.owned_count(k), k));
-        let regions: Vec<(TableId, usize)> = self
-            .regions_of(j)
-            .into_iter()
-            .filter(|k| !self.migrating.contains(k))
-            .collect();
-        for (i, (t, r)) in regions.into_iter().enumerate() {
-            let tgt = eligible[i % eligible.len()];
-            self.start_migration(j, tgt, t, r, ctx);
-        }
+        self.plan_drains();
+        self.pump_migrations(ctx);
         self.check_drained(ctx);
     }
 
@@ -461,6 +475,7 @@ impl Controller {
                 ("bytes", bytes.into()),
             ]
         });
+        self.plan_drains();
         self.pump_migrations(ctx);
         self.check_drained(ctx);
     }
@@ -479,21 +494,11 @@ impl Controller {
                 ]
             });
         // A drain cannot finish while one of its regions sits still, so a
-        // draining source's aborted handoff is re-planned onto the current
-        // least-loaded healthy target (the failed target may have crashed
-        // mid-handoff; once it restarts it becomes a valid choice again).
-        // Join rebalances are best-effort and are not retried.
-        if self.draining[mig.source]
-            && self.owner_of.get(&(mig.table, mig.region)) == Some(&mig.source)
-        {
-            let spec = self.spec.clone().expect("membership armed");
-            let tgt = (0..spec.n_data)
-                .filter(|&k| k != mig.source && self.active[k] && !self.draining[k])
-                .min_by_key(|&k| (self.owned_count(k), k));
-            if let Some(tgt) = tgt {
-                self.start_migration(mig.source, tgt, mig.table, mig.region, ctx);
-            }
-        }
+        // draining source's aborted handoff is planned again (the failed
+        // target may have crashed mid-handoff; once it restarts it becomes
+        // a valid choice again). Join rebalances are best-effort and are
+        // not retried.
+        self.plan_drains();
         self.pump_migrations(ctx);
         self.check_drained(ctx);
     }

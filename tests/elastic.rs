@@ -274,7 +274,7 @@ fn seeded_churn_plan_reconciles_exactly_once() {
         r.migrations_aborted >= 1,
         "the crash aborted no in-flight handoff"
     );
-    assert!(r.drained_nodes >= 2, "got {} drains", r.drained_nodes);
+    assert_eq!(r.drained_nodes, 3, "every scripted decommission drains");
 }
 
 /// The churn plan — crash, migrations, drains, retries and all — must
