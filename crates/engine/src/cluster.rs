@@ -28,11 +28,6 @@ pub const BATCH_OVERHEAD: u64 = 160;
 /// heartbeat, completion).
 pub(crate) const CTRL_BYTES: u64 = 64;
 
-/// Wire bytes of one row write: a forwarded put or a delta-log entry.
-pub(crate) fn put_bytes(key: &RowKey, value: &StoredValue) -> u64 {
-    key.len() as u64 + value.size() + ITEM_OVERHEAD
-}
-
 /// [`StoredValue`] wrapped for the optimizer's cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Val(pub StoredValue);

@@ -6,10 +6,10 @@
 //! holds a node's handoffs (as source and as target — a node is never both
 //! ends of one id) and every transition, in the one `match` of
 //! [`Migrations::step`]. The data node feeds it events and performs the
-//! [`Effect`]s that come back, in the order listed: that order is the
-//! kernel's `(time, seq)` order, so it is part of the protocol. Nothing here
-//! reads a clock but the `now` passed in, and nothing is sent but what is
-//! returned.
+//! [`Effect`]s that come back, in the order listed: the kernel numbers
+//! what they schedule in that order, so the order is part of the protocol.
+//! Nothing here reads a clock but the `now` passed in, and nothing is sent
+//! but what is returned.
 //!
 //! | end    | phase       | entered on | left on                                |
 //! |--------|-------------|------------|----------------------------------------|
@@ -33,7 +33,7 @@ use jl_simkit::time::{SimDuration, SimTime};
 use jl_store::{Catalog, Region, RowKey, StoredValue, TableId};
 use jl_telemetry::{Arg, ArgVal};
 
-use crate::cluster::{put_bytes, EKey, Msg, BATCH_OVERHEAD, CTRL_BYTES, ITEM_OVERHEAD};
+use crate::cluster::{EKey, Msg, BATCH_OVERHEAD, CTRL_BYTES, ITEM_OVERHEAD};
 
 /// One row write carried by a handoff (the delta log, the freeze buffer).
 pub(crate) type Put = (RowKey, StoredValue);
@@ -183,6 +183,11 @@ pub(crate) struct Migrations {
     handoffs: u64,
 }
 
+/// Wire bytes of one row write: a forwarded put or a delta-log entry.
+fn put_bytes(key: &RowKey, value: &StoredValue) -> u64 {
+    key.len() as u64 + value.size() + ITEM_OVERHEAD
+}
+
 /// A `fault`-track trace instant whose arguments are counts or ids.
 fn trace(name: &'static str, args: &[(&'static str, u64)]) -> Effect {
     Effect::Trace(
@@ -224,7 +229,7 @@ impl Migrations {
 
     /// The new owner of a region this node handed off: the stale-owner
     /// lookup behind wire-level forwarding.
-    pub(crate) fn moved_to(&self, table: TableId, region: usize) -> Option<usize> {
+    fn moved_to(&self, table: TableId, region: usize) -> Option<usize> {
         self.moved_to.get(&(table, region)).copied()
     }
 
