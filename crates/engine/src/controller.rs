@@ -181,15 +181,6 @@ impl Controller {
         self.owner_of.values().filter(|&&o| o == j).count()
     }
 
-    /// Regions owned by `j`, in sorted order.
-    fn regions_of(&self, j: usize) -> Vec<(TableId, usize)> {
-        self.owner_of
-            .iter()
-            .filter(|&(_, &o)| o == j)
-            .map(|(&k, _)| k)
-            .collect()
-    }
-
     /// Plan a migration: claim the region and queue it behind whatever
     /// is already moving over the same source or target node. The caller
     /// pumps the queue.
@@ -339,11 +330,12 @@ impl Controller {
             if cnt <= share {
                 break;
             }
-            let Some(&(t, r)) = self
-                .regions_of(donor)
+            // The donor's first region (in key order) not already moving.
+            let free = self
+                .owner_of
                 .iter()
-                .find(|k| !self.migrating.contains(k))
-            else {
+                .find(|&(k, &o)| o == donor && !self.migrating.contains(k));
+            let Some((&(t, r), _)) = free else {
                 counts.remove(&donor);
                 continue;
             };

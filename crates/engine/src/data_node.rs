@@ -179,7 +179,7 @@ impl DataNode {
         self.membership_on = true;
         self.mem_active = active;
         self.heartbeat = heartbeat;
-        self.mig.set_timeout(mig_timeout);
+        self.mig = Migrations::new(self.idx, mig_timeout);
     }
 
     /// Live membership state for observability: `None` on static runs,
@@ -786,9 +786,7 @@ impl DataNode {
                     ctx.send(to, msg, bytes);
                 }
                 Effect::Timer(at, mig_id) => ctx.set_timer(at, MIG_BIT | mig_id),
-                Effect::Trace(name, args) => {
-                    self.trace.instant_built(Track::Fault, name, now, &args);
-                }
+                Effect::Trace(name, args) => self.trace.fault(name, now, &args),
                 Effect::Install(table, region, rows) => {
                     self.server.take_region(table, region);
                     self.server.install_region(table, region, rows);

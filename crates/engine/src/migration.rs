@@ -209,11 +209,6 @@ impl Migrations {
         }
     }
 
-    /// Set the per-phase timeout.
-    pub(crate) fn set_timeout(&mut self, timeout: SimDuration) {
-        self.timeout = timeout;
-    }
-
     /// Completed outbound handoffs.
     pub(crate) fn handoffs(&self) -> u64 {
         self.handoffs
@@ -365,11 +360,10 @@ impl Migrations {
                         &[("mig", id), ("bytes", bytes), ("target", target as u64)],
                     ),
                 ];
-                let peer = target;
                 let link = Link {
                     table,
                     region,
-                    peer,
+                    peer: target,
                     deadline,
                 };
                 (Some((link, DualWrite(Vec::new()))), effects)
@@ -716,12 +710,8 @@ mod tests {
                 assert_eq!(phase(&m), "none", "{from} at {now:?}");
                 assert!(!effects.iter().any(|e| matches!(e, Effect::Install(..))));
                 let abort = |e: &Effect| {
-                    let want = Msg::MigAbort {
-                        mig_id: 7,
-                        from_data: NODE,
-                    };
                     matches!(e, Effect::Send(Peer::Controller, msg, CTRL_BYTES)
-                        if format!("{msg:?}") == format!("{want:?}"))
+                        if format!("{msg:?}") == "MigAbort { mig_id: 7, from_data: 1 }")
                 };
                 assert_eq!(effects.iter().filter(|e| abort(e)).count(), 1);
                 assert!(abort(effects.last().unwrap()), "the abort goes out last");

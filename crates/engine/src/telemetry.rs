@@ -58,18 +58,12 @@ impl NodeTrace {
         self.record(track, name, at, None, args);
     }
 
-    /// Record an instant event whose arguments are already built (the
-    /// migration table's trace effects).
-    pub(crate) fn instant_built(
-        &self,
-        track: Track,
-        name: &'static str,
-        at: SimTime,
-        args: &[Arg],
-    ) {
+    /// Record an instant on the `fault` track whose arguments are already
+    /// built (the migration table's trace effects).
+    pub(crate) fn fault(&self, name: &'static str, at: SimTime, args: &[Arg]) {
         if let Some(t) = &self.tel {
             t.borrow_mut()
-                .record_parts(self.node, track, name, at, None, args);
+                .record_parts(self.node, Track::Fault, name, at, None, args);
         }
     }
 
