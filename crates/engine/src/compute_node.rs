@@ -9,7 +9,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use jl_core::compute::ComputeRuntime;
-use jl_core::types::{Action, NodeHealth, ResponseItem, ValueSource};
+use jl_core::types::{Action, NodeHealth, ResponsePayload, ValueSource};
 use jl_costmodel::NodeCosts;
 use jl_runtime::RuntimeCtx;
 use jl_simkit::prelude::*;
@@ -22,19 +22,8 @@ use jl_core::shed::{ShedCandidate, ShedPolicy};
 use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, CTRL_BYTES, ITEM_OVERHEAD};
 use crate::config::{ClusterSpec, FeedMode, OverloadConfig, RetryConfig};
 use crate::plan::{decode_params, encode_params, output_fingerprint, survives, JobPlan, JobTuple};
+use crate::requests::{Event, Requests, Timer, Verdict};
 use crate::telemetry::NodeTrace;
-
-/// Timer tag reserved for batch-deadline polling.
-const DEADLINE_TAG: u64 = u64::MAX;
-
-/// Tag bit marking per-request retry timers (`RETRY_BIT | req_id`).
-/// Request ids are sequential and never reach this bit. `DEADLINE_TAG`
-/// also carries the bit, so the deadline check must come first.
-const RETRY_BIT: u64 = 1 << 63;
-
-/// Tag bit marking NACK re-present timers (`NACK_BIT | req_id`). Disjoint
-/// from `RETRY_BIT`; `DEADLINE_TAG` carries both, so it is checked first.
-const NACK_BIT: u64 = 1 << 62;
 
 /// How many queue-head entries the shed policy scans when an arrival
 /// overflows the bounded ingest queue. The head holds the oldest (and
@@ -70,12 +59,6 @@ pub enum TupleFate {
 /// `(seq, fate, now)`. Used by `jl-serve` to answer requests as they
 /// finish; `None` (every sim path) costs one branch per completion.
 pub type CompletionHook = Box<dyn FnMut(u64, TupleFate, SimTime)>;
-
-struct PendingLocal {
-    key: EKey,
-    params: Bytes,
-    value: Val,
-}
 
 /// Per-run counters a compute node reports.
 #[derive(Debug, Clone, Copy, Default)]
@@ -113,32 +96,22 @@ pub struct ComputeNode {
     spec: ClusterSpec,
     feed: FeedMode,
     input: VecDeque<JobTuple>,
-    /// Tuples currently somewhere in the pipeline, by seq (needed to reach
-    /// later-stage keys).
-    live: FxHashMap<u64, JobTuple>,
-    /// Local executions awaiting their CPU-completion timer.
-    pending_local: FxHashMap<u64, PendingLocal>,
-    /// `(seq, stage)` of every request sent to a data node, by request id.
-    sent: FxHashMap<u64, (u64, u16)>,
+    /// Every live tuple and outstanding request.
+    reqs: Requests,
     report: ComputeNodeReport,
     done_sent: bool,
     flushed_input: bool,
     /// Ingest→completion latency per tuple (streaming diagnosis).
     latency: jl_simkit::stats::DurationHistogram,
-    started_at: FxHashMap<u64, SimTime>,
     /// Request-send→reply latency per remote item.
     remote_lat: jl_simkit::stats::DurationHistogram,
     /// RunLocal issue→completion latency.
     local_lat: jl_simkit::stats::DurationHistogram,
-    /// Send timestamps per remote item, for the remote-latency histogram.
-    sent_at: FxHashMap<u64, SimTime>,
     /// Timeout/retry policy; `None` arms no retry timers at all.
     retry: Option<RetryConfig>,
     /// Failover map: crashed data node -> surviving node that absorbed a
     /// replica of its regions. Only crash-planned nodes appear here.
     backups: Arc<FxHashMap<usize, usize>>,
-    /// Re-issue attempts per request id (absent = first attempt).
-    attempts: FxHashMap<u64, u32>,
     /// Per data node: avoid routing to it until this time (set by
     /// timeouts, cleared by replies).
     down_until: Vec<SimTime>,
@@ -146,18 +119,12 @@ pub struct ComputeNode {
     overload: Option<OverloadConfig>,
     /// Victim selection under pressure (present iff `overload` is).
     shed_policy: Option<Box<dyn ShedPolicy<EKey>>>,
-    /// Per-tuple deadline, by seq (populated only when the overload
-    /// config carries a deadline budget).
-    deadlines: FxHashMap<u64, SimTime>,
     /// Per data node: last piggybacked pressure bit (true between a NACK
     /// or pressured reply and the next clean reply).
     pressured_dests: Vec<bool>,
     /// How many destinations are currently pressured; while nonzero the
     /// issue window is halved (slow issue instead of unbounded buffering).
     n_pressured: usize,
-    /// Ingested tuples later shed mid-flight — outstanding() must not
-    /// wait on them.
-    shed_inflight: u64,
     /// Per-tuple `(seq, outcome)` log, kept only when
     /// `overload.record_outcomes` is set.
     outcomes: Vec<(u64, TupleOutcome)>,
@@ -174,9 +141,6 @@ pub struct ComputeNode {
     /// Per-tuple fate observer (request/response serving). Called once
     /// per tuple, never per event.
     on_complete: Option<CompletionHook>,
-    /// Seqs whose request gave up — so the completion path can tell a
-    /// give-up apart from a normal finish when reporting fate.
-    gave_up_seqs: rustc_hash::FxHashSet<u64>,
     /// Runtime region-ownership overrides from controller `EpochUpdate`s:
     /// `(table, region) -> (epoch, owner)`. Strictly newer epochs win;
     /// regions absent here still route by the static catalog. Empty on
@@ -238,33 +202,25 @@ impl ComputeNode {
             spec,
             feed,
             input: input.into(),
-            live: FxHashMap::default(),
-            pending_local: FxHashMap::default(),
-            sent: FxHashMap::default(),
+            reqs: Requests::new(overload.and_then(|ov| ov.deadline)),
             report: ComputeNodeReport::default(),
             done_sent: false,
             flushed_input: false,
             latency: jl_simkit::stats::DurationHistogram::new(),
-            started_at: FxHashMap::default(),
             remote_lat: jl_simkit::stats::DurationHistogram::new(),
             local_lat: jl_simkit::stats::DurationHistogram::new(),
-            sent_at: FxHashMap::default(),
             retry,
             backups,
-            attempts: FxHashMap::default(),
             down_until: vec![SimTime::ZERO; spec_n_data],
             overload,
             shed_policy,
-            deadlines: FxHashMap::default(),
             pressured_dests: vec![false; spec_n_data],
             n_pressured: 0,
-            shed_inflight: 0,
             outcomes: Vec::new(),
             trace: NodeTrace::default(),
             decision_stage: None,
             outstanding_gauge: None,
             on_complete: None,
-            gave_up_seqs: rustc_hash::FxHashSet::default(),
             overrides: FxHashMap::default(),
             draining: vec![false; spec_n_data],
             stream_expected: 0,
@@ -330,7 +286,7 @@ impl ComputeNode {
             return;
         }
         let now = ctx.now();
-        let v = self.outstanding() as f64;
+        let v = self.reqs.live() as f64;
         self.outstanding_gauge
             .get_or_insert_with(|| jl_simkit::stats::TimeWeightedGauge::new(SimTime::ZERO, 0.0))
             .set(now, v);
@@ -346,7 +302,7 @@ impl ComputeNode {
     /// destinations currently signalling pressure)`. Plain accounting, no
     /// side effects.
     pub fn live_pipeline(&self) -> (u64, u64) {
-        (self.outstanding(), self.n_pressured as u64)
+        (self.reqs.live(), self.n_pressured as u64)
     }
 
     /// Remote request→reply latency distribution.
@@ -379,39 +335,21 @@ impl ComputeNode {
         self.rt.cache_stats()
     }
 
-    fn window(&self) -> usize {
-        match self.feed {
-            FeedMode::Batch { window } | FeedMode::Stream { window, .. } => window,
-        }
-    }
-
     /// The issue window after backpressure: while any destination is
     /// pressured, issue at half rate instead of buffering unboundedly.
     fn window_now(&self) -> usize {
-        let w = self.window();
+        let (FeedMode::Batch { window } | FeedMode::Stream { window, .. }) = self.feed;
         if self.n_pressured > 0 {
-            (w / 2).max(1)
+            (window / 2).max(1)
         } else {
-            w
+            window
         }
-    }
-
-    fn outstanding(&self) -> u64 {
-        self.report.ingested - self.report.completed - self.shed_inflight
     }
 
     /// Per-tuple outcome log (`(seq, Shed | GaveUp)`), populated only
     /// when the overload config sets `record_outcomes`.
     pub fn outcomes(&self) -> &[(u64, TupleOutcome)] {
         &self.outcomes
-    }
-
-    /// The deadline a queued (not yet ingested) tuple is racing: its
-    /// arrival plus the budget. Batch tuples carry no arrival timestamp;
-    /// their budget starts at ingest instead, so they never queue-shed.
-    fn queue_deadline(&self, tuple: &JobTuple) -> Option<SimTime> {
-        let budget = self.overload.as_ref()?.deadline?;
-        (tuple.arrival > SimTime::ZERO).then(|| tuple.arrival + budget)
     }
 
     fn record_outcome(&mut self, seq: u64, outcome: TupleOutcome) {
@@ -438,7 +376,7 @@ impl ComputeNode {
                 let key: EKey = (table, t.keys[0].clone());
                 ShedCandidate {
                     freq: self.rt.key_freq(&key),
-                    deadline: self.queue_deadline(t),
+                    deadline: self.reqs.queue_deadline(t),
                     arrival: t.arrival,
                     key,
                 }
@@ -471,7 +409,7 @@ impl ComputeNode {
 
     /// Called by the kernel at simulation start.
     pub fn on_start<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
-        if matches!(self.feed, FeedMode::Batch { .. }) {
+        if self.is_batch() {
             self.refill(ctx);
         }
     }
@@ -481,7 +419,7 @@ impl ComputeNode {
     }
 
     fn refill<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
-        while (self.outstanding() as usize) < self.window_now() {
+        while (self.reqs.live() as usize) < self.window_now() {
             let Some(tuple) = self.input.pop_front() else {
                 // Batch jobs flush residual batches once the input is
                 // exhausted; streams rely on the max-wait timer because
@@ -496,7 +434,11 @@ impl ComputeNode {
             };
             // Early shed: a queued tuple already past its deadline is
             // doomed — drop it before paying any decision or wire cost.
-            if self.queue_deadline(&tuple).is_some_and(|d| ctx.now() >= d) {
+            if self
+                .reqs
+                .queue_deadline(&tuple)
+                .is_some_and(|d| ctx.now() >= d)
+            {
                 self.note_shed(tuple.seq, "expired-in-queue", ctx);
                 continue;
             }
@@ -505,36 +447,19 @@ impl ComputeNode {
         self.maybe_done(ctx);
     }
 
+    /// Ingest a tuple. Its latency clock and deadline budget start at its
+    /// arrival — time spent waiting in the ingest queue is exactly what
+    /// an overloaded run must answer for — or, for a batch tuple (no
+    /// arrival timestamp), now.
     fn start_tuple<C: RuntimeCtx<Msg>>(&mut self, tuple: JobTuple, ctx: &mut C) {
         self.report.ingested += 1;
-        let seq = tuple.seq;
-        if let Some(budget) = self.overload.as_ref().and_then(|ov| ov.deadline) {
-            // Streaming budgets run from arrival (queue wait counts);
-            // batch tuples have no arrival and start their budget here.
-            let base = if tuple.arrival > SimTime::ZERO {
-                tuple.arrival
-            } else {
-                ctx.now()
-            };
-            self.deadlines.insert(seq, base + budget);
-        }
-        // Latency is ingest→completion: a streaming tuple's clock starts
-        // at its arrival — time spent waiting in the ingest queue is
-        // exactly what an overloaded run must answer for — while a batch
-        // tuple (no arrival timestamp) starts when it is issued.
-        let t0 = if tuple.arrival > SimTime::ZERO {
-            tuple.arrival
-        } else {
-            ctx.now()
-        };
-        self.started_at.insert(seq, t0);
-        self.live.insert(seq, tuple);
+        let seq = self.reqs.start(tuple, ctx.now());
         self.tel_outstanding(ctx);
         self.issue_stage(seq, 0, ctx);
     }
 
     fn issue_stage<C: RuntimeCtx<Msg>>(&mut self, seq: u64, stage: u16, ctx: &mut C) {
-        let tuple = &self.live[&seq];
+        let tuple = self.reqs.tuple(seq);
         let spec = &self.plan.stages[stage as usize];
         let row = tuple.keys[stage as usize].clone();
         let params = encode_params(seq, stage, tuple.params_size);
@@ -577,30 +502,20 @@ impl ComputeNode {
                     };
                     let grant = ctx.use_resource(ResourceKind::Cpu, ready, value.0.udf_cpu());
                     self.local_lat.record(grant.done.since(ctx.now()));
-                    self.pending_local
-                        .insert(req_id, PendingLocal { key, params, value });
-                    ctx.set_timer(grant.done, req_id);
+                    self.reqs.run_local(req_id, key, params, value);
+                    ctx.set_timer(grant.done, Timer::Local(req_id).tag());
                 }
                 Action::Send { dest, batch } => {
                     let mut bytes = BATCH_OVERHEAD;
                     for item in &batch.items {
                         let (seq, stage) = decode_params(&item.params);
-                        self.sent.insert(item.req_id, (seq, stage));
-                        self.sent_at.insert(item.req_id, ctx.now());
+                        self.reqs.sent(item.req_id, seq, stage, ctx.now());
                         bytes += item.key.1.len() as u64 + item.params.len() as u64 + ITEM_OVERHEAD;
                     }
-                    if let Some(rc) = self.retry {
+                    if let Some(rc) = &self.retry {
                         for item in &batch.items {
-                            let a = self.attempts.get(&item.req_id).copied().unwrap_or(0);
-                            let mut to = rc.timeout_for(a);
-                            // The deadline budget is authoritative: a
-                            // retry timer may never be armed past it, so
-                            // backoff cannot extend a tuple's total
-                            // latency beyond its budget.
-                            if let Some(rem) = self.remaining_budget(item.req_id, ctx.now()) {
-                                to = to.min(rem);
-                            }
-                            ctx.set_timer_after(to, RETRY_BIT | item.req_id);
+                            let to = self.reqs.retry_after(item.req_id, rc, ctx.now());
+                            ctx.set_timer_after(to, Timer::Retry(item.req_id).tag());
                         }
                     }
                     let to = self.route(dest, &batch, ctx);
@@ -616,7 +531,7 @@ impl ComputeNode {
             }
         }
         if let Some(deadline) = self.rt.next_deadline() {
-            ctx.set_timer(deadline, DEADLINE_TAG);
+            ctx.set_timer(deadline, Timer::Flush.tag());
         }
     }
 
@@ -658,24 +573,6 @@ impl ComputeNode {
         self.spec.data_id(dest)
     }
 
-    /// The deadline of the tuple `req_id` is working for, if both the
-    /// request is known and deadline budgets are on.
-    fn deadline_of_req(&self, req_id: u64) -> Option<SimTime> {
-        let (seq, _) = self.sent.get(&req_id)?;
-        self.deadlines.get(seq).copied()
-    }
-
-    /// Time left in `req_id`'s deadline budget (`ZERO` once expired);
-    /// `None` when no budget applies.
-    fn remaining_budget(&self, req_id: u64, now: SimTime) -> Option<SimDuration> {
-        let dl = self.deadline_of_req(req_id)?;
-        Some(if dl > now {
-            dl.since(now)
-        } else {
-            SimDuration::ZERO
-        })
-    }
-
     /// Shed an in-flight request whose deadline is hopeless: abandon the
     /// request, drop the tuple from the pipeline with a `Shed` outcome,
     /// and free its window slot. The typed counterpart of give-up — but
@@ -683,170 +580,116 @@ impl ComputeNode {
     fn shed_request<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, why: &'static str, ctx: &mut C) {
         self.rt.abandon(req_id);
         self.drain_decisions(ctx);
-        self.attempts.remove(&req_id);
-        self.sent_at.remove(&req_id);
-        let Some((seq, _stage)) = self.sent.remove(&req_id) else {
+        let Some(seq) = self.reqs.shed(req_id) else {
             return;
         };
-        self.live.remove(&seq);
-        self.deadlines.remove(&seq);
-        self.started_at.remove(&seq);
-        self.shed_inflight += 1;
         self.note_shed(seq, why, ctx);
         self.tel_outstanding(ctx);
         self.refill(ctx);
     }
 
-    /// A NACK arrived: the destination's ingest queue refused the batch.
-    /// Treat it like a Degraded signal for the decision plane, then
-    /// re-present each request after the backoff — unless its deadline is
-    /// already hopeless, in which case shed it now.
-    fn handle_nack<C: RuntimeCtx<Msg>>(
-        &mut self,
-        from_data: usize,
-        req_ids: Vec<u64>,
-        ctx: &mut C,
-    ) {
-        let Some(ov) = self.overload else { return };
-        self.report.nacks += 1;
-        if !self.pressured_dests[from_data] {
-            self.pressured_dests[from_data] = true;
-            self.n_pressured += 1;
-        }
-        self.rt.set_health(from_data, NodeHealth::Degraded);
-        self.trace.instant(Track::Fault, "nacked", ctx.now(), || {
-            [
-                ("from_data", ArgVal::U64(from_data as u64)),
-                ("items", ArgVal::U64(req_ids.len() as u64)),
-            ]
-        });
-        for req_id in req_ids {
-            if self.rt.inflight_info(req_id).is_none() {
-                continue;
+    /// Act on a NACK or a fired timer for `req_id` as the request table
+    /// judges it. Stale timers — the reply already arrived, or the id was
+    /// superseded by an earlier re-issue — are no-ops, which is what makes
+    /// premature timeouts safe: they can duplicate work but never
+    /// completions.
+    fn on_request<C: RuntimeCtx<Msg>>(&mut self, event: Event, req_id: u64, ctx: &mut C) {
+        let flying = self.rt.inflight_info(req_id);
+        let (now, retry) = (ctx.now(), self.retry.as_ref());
+        let verdict = self.reqs.judge(event, req_id, flying.is_some(), now, retry);
+        let Some((dest, _)) = flying else {
+            return;
+        };
+        match verdict {
+            Verdict::Ignore => {}
+            Verdict::Shed(why) => self.shed_request(req_id, why, ctx),
+            Verdict::Backoff => {
+                if let Some(ov) = self.overload {
+                    ctx.set_timer_after(ov.nack_backoff, Timer::Represent(req_id).tag());
+                }
             }
-            if self
-                .remaining_budget(req_id, ctx.now())
-                .is_some_and(|rem| rem == SimDuration::ZERO)
-            {
-                self.shed_request(req_id, "deadline-on-nack", ctx);
-            } else {
-                ctx.set_timer_after(ov.nack_backoff, NACK_BIT | req_id);
+            Verdict::Represent => self.reissue(req_id, dest, false, None, ctx),
+            Verdict::Reissue { flip } => {
+                let attempt = self.timed_out(req_id, dest, ctx);
+                self.reissue(req_id, dest, flip, Some(attempt), ctx);
+            }
+            Verdict::GiveUp => {
+                self.timed_out(req_id, dest, ctx);
+                self.give_up(req_id, ctx);
             }
         }
     }
 
-    /// A NACK backoff expired: re-present the request to its destination
-    /// (same dest, same kind, no attempt bump — admission refusal is not
-    /// a timeout). Stale timers are no-ops, exactly like retry timers.
-    fn handle_nack_retry<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, ctx: &mut C) {
-        let Some((dest, _)) = self.rt.inflight_info(req_id) else {
-            return;
-        };
-        if self
-            .remaining_budget(req_id, ctx.now())
-            .is_some_and(|rem| rem == SimDuration::ZERO)
-        {
-            self.shed_request(req_id, "deadline-on-represent", ctx);
-            return;
-        }
-        let reissued = self.rt.reissue(req_id, dest, false);
-        self.drain_decisions(ctx);
-        let Some((new_id, action)) = reissued else {
-            return;
-        };
-        if let Some(m) = self.sent.remove(&req_id) {
-            self.sent.insert(new_id, m);
-        }
-        if let Some(a) = self.attempts.remove(&req_id) {
-            self.attempts.insert(new_id, a);
-        }
-        self.sent_at.remove(&req_id);
-        self.handle_actions(vec![action], ctx);
-    }
-
-    /// A retry timer fired for `req_id`: if the request is still
-    /// unanswered, mark its destination unhealthy and re-issue (or give
-    /// up once retries are exhausted). Stale timers — the reply already
-    /// arrived, or the id was superseded by an earlier re-issue — are
-    /// no-ops, which is what makes premature timeouts safe: they can
-    /// duplicate work but never completions.
-    fn handle_retry<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, ctx: &mut C) {
-        let Some(rc) = self.retry else { return };
-        let Some((old_dest, _)) = self.rt.inflight_info(req_id) else {
-            self.attempts.remove(&req_id);
-            return;
-        };
-        // The deadline budget is authoritative over retry timeouts: when
-        // the timer was capped at the remaining budget it fired at budget
-        // expiry, not at a timeout — that is no evidence against the node,
-        // and re-issuing could only finish late. Shed instead.
-        if self
-            .remaining_budget(req_id, ctx.now())
-            .is_some_and(|rem| rem == SimDuration::ZERO)
-        {
-            self.shed_request(req_id, "deadline-on-timeout", ctx);
-            return;
-        }
-        // Timeout observed. If the node has a failover replica, treat it
-        // as down and reroute; otherwise keep probing it (slow links and
-        // stragglers recover on their own) but tell the optimizer it is
-        // degraded so ski-rental prices rents against it up.
-        self.down_until[old_dest] = ctx.now() + rc.down_cooldown;
-        let health = if self.backups.contains_key(&old_dest) {
+    /// `req_id` timed out at `dest`. If the node has a failover replica,
+    /// treat it as down and reroute; otherwise keep probing it (slow links
+    /// and stragglers recover on their own) but tell the optimizer it is
+    /// degraded so ski-rental prices rents against it up. Returns the
+    /// attempt the timeout starts.
+    fn timed_out<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, dest: usize, ctx: &mut C) -> u32 {
+        let rc = self.retry.expect("only a retry config arms retry timers");
+        self.down_until[dest] = ctx.now() + rc.down_cooldown;
+        let health = if self.backups.contains_key(&dest) {
             NodeHealth::Down
         } else {
             NodeHealth::Degraded
         };
-        self.rt.set_health(old_dest, health);
-        let attempt = self.attempts.remove(&req_id).unwrap_or(0) + 1;
-        if let Some(&t0) = self.sent_at.get(&req_id) {
-            self.trace.span(Track::Fault, "timeout", t0, ctx.now(), || {
-                [
-                    ("req", req_id.into()),
-                    ("dest", ArgVal::U64(old_dest as u64)),
-                    ("attempt", ArgVal::U64(attempt.into())),
-                ]
-            });
+        self.rt.set_health(dest, health);
+        let remote = self.reqs.remote(req_id).copied();
+        let attempt = remote.map_or(0, |r| r.attempt);
+        if let Some(r) = remote {
+            self.trace
+                .span(Track::Fault, "timeout", r.sent_at, ctx.now(), || {
+                    [
+                        ("req", req_id.into()),
+                        ("dest", ArgVal::U64(dest as u64)),
+                        ("attempt", ArgVal::U64(attempt.into())),
+                    ]
+                });
         }
-        if attempt > rc.max_retries {
-            self.rt.abandon(req_id);
-            self.drain_decisions(ctx);
-            self.sent_at.remove(&req_id);
-            self.report.gave_up += 1;
-            self.trace.instant(Track::Fault, "gave-up", ctx.now(), || {
-                [("req", req_id.into())]
-            });
-            if let Some((seq, stage)) = self.sent.remove(&req_id) {
-                self.record_outcome(seq, TupleOutcome::GaveUp);
-                if self.on_complete.is_some() {
-                    self.gave_up_seqs.insert(seq);
-                }
-                self.stage_finished(seq, stage, None, ctx);
-            }
-            return;
-        }
-        // Second attempt flips the request's side: a compute request that
-        // keeps timing out becomes a fetch (the UDF can run anywhere), a
-        // stalled fetch becomes a compute request.
-        let flip = attempt == 2;
-        let reissued = self.rt.reissue(req_id, old_dest, flip);
+        attempt
+    }
+
+    /// Re-issue `req_id` to `dest` under a new id. A retry (`attempt` set)
+    /// is counted and traced; a NACK re-present is neither.
+    fn reissue<C: RuntimeCtx<Msg>>(
+        &mut self,
+        req_id: u64,
+        dest: usize,
+        flip: bool,
+        attempt: Option<u32>,
+        ctx: &mut C,
+    ) {
+        let reissued = self.rt.reissue(req_id, dest, flip);
         self.drain_decisions(ctx);
         let Some((new_id, action)) = reissued else {
             return;
         };
-        self.report.retries += 1;
-        self.trace.instant(Track::Fault, "retry", ctx.now(), || {
-            [
-                ("req", req_id.into()),
-                ("attempt", ArgVal::U64(attempt.into())),
-            ]
-        });
-        self.attempts.insert(new_id, attempt);
-        if let Some(m) = self.sent.remove(&req_id) {
-            self.sent.insert(new_id, m);
+        if let Some(attempt) = attempt {
+            self.report.retries += 1;
+            self.trace.instant(Track::Fault, "retry", ctx.now(), || {
+                [
+                    ("req", req_id.into()),
+                    ("attempt", ArgVal::U64(attempt.into())),
+                ]
+            });
         }
-        self.sent_at.remove(&req_id);
+        self.reqs.rekey(req_id, new_id);
         self.handle_actions(vec![action], ctx);
+    }
+
+    /// Retries are exhausted: abandon `req_id` and complete its tuple with
+    /// no output.
+    fn give_up<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, ctx: &mut C) {
+        self.rt.abandon(req_id);
+        self.drain_decisions(ctx);
+        self.report.gave_up += 1;
+        self.trace.instant(Track::Fault, "gave-up", ctx.now(), || {
+            [("req", req_id.into())]
+        });
+        if let Some(r) = self.reqs.give_up(req_id) {
+            self.record_outcome(r.seq, TupleOutcome::GaveUp);
+            self.stage_finished(r.seq, r.stage, None, ctx);
+        }
     }
 
     /// A stage of a tuple produced `output` (or was filtered/missing when
@@ -868,28 +711,25 @@ impl ComputeNode {
         if advance {
             self.issue_stage(seq, stage + 1, ctx);
         } else {
-            self.live.remove(&seq);
-            // A tuple that completes past its budget is a deadline miss
-            // (late, but not shed — its output still counts).
-            if let Some(dl) = self.deadlines.remove(&seq) {
-                if ctx.now() > dl {
+            let mut fate = TupleFate::Done;
+            if let Some((ended, late)) = self.reqs.finish(seq, ctx.now()) {
+                // A tuple that completes past its budget is a deadline
+                // miss (late, but not shed — its output still counts).
+                if late {
                     self.report.deadline_misses += 1;
                 }
-            }
-            if let Some(t0) = self.started_at.remove(&seq) {
+                let t0 = ended.started;
                 self.latency.record(ctx.now().since(t0));
                 self.trace
                     .span(Track::Lifecycle, "tuple", t0, ctx.now(), || {
                         [("seq", seq.into())]
                     });
+                if ended.gave_up {
+                    fate = TupleFate::GaveUp;
+                }
             }
             self.report.completed += 1;
             if let Some(hook) = &mut self.on_complete {
-                let fate = if self.gave_up_seqs.remove(&seq) {
-                    TupleFate::GaveUp
-                } else {
-                    TupleFate::Done
-                };
                 hook(seq, fate, ctx.now());
             }
             self.tel_outstanding(ctx);
@@ -910,7 +750,7 @@ impl ComputeNode {
                 self.stream_expected > 0 && self.stream_received >= self.stream_expected
             }
         };
-        if stream_drained && self.input.is_empty() && self.outstanding() == 0 {
+        if stream_drained && self.input.is_empty() && self.reqs.live() == 0 {
             self.done_sent = true;
             ctx.send(self.spec.controller_id(), Msg::Done, CTRL_BYTES);
         }
@@ -946,12 +786,6 @@ impl ComputeNode {
                     self.down_until[from_data] = ctx.now();
                     let h = self.base_health(from_data);
                     self.rt.set_health(from_data, h);
-                    for item in &items {
-                        self.attempts.remove(&item.req_id);
-                    }
-                    for (req_id, _) in &outputs {
-                        self.attempts.remove(req_id);
-                    }
                 }
                 // Piggybacked backpressure. Applied *after* the retry
                 // plane's proof-of-life Healthy above, so a pressured
@@ -978,7 +812,7 @@ impl ComputeNode {
                     }
                 }
                 for item in &items {
-                    if let Some(t0) = self.sent_at.remove(&item.req_id) {
+                    if let Some(t0) = self.reqs.remote(item.req_id).map(|r| r.sent_at) {
                         self.remote_lat.record(ctx.now().since(t0));
                         self.trace.span(Track::Wire, "request", t0, ctx.now(), || {
                             [
@@ -988,32 +822,46 @@ impl ComputeNode {
                         });
                     }
                 }
-                // Outputs computed at the data node complete their stage.
+                // A missing row completes its stage empty, then outputs
+                // computed at the data node complete theirs; a returned
+                // value (a data request or a bounce) runs locally below.
                 for item in &items {
-                    if matches!(item.payload, jl_core::types::ResponsePayload::Missing) {
-                        if let Some((seq, stage)) = self.sent.remove(&item.req_id) {
-                            self.stage_finished(seq, stage, None, ctx);
-                        }
+                    if matches!(item.payload, ResponsePayload::Computed { .. }) {
+                        continue;
+                    }
+                    let answered = self.reqs.answered(item.req_id);
+                    if let (ResponsePayload::Missing, Some(r)) = (&item.payload, answered) {
+                        self.stage_finished(r.seq, r.stage, None, ctx);
                     }
                 }
                 for (req_id, out) in &outputs {
-                    if let Some((seq, stage)) = self.sent.remove(req_id) {
-                        self.stage_finished(seq, stage, Some(out), ctx);
+                    if let Some(r) = self.reqs.answered(*req_id) {
+                        self.stage_finished(r.seq, r.stage, Some(out), ctx);
                     }
                 }
-                // Returned values (data requests and bounces) run locally.
-                let value_items: Vec<ResponseItem<EKey, Val>> = items;
-                for it in &value_items {
-                    if matches!(it.payload, jl_core::types::ResponsePayload::Value { .. }) {
-                        self.sent.remove(&it.req_id);
-                    }
-                }
-                let actions = self.rt.on_batch_response(from_data, value_items);
+                let actions = self.rt.on_batch_response(from_data, items);
                 self.drain_decisions(ctx);
                 self.handle_actions(actions, ctx);
             }
-            Msg::Nack { from_data, req_ids } => {
-                self.handle_nack(from_data, req_ids, ctx);
+            // The destination's ingest queue refused the batch: a Degraded
+            // signal for the decision plane, then each request is judged
+            // (re-presented after the backoff, or shed if hopeless).
+            Msg::Nack { from_data, req_ids } if self.overload.is_some() => {
+                self.report.nacks += 1;
+                if !self.pressured_dests[from_data] {
+                    self.pressured_dests[from_data] = true;
+                    self.n_pressured += 1;
+                }
+                self.rt.set_health(from_data, NodeHealth::Degraded);
+                self.trace.instant(Track::Fault, "nacked", ctx.now(), || {
+                    [
+                        ("from_data", ArgVal::U64(from_data as u64)),
+                        ("items", ArgVal::U64(req_ids.len() as u64)),
+                    ]
+                });
+                for req_id in req_ids {
+                    self.on_request(Event::Nack, req_id, ctx);
+                }
             }
             Msg::Invalidate { key } => {
                 self.rt.on_update_notice(&key);
@@ -1023,16 +871,14 @@ impl ComputeNode {
                 // Controller-driven membership health: sticky until the
                 // next HealthUpdate (reply-driven resets go through
                 // base_health and preserve the draining mark).
-                self.draining[node] = health == NodeHealth::Draining;
+                let draining = health == NodeHealth::Draining;
+                self.draining[node] = draining;
                 self.rt.set_health(node, health);
                 self.trace
                     .instant(Track::Fault, "health-update", ctx.now(), || {
                         [
                             ("data", ArgVal::U64(node as u64)),
-                            (
-                                "draining",
-                                ArgVal::U64((health == NodeHealth::Draining).into()),
-                            ),
+                            ("draining", ArgVal::U64(draining.into())),
                         ]
                     });
             }
@@ -1061,34 +907,29 @@ impl ComputeNode {
         }
     }
 
-    /// Kernel timer dispatch: local UDF completions, batch deadlines, and
-    /// per-request retry timeouts.
+    /// Kernel timer dispatch: local UDF completions, batch deadlines,
+    /// NACK re-presents and per-request retry timeouts.
     pub fn on_timer<C: RuntimeCtx<Msg>>(&mut self, tag: u64, ctx: &mut C) {
-        // DEADLINE_TAG is u64::MAX, which also carries RETRY_BIT — it must
-        // be checked first.
-        if tag == DEADLINE_TAG {
-            let actions = self.rt.poll(ctx.now());
-            self.drain_decisions(ctx);
-            self.handle_actions(actions, ctx);
-            return;
-        }
-        if tag & RETRY_BIT != 0 {
-            self.handle_retry(tag & !RETRY_BIT, ctx);
-            return;
-        }
-        if tag & NACK_BIT != 0 {
-            self.handle_nack_retry(tag & !NACK_BIT, ctx);
-            return;
-        }
-        let Some(p) = self.pending_local.remove(&tag) else {
+        let req_id = match Timer::decode(tag) {
+            Timer::Flush => {
+                let actions = self.rt.poll(ctx.now());
+                self.drain_decisions(ctx);
+                self.handle_actions(actions, ctx);
+                return;
+            }
+            Timer::Retry(req_id) => return self.on_request(Event::Retry, req_id, ctx),
+            Timer::Represent(req_id) => return self.on_request(Event::Represent, req_id, ctx),
+            Timer::Local(req_id) => req_id,
+        };
+        let Some((key, params, value)) = self.reqs.take_local(req_id) else {
             return;
         };
-        let (seq, stage) = decode_params(&p.params);
+        let (seq, stage) = decode_params(&params);
         let spec = &self.plan.stages[stage as usize];
         let udf = self.udfs.get(spec.udf).expect("udf registered").clone();
-        let out = udf.apply(&p.key.1, &p.params, &p.value.0);
+        let out = udf.apply(&key.1, &params, &value.0);
         self.rt
-            .on_local_done(tag, p.value.0.udf_cpu().as_secs_f64());
+            .on_local_done(req_id, value.0.udf_cpu().as_secs_f64());
         self.drain_decisions(ctx);
         self.stage_finished(seq, stage, Some(&out), ctx);
     }

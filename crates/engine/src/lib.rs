@@ -15,7 +15,11 @@
 //!
 //! Live region migration is one sans-IO transition table (the private
 //! `migration` module) that the data node feeds events and whose effects
-//! it performs; the [`controller`] plans migrations and drains.
+//! it performs; the [`controller`] plans migrations and drains. The
+//! compute node's tuples and requests are one sans-IO table too (the
+//! private `requests` module): one record per live tuple and per
+//! outstanding request, one timer-tag decoder, and one rule for what a
+//! NACK or a fired timer does.
 
 #![warn(missing_docs)]
 
@@ -27,6 +31,7 @@ pub mod controller;
 pub mod data_node;
 mod migration;
 pub mod plan;
+mod requests;
 pub mod runner;
 pub mod shuffle;
 pub mod telemetry;
