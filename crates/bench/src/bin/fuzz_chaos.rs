@@ -47,7 +47,7 @@ use jl_core::{OptimizerConfig, ShedMode, Strategy};
 use jl_engine::{
     build_store, build_store_active, reference_run, run_job, ClusterSpec, FeedMode, JobPlan,
     JobSpec, JobTuple, MembershipConfig, MembershipEvent, OverloadConfig, RetryConfig, RunReport,
-    TupleOutcome,
+    TupleFate,
 };
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::rng::{splitmix64, stream_rng};
@@ -289,11 +289,9 @@ fn churn_plan(case: &Case, baseline: SimDuration, timeout: SimDuration) -> Membe
     m
 }
 
-/// The case's overload config. Outcome recording is always on — the
-/// fingerprint reconciliation needs to know *which* tuples shed or gave
-/// up, not just how many.
+/// The case's overload config.
 fn overload_for(case: &Case, healthy_p99: SimDuration) -> OverloadConfig {
-    let mut cfg = if case.bounded {
+    let cfg = if case.bounded {
         OverloadConfig {
             data_queue_cap: case.data_cap,
             high_watermark: (case.data_cap / 2).max(1),
@@ -304,12 +302,10 @@ fn overload_for(case: &Case, healthy_p99: SimDuration) -> OverloadConfig {
                 .map(|m| SimDuration::from_secs_f64((healthy_p99.as_secs_f64() * m).max(2e-3))),
             nack_backoff: case.nack_backoff,
             shed: case.shed,
-            record_outcomes: true,
         }
     } else {
         OverloadConfig::permissive()
     };
-    cfg.record_outcomes = true;
     cfg.validate();
     cfg
 }
@@ -407,8 +403,9 @@ fn check(
             return Err(format!("outcome log names tuple seq {seq} twice"));
         }
         match outcome {
-            TupleOutcome::Shed => shed_logged += 1,
-            TupleOutcome::GaveUp => gave_up_logged += 1,
+            TupleFate::Shed => shed_logged += 1,
+            TupleFate::GaveUp => gave_up_logged += 1,
+            TupleFate::Done => return Err(format!("outcome log names completed tuple seq {seq}")),
         }
         // Shed tuples never produced output; gave-up tuples completed
         // empty. Either way their reference contribution is absent.
@@ -480,11 +477,7 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
         tuples.clone(),
         None,
         None,
-        {
-            let mut p = OverloadConfig::permissive();
-            p.record_outcomes = true;
-            p
-        },
+        OverloadConfig::permissive(),
         None,
     );
     if healthy.completed != case.n_tuples || healthy.shed != 0 || healthy.gave_up != 0 {

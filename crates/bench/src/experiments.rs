@@ -848,7 +848,6 @@ pub fn overload_bounded_config(
         deadline,
         nack_backoff: SimDuration::from_millis(2),
         shed: jl_core::ShedMode::DeadlineAware,
-        record_outcomes: false,
     }
 }
 

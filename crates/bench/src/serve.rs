@@ -161,7 +161,6 @@ pub fn serve_job(cfg: &ServeConfig, cluster: &ClusterSpec) -> JobSpec {
     optimizer.batch_max_wait = SimDuration::from_millis(2);
     let overload = cfg.overload.then(|| OverloadConfig {
         deadline: cfg.deadline_ms.map(SimDuration::from_millis),
-        record_outcomes: true,
         ..overload_bounded_config(1024, None)
     });
     JobSpec {

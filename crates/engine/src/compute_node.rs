@@ -31,27 +31,18 @@ use crate::telemetry::NodeTrace;
 /// quality while keeping the per-shed cost O(1) in the queue bound.
 const SHED_SCAN: usize = 64;
 
-/// Why a tuple left the pipeline without completing. Reported per tuple
-/// in [`RunReport::outcomes`](crate::runner::RunReport::outcomes) when
-/// [`OverloadConfig::record_outcomes`] is set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TupleOutcome {
-    /// Dropped by overload protection (queue overflow or hopeless
-    /// deadline). A shed tuple does *not* count as completed.
-    Shed,
-    /// Its request exhausted every retry; the tuple completed with no
-    /// output (counted in both `completed` and `gave_up`).
-    GaveUp,
-}
-
-/// How a tuple left the pipeline, as observed by a completion hook.
+/// How a tuple left the pipeline: what a completion hook observes, and
+/// (for every fate but `Done`) what
+/// [`RunReport::outcomes`](crate::runner::RunReport::outcomes) logs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TupleFate {
     /// Completed all stages and produced (fingerprinted) output.
     Done,
-    /// Completed with no output after exhausting every retry.
+    /// Its request exhausted every retry; the tuple completed with no
+    /// output (counted in both `completed` and `gave_up`).
     GaveUp,
-    /// Dropped by overload protection before completing.
+    /// Dropped by overload protection (queue overflow or hopeless
+    /// deadline). A shed tuple does *not* count as completed.
     Shed,
 }
 
@@ -125,9 +116,8 @@ pub struct ComputeNode {
     /// How many destinations are currently pressured; while nonzero the
     /// issue window is halved (slow issue instead of unbounded buffering).
     n_pressured: usize,
-    /// Per-tuple `(seq, outcome)` log, kept only when
-    /// `overload.record_outcomes` is set.
-    outcomes: Vec<(u64, TupleOutcome)>,
+    /// `(seq, fate)` of every tuple that shed or gave up.
+    outcomes: Vec<(u64, TupleFate)>,
     /// This node's tracing handle (inert on untraced runs).
     trace: NodeTrace,
     /// Staging buffer between this node and its staged decision sink,
@@ -346,15 +336,20 @@ impl ComputeNode {
         }
     }
 
-    /// Per-tuple outcome log (`(seq, Shed | GaveUp)`), populated only
-    /// when the overload config sets `record_outcomes`.
-    pub fn outcomes(&self) -> &[(u64, TupleOutcome)] {
+    /// Per-tuple outcome log: `(seq, Shed | GaveUp)` for every tuple that
+    /// did not complete with output.
+    pub fn outcomes(&self) -> &[(u64, TupleFate)] {
         &self.outcomes
     }
 
-    fn record_outcome(&mut self, seq: u64, outcome: TupleOutcome) {
-        if self.overload.is_some_and(|ov| ov.record_outcomes) {
-            self.outcomes.push((seq, outcome));
+    /// Tuple `seq` left the pipeline: log its fate unless it is `Done`,
+    /// and tell the completion hook.
+    fn tuple_ended(&mut self, seq: u64, fate: TupleFate, now: SimTime) {
+        if fate != TupleFate::Done {
+            self.outcomes.push((seq, fate));
+        }
+        if let Some(hook) = &mut self.on_complete {
+            hook(seq, fate, now);
         }
     }
 
@@ -398,10 +393,7 @@ impl ComputeNode {
     /// Count one shed tuple: counter, outcome log, hook, trace instant.
     fn note_shed<C: RuntimeCtx<Msg>>(&mut self, seq: u64, why: &'static str, ctx: &mut C) {
         self.report.shed += 1;
-        self.record_outcome(seq, TupleOutcome::Shed);
-        if let Some(hook) = &mut self.on_complete {
-            hook(seq, TupleFate::Shed, ctx.now());
-        }
+        self.tuple_ended(seq, TupleFate::Shed, ctx.now());
         self.trace.instant(Track::Fault, "shed", ctx.now(), || {
             [("seq", seq.into()), ("why", why.into())]
         });
@@ -687,7 +679,6 @@ impl ComputeNode {
             [("req", req_id.into())]
         });
         if let Some(r) = self.reqs.give_up(req_id) {
-            self.record_outcome(r.seq, TupleOutcome::GaveUp);
             self.stage_finished(r.seq, r.stage, None, ctx);
         }
     }
@@ -729,9 +720,7 @@ impl ComputeNode {
                 }
             }
             self.report.completed += 1;
-            if let Some(hook) = &mut self.on_complete {
-                hook(seq, fate, ctx.now());
-            }
+            self.tuple_ended(seq, fate, ctx.now());
             self.tel_outstanding(ctx);
             self.refill(ctx);
         }

@@ -173,11 +173,6 @@ pub struct OverloadConfig {
     pub nack_backoff: SimDuration,
     /// Which queued tuple the shed policy drops under pressure.
     pub shed: jl_core::ShedMode,
-    /// Record a per-tuple outcome list (`(seq, Shed | GaveUp)`) in the
-    /// [`RunReport`](crate::runner::RunReport), so harnesses (the chaos
-    /// fuzzer) can reconcile the output fingerprint tuple-by-tuple.
-    /// Costs one Vec push per non-completed tuple; off by default.
-    pub record_outcomes: bool,
 }
 
 impl Default for OverloadConfig {
@@ -190,7 +185,6 @@ impl Default for OverloadConfig {
             deadline: None,
             nack_backoff: SimDuration::from_millis(2),
             shed: jl_core::ShedMode::DeadlineAware,
-            record_outcomes: false,
         }
     }
 }

@@ -39,7 +39,7 @@ pub mod verify;
 
 pub use baselines::{run_reduce_side, BaselineReport, ReduceSideKind};
 pub use cluster::{ClusterNode, ClusterSim, EKey, Msg, Val};
-pub use compute_node::{CompletionHook, TupleFate, TupleOutcome};
+pub use compute_node::{CompletionHook, TupleFate};
 pub use config::{
     AutoscaleConfig, ClusterSpec, FeedMode, MembershipConfig, MembershipEvent, NotifyMode,
     OverloadConfig, RetryConfig,

@@ -15,7 +15,7 @@ use jl_store::{Catalog, Partitioning, RegionMap, RowKey, StoreCluster, StoredVal
 use jl_telemetry::{MetricsRegistry, RunTelemetry, TelemetryConfig, TelemetryHandle};
 
 use crate::cluster::{ClusterNode, ClusterSim, EKey, Msg};
-use crate::compute_node::{ComputeNode, TupleOutcome};
+use crate::compute_node::{ComputeNode, TupleFate};
 use crate::config::{ClusterSpec, FeedMode, MembershipConfig, OverloadConfig, RetryConfig};
 use crate::controller::Controller;
 use crate::data_node::DataNode;
@@ -206,10 +206,10 @@ pub struct RunReport {
     /// (the seed's queues are unbounded *and* unmeasured — use
     /// [`OverloadConfig::permissive`] to measure without bounding).
     pub peak_queue_depth: u64,
-    /// Per-tuple `(seq, outcome)` for every tuple that shed or gave up,
-    /// sorted by seq. Populated only when `overload.record_outcomes` is
-    /// set (the fuzz harness's per-tuple accounting surface).
-    pub outcomes: Vec<(u64, TupleOutcome)>,
+    /// Per-tuple `(seq, Shed | GaveUp)` for every tuple that shed or gave
+    /// up, sorted by seq: the per-tuple accounting surface the chaos
+    /// fuzzer reconciles the output fingerprint against.
+    pub outcomes: Vec<(u64, TupleFate)>,
     /// Live region migrations completed (0 without a
     /// [`MembershipConfig`]).
     pub migrations: u64,
@@ -694,7 +694,7 @@ pub fn gather_report(host: &ClusterSim, cluster: &ClusterSpec, end: SimTime) -> 
     let mut deadline_misses = 0u64;
     let mut backpressure_events = 0u64;
     let mut peak_queue_depth = 0u64;
-    let mut outcomes: Vec<(u64, TupleOutcome)> = Vec::new();
+    let mut outcomes: Vec<(u64, TupleFate)> = Vec::new();
     let mut all_latency = jl_simkit::stats::DurationHistogram::new();
     let mut data_utils: Vec<f64> = Vec::new();
     for i in 0..cluster.n_compute {

@@ -154,7 +154,6 @@ fn tiny_admission_cap_exercises_wire_backpressure() {
         deadline: None,
         nack_backoff: SimDuration::from_millis(1),
         shed: ShedMode::OldestFirst,
-        record_outcomes: false,
     };
     let r = run_overload_stream(&cell(&spec, 0.8, &cluster, seed), gap, long(), Some(cfg));
     assert!(
@@ -193,7 +192,6 @@ proptest! {
             deadline: Some(SimDuration::from_millis(20)),
             nack_backoff: SimDuration::from_millis(1),
             shed: ShedMode::DeadlineAware,
-            record_outcomes: false,
         };
         let z = z_tenths as f64 / 10.0;
         let r = run_overload_stream(&cell(&spec, z, &cluster, seed), gap, long(), Some(cfg));

@@ -50,7 +50,6 @@ fn headroom_overload() -> OverloadConfig {
         deadline: None,
         nack_backoff: SimDuration::from_millis(2),
         shed: ShedMode::DeadlineAware,
-        record_outcomes: true,
     }
 }
 
