@@ -726,19 +726,60 @@ mod tests {
         parse(&args)
     }
 
+    /// Force a derived case into a shape.
+    type Force = fn(&mut Case);
+
+    /// Run `(seed, index, force)` rows through `run_case`, calibrating each
+    /// seed once; every case must reconcile exactly once. Returns the
+    /// summed `(retries, gave_up, shed)`.
+    fn run_forced(rows: &[(u64, u64, Force)]) -> (u64, u64, u64) {
+        let mut mu = HashMap::new();
+        let mut sums = (0, 0, 0);
+        for &(seed, i, force) in rows {
+            let mu = *mu.entry(seed).or_insert_with(|| calibrate(seed));
+            let mut case = Case::derive(seed, i, mu);
+            force(&mut case);
+            match run_case(&case) {
+                Ok(r) => sums = (sums.0 + r.retries, sums.1 + r.gave_up, sums.2 + r.shed),
+                Err(e) => panic!("seed {seed} iter {i} {}: {e}", case.describe()),
+            }
+        }
+        sums
+    }
+
     /// The membership-churn sweep, bounded for tier-1: forced-churn cases
     /// (a join and a drain over seeded faults and overload) must reconcile
     /// exactly once, as `fuzz_chaos --seed 11 --iters 4 --churn` checks.
     #[test]
     fn forced_churn_cases_reconcile_exactly_once() {
-        let mu = calibrate(11);
-        for i in 0..4 {
-            let mut case = Case::derive(11, i, mu);
-            case.churn = true;
-            if let Err(e) = run_case(&case) {
-                panic!("iter {i} {}: {e}", case.describe());
-            }
-        }
+        let churn: Force = |c| c.churn = true;
+        run_forced(&[
+            (11, 0, churn),
+            (11, 1, churn),
+            (11, 2, churn),
+            (11, 3, churn),
+        ]);
+    }
+
+    /// The compute-side planes, bounded for tier-1: no churn, but faults,
+    /// a bounded queue, a 2x-p99 deadline and hair-trigger retries all
+    /// forced on, so NACK re-present, re-issue, give-up and deadline
+    /// shedding each run somewhere in the table — and reconcile.
+    #[test]
+    fn forced_plane_cases_reconcile_exactly_once() {
+        let planes: Force = |c| {
+            c.churn = false;
+            c.faults = true;
+            c.bounded = true;
+            c.deadline_mult = Some(2.0);
+            c.retry = true;
+            c.aggressive_retry = true;
+        };
+        let (retries, gave_up, shed) =
+            run_forced(&[(7, 4, planes), (7, 6, planes), (7, 7, planes)]);
+        assert!(retries > 0, "no request was re-issued");
+        assert!(gave_up > 0, "no request gave up");
+        assert!(shed > 0, "nothing was shed");
     }
 
     #[test]

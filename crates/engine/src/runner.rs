@@ -1309,6 +1309,71 @@ mod tests {
         assert_eq!(a.dropped_messages, b.dropped_messages);
     }
 
+    /// The completion hook and the outcome log tell one story. Retries
+    /// are armed with no second attempt, data node 0 crashes mid-run, and
+    /// a deadline budget sheds what stalls past it: every offered tuple
+    /// reaches the hook exactly once, completed + shed covers the input,
+    /// and the hook's `GaveUp` and `Shed` seqs are exactly the log's.
+    #[test]
+    fn completion_hook_and_outcome_log_agree() {
+        use jl_simkit::fault::FaultPlan;
+        use std::cell::RefCell;
+        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let healthy = run_job(&job, store, udfs, tuples, vec![]);
+        let (mut job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let offered = tuples.len() as u64;
+        let d = healthy.duration.as_secs_f64();
+        let at = |f: f64| SimTime::ZERO + SimDuration::from_secs_f64(d * f);
+        job.faults = Some(FaultPlan::new(5).crash(job.cluster.data_id(0), at(0.2), Some(at(0.6))));
+        // Timeouts at half the healthy p99, the budget at three quarters
+        // of it: a request stalled on the crash gives up, one stalled past
+        // its budget (or merely slow) sheds.
+        let p99 = healthy.p99_latency.as_secs_f64();
+        let t = p99 / 2.0;
+        job.retry = Some(RetryConfig {
+            timeout: SimDuration::from_secs_f64(t),
+            backoff_cap: SimDuration::from_secs_f64(t),
+            max_retries: 0,
+            down_cooldown: SimDuration::from_secs_f64(4.0 * t),
+        });
+        job.overload = Some(OverloadConfig {
+            deadline: Some(SimDuration::from_secs_f64(p99 * 0.75)),
+            ..OverloadConfig::permissive()
+        });
+        let seen: Rc<RefCell<Vec<(u64, TupleFate)>>> = Rc::default();
+        let mut sim = load_host(
+            &job,
+            build_cluster(&job, store, udfs, tuples, vec![], &None),
+            &None,
+        );
+        for i in 0..job.cluster.n_compute {
+            let seen = seen.clone();
+            let node = sim.node_mut(job.cluster.compute_id(i)).as_compute_mut();
+            node.expect("compute role")
+                .set_completion_hook(Box::new(move |seq, fate, _| {
+                    seen.borrow_mut().push((seq, fate))
+                }));
+        }
+        let end = sim.run_until(SimTime::MAX);
+        let r = gather_report(&sim, &job.cluster, end);
+        let mut seen = seen.take();
+        seen.sort_unstable_by_key(|&(seq, _)| seq);
+        let seqs: Vec<u64> = seen.iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(seqs, (0..offered).collect::<Vec<_>>(), "each seq once");
+        assert_eq!(r.completed + r.shed, offered);
+        assert!(
+            r.gave_up > 0 && r.shed > 0,
+            "gave_up {} shed {}",
+            r.gave_up,
+            r.shed
+        );
+        seen.retain(|&(_, fate)| fate != TupleFate::Done);
+        assert_eq!(seen, r.outcomes, "hook fates vs outcome log");
+        let gave_up = seen.iter().filter(|&&(_, f)| f == TupleFate::GaveUp);
+        let logged = (gave_up.count() as u64, seen.len() as u64);
+        assert_eq!(logged, (r.gave_up, r.gave_up + r.shed), "log vs counters");
+    }
+
     #[test]
     fn permanent_crash_without_retry_config_still_terminates() {
         // Faults with no retry machinery: requests to the dead node are
