@@ -98,8 +98,6 @@ pub struct ComputeNode {
     remote_lat: jl_simkit::stats::DurationHistogram,
     /// RunLocal issue→completion latency.
     local_lat: jl_simkit::stats::DurationHistogram,
-    /// Timeout/retry policy; `None` arms no retry timers at all.
-    retry: Option<RetryConfig>,
     /// Failover map: crashed data node -> surviving node that absorbed a
     /// replica of its regions. Only crash-planned nodes appear here.
     backups: Arc<FxHashMap<usize, usize>>,
@@ -192,14 +190,13 @@ impl ComputeNode {
             spec,
             feed,
             input: input.into(),
-            reqs: Requests::new(overload.and_then(|ov| ov.deadline)),
+            reqs: Requests::new(overload.and_then(|ov| ov.deadline), retry),
             report: ComputeNodeReport::default(),
             done_sent: false,
             flushed_input: false,
             latency: jl_simkit::stats::DurationHistogram::new(),
             remote_lat: jl_simkit::stats::DurationHistogram::new(),
             local_lat: jl_simkit::stats::DurationHistogram::new(),
-            retry,
             backups,
             down_until: vec![SimTime::ZERO; spec_n_data],
             overload,
@@ -500,13 +497,8 @@ impl ComputeNode {
                 Action::Send { dest, batch } => {
                     let mut bytes = BATCH_OVERHEAD;
                     for item in &batch.items {
-                        let (seq, stage) = decode_params(&item.params);
-                        self.reqs.sent(item.req_id, seq, stage, ctx.now());
                         bytes += item.key.1.len() as u64 + item.params.len() as u64 + ITEM_OVERHEAD;
-                    }
-                    if let Some(rc) = &self.retry {
-                        for item in &batch.items {
-                            let to = self.reqs.retry_after(item.req_id, rc, ctx.now());
+                        if let Some(to) = self.reqs.sent(item.req_id, &item.params, ctx.now()) {
                             ctx.set_timer_after(to, Timer::Retry(item.req_id).tag());
                         }
                     }
@@ -587,8 +579,7 @@ impl ComputeNode {
     /// completions.
     fn on_request<C: RuntimeCtx<Msg>>(&mut self, event: Event, req_id: u64, ctx: &mut C) {
         let flying = self.rt.inflight_info(req_id);
-        let (now, retry) = (ctx.now(), self.retry.as_ref());
-        let verdict = self.reqs.judge(event, req_id, flying.is_some(), now, retry);
+        let verdict = self.reqs.judge(event, req_id, flying.is_some(), ctx.now());
         let Some((dest, _)) = flying else {
             return;
         };
@@ -600,63 +591,53 @@ impl ComputeNode {
                     ctx.set_timer_after(ov.nack_backoff, Timer::Represent(req_id).tag());
                 }
             }
-            Verdict::Represent => self.reissue(req_id, dest, false, None, ctx),
-            Verdict::Reissue { flip } => {
-                let attempt = self.timed_out(req_id, dest, ctx);
-                self.reissue(req_id, dest, flip, Some(attempt), ctx);
-            }
-            Verdict::GiveUp => {
-                self.timed_out(req_id, dest, ctx);
-                self.give_up(req_id, ctx);
-            }
+            Verdict::Represent => self.reissue(req_id, dest, verdict, ctx),
+            Verdict::Reissue { .. } | Verdict::GiveUp => self.timed_out(req_id, dest, verdict, ctx),
         }
     }
 
-    /// `req_id` timed out at `dest`. If the node has a failover replica,
-    /// treat it as down and reroute; otherwise keep probing it (slow links
-    /// and stragglers recover on their own) but tell the optimizer it is
-    /// degraded so ski-rental prices rents against it up. Returns the
-    /// attempt the timeout starts.
-    fn timed_out<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, dest: usize, ctx: &mut C) -> u32 {
-        let rc = self.retry.expect("only a retry config arms retry timers");
-        self.down_until[dest] = ctx.now() + rc.down_cooldown;
+    /// A retry timer caught `req_id` unanswered at `dest`. If the node has
+    /// a failover replica, treat it as down and reroute; otherwise keep
+    /// probing it (slow links and stragglers recover on their own) but
+    /// tell the optimizer it is degraded so ski-rental prices rents
+    /// against it up. Then re-issue the request or give up, as judged.
+    fn timed_out<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, dest: usize, v: Verdict, ctx: &mut C) {
+        if let Some(rc) = self.reqs.retry() {
+            self.down_until[dest] = ctx.now() + rc.down_cooldown;
+        }
         let health = if self.backups.contains_key(&dest) {
             NodeHealth::Down
         } else {
             NodeHealth::Degraded
         };
         self.rt.set_health(dest, health);
-        let remote = self.reqs.remote(req_id).copied();
-        let attempt = remote.map_or(0, |r| r.attempt);
-        if let Some(r) = remote {
+        if let Some(r) = self.reqs.remote(req_id).copied() {
             self.trace
                 .span(Track::Fault, "timeout", r.sent_at, ctx.now(), || {
                     [
                         ("req", req_id.into()),
                         ("dest", ArgVal::U64(dest as u64)),
-                        ("attempt", ArgVal::U64(attempt.into())),
+                        ("attempt", ArgVal::U64(r.attempt.into())),
                     ]
                 });
         }
-        attempt
+        match v {
+            Verdict::GiveUp => self.give_up(req_id, ctx),
+            _ => self.reissue(req_id, dest, v, ctx),
+        }
     }
 
-    /// Re-issue `req_id` to `dest` under a new id. A retry (`attempt` set)
-    /// is counted and traced; a NACK re-present is neither.
-    fn reissue<C: RuntimeCtx<Msg>>(
-        &mut self,
-        req_id: u64,
-        dest: usize,
-        flip: bool,
-        attempt: Option<u32>,
-        ctx: &mut C,
-    ) {
+    /// Re-issue `req_id` to `dest` under a new id: a NACK re-present, or a
+    /// retry (`Verdict::Reissue`), which is counted and traced.
+    fn reissue<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, dest: usize, v: Verdict, ctx: &mut C) {
+        let attempt = self.reqs.remote(req_id).map_or(0, |r| r.attempt);
+        let flip = v == Verdict::Reissue { flip: true };
         let reissued = self.rt.reissue(req_id, dest, flip);
         self.drain_decisions(ctx);
         let Some((new_id, action)) = reissued else {
             return;
         };
-        if let Some(attempt) = attempt {
+        if let Verdict::Reissue { .. } = v {
             self.report.retries += 1;
             self.trace.instant(Track::Fault, "retry", ctx.now(), || {
                 [
@@ -767,7 +748,7 @@ impl ComputeNode {
                 outputs,
                 pressured,
             } => {
-                if self.retry.is_some() {
+                if self.reqs.retry().is_some() {
                     // A reply is proof of life: stop avoiding the sender
                     // and let the optimizer trust it again. (A backup
                     // answering for a crashed owner clears only its own

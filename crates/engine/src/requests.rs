@@ -25,7 +25,7 @@ use rustc_hash::FxHashMap;
 
 use crate::cluster::{EKey, Val};
 use crate::config::RetryConfig;
-use crate::plan::JobTuple;
+use crate::plan::{decode_params, JobTuple};
 
 /// Bits 63–62 of a timer tag hold its kind; the rest hold the request id.
 const KIND_SHIFT: u32 = 62;
@@ -133,6 +133,11 @@ pub(crate) fn rule(
     }
 }
 
+/// A streaming tuple's arrival; batch tuples carry none (`ZERO`).
+fn arrival(tuple: &JobTuple) -> Option<SimTime> {
+    (tuple.arrival > SimTime::ZERO).then_some(tuple.arrival)
+}
+
 /// One live tuple.
 pub(crate) struct Live {
     tuple: JobTuple,
@@ -167,15 +172,23 @@ pub(crate) struct Requests {
     reqs: FxHashMap<u64, Req>,
     /// The per-tuple deadline budget, if overload protection sets one.
     budget: Option<SimDuration>,
+    /// The timeout/retry policy; `None` arms no retry timers at all.
+    retry: Option<RetryConfig>,
 }
 
 impl Requests {
-    pub(crate) fn new(budget: Option<SimDuration>) -> Self {
+    pub(crate) fn new(budget: Option<SimDuration>, retry: Option<RetryConfig>) -> Self {
         Requests {
             tuples: FxHashMap::default(),
             reqs: FxHashMap::default(),
             budget,
+            retry,
         }
+    }
+
+    /// The timeout/retry policy requests run under.
+    pub(crate) fn retry(&self) -> Option<&RetryConfig> {
+        self.retry.as_ref()
     }
 
     /// Tuples somewhere in the pipeline.
@@ -187,18 +200,13 @@ impl Requests {
     /// tuples carry no arrival, so their budget starts at ingest and they
     /// never expire in the queue.
     pub(crate) fn queue_deadline(&self, tuple: &JobTuple) -> Option<SimTime> {
-        let budget = self.budget?;
-        (tuple.arrival > SimTime::ZERO).then(|| tuple.arrival + budget)
+        Some(arrival(tuple)? + self.budget?)
     }
 
     /// Ingest `tuple` at `now`; returns its seq.
     pub(crate) fn start(&mut self, tuple: JobTuple, now: SimTime) -> u64 {
-        let (seq, arrival) = (tuple.seq, tuple.arrival);
-        let started = if arrival > SimTime::ZERO {
-            arrival
-        } else {
-            now
-        };
+        let seq = tuple.seq;
+        let started = arrival(&tuple).unwrap_or(now);
         let live = Live {
             tuple,
             started,
@@ -221,17 +229,24 @@ impl Requests {
         Some((live, late))
     }
 
-    /// Record that request `req_id` for stage `stage` of `seq` went on the
-    /// wire at `now`, keeping the attempt a re-key carried over.
-    pub(crate) fn sent(&mut self, req_id: u64, seq: u64, stage: u16, now: SimTime) {
-        let attempt = self.remote(req_id).map_or(0, |r| r.attempt);
+    /// Record that request `id`, for the tuple and stage its `params`
+    /// encode, went on the wire at `now`, keeping the attempt a re-key
+    /// carried over. Returns the retry timeout to arm for it, if retries
+    /// are on: capped exponential backoff by attempt, and never past the
+    /// tuple's budget, so backoff cannot stretch a tuple's latency beyond
+    /// it.
+    pub(crate) fn sent(&mut self, id: u64, params: &[u8], now: SimTime) -> Option<SimDuration> {
+        let (seq, stage) = decode_params(params);
+        let attempt = self.remote(id).map_or(0, |r| r.attempt);
         let remote = Remote {
             seq,
             stage,
             sent_at: now,
             attempt,
         };
-        self.reqs.insert(req_id, Req::Remote(remote));
+        self.reqs.insert(id, Req::Remote(remote));
+        let to = self.retry?.timeout_for(attempt);
+        Some(self.remaining(id, now).map_or(to, |rem| to.min(rem)))
     }
 
     /// Record a local execution awaiting its completion timer.
@@ -257,41 +272,24 @@ impl Requests {
 
     /// Time left in the budget of the tuple `req_id` works for (`ZERO`
     /// once spent); `None` when no budget applies. The one deadline
-    /// lookup: retry timers are capped by it and verdicts read it.
+    /// lookup: retry timeouts are capped by it and verdicts read it.
     fn remaining(&self, req_id: u64, now: SimTime) -> Option<SimDuration> {
         let started = self.tuples.get(&self.remote(req_id)?.seq)?.started;
         let deadline = started + self.budget?;
         Some(deadline.since(now.min(deadline)))
     }
 
-    /// The retry timeout to arm for `req_id`: capped exponential backoff
-    /// by attempt, and never past the tuple's budget, so backoff cannot
-    /// stretch a tuple's latency beyond it.
-    pub(crate) fn retry_after(&self, req_id: u64, rc: &RetryConfig, now: SimTime) -> SimDuration {
-        let to = rc.timeout_for(self.remote(req_id).map_or(0, |r| r.attempt));
-        self.remaining(req_id, now).map_or(to, |rem| to.min(rem))
-    }
-
     /// Judge `event` for request `req_id` by [`rule`]. A retry verdict
     /// that re-issues or gives up counts the attempt it starts, so a
     /// re-key carries it and [`remote`](Self::remote) reports it.
-    pub(crate) fn judge(
-        &mut self,
-        event: Event,
-        req_id: u64,
-        in_flight: bool,
-        now: SimTime,
-        retry: Option<&RetryConfig>,
-    ) -> Verdict {
-        let spent = self.remaining(req_id, now) == Some(SimDuration::ZERO);
-        let remote = match self.reqs.get_mut(&req_id) {
-            Some(Req::Remote(r)) => Some(r),
-            _ => None,
-        };
-        let attempt = remote.as_ref().map_or(0, |r| r.attempt) + 1;
-        let verdict = rule(event, in_flight, spent, attempt, retry);
-        if let (Verdict::Reissue { .. } | Verdict::GiveUp, Some(r)) = (verdict, remote) {
-            r.attempt = attempt;
+    pub(crate) fn judge(&mut self, event: Event, id: u64, flying: bool, now: SimTime) -> Verdict {
+        let spent = self.remaining(id, now) == Some(SimDuration::ZERO);
+        let attempt = self.remote(id).map_or(0, |r| r.attempt) + 1;
+        let verdict = rule(event, flying, spent, attempt, self.retry.as_ref());
+        if let Verdict::Reissue { .. } | Verdict::GiveUp = verdict {
+            if let Some(Req::Remote(r)) = self.reqs.get_mut(&id) {
+                r.attempt = attempt;
+            }
         }
         verdict
     }
@@ -348,6 +346,11 @@ mod tests {
             params_size: 8,
             arrival,
         }
+    }
+
+    /// Stage-0 params of tuple `seq`, as the compute node encodes them.
+    fn params(seq: u64) -> Bytes {
+        crate::plan::encode_params(seq, 0, 16)
     }
 
     fn retry(max_retries: u32) -> RetryConfig {
@@ -415,60 +418,57 @@ mod tests {
     #[test]
     fn rekey_drops_the_old_id_and_keeps_the_attempt() {
         let rc = retry(8);
-        let mut t = Requests::new(None);
+        let mut t = Requests::new(None, Some(rc));
         let seq = t.start(tuple(4, SimTime::ZERO), ms(1));
-        t.sent(10, seq, 0, ms(1));
-        let v = t.judge(Event::Retry, 10, true, ms(5), Some(&rc));
+        assert_eq!(t.sent(10, &params(seq), ms(1)), Some(rc.timeout_for(0)));
+        let v = t.judge(Event::Retry, 10, true, ms(5));
         assert_eq!(v, Verdict::Reissue { flip: false });
         assert_eq!(t.remote(10).map(|r| r.attempt), Some(1));
         t.rekey(10, 11);
         assert!(t.remote(10).is_none(), "old id still known");
-        t.sent(11, seq, 0, ms(5));
+        // The re-issue backs off by the attempt it carried over.
+        assert_eq!(t.sent(11, &params(seq), ms(5)), Some(rc.timeout_for(1)));
         let r = *t.remote(11).expect("re-keyed");
         assert_eq!((r.seq, r.stage, r.sent_at, r.attempt), (seq, 0, ms(5), 1));
-        assert_eq!(t.retry_after(11, &rc, ms(5)), rc.timeout_for(1));
         // A NACK re-present keeps the attempt too: no timeout was seen.
-        assert_eq!(
-            t.judge(Event::Represent, 11, true, ms(6), Some(&rc)),
-            Verdict::Represent
-        );
+        let v = t.judge(Event::Represent, 11, true, ms(6));
+        assert_eq!(v, Verdict::Represent);
         t.rekey(11, 12);
         assert_eq!(t.remote(12).map(|r| r.attempt), Some(1));
-        let v = t.judge(Event::Retry, 12, true, ms(9), Some(&rc));
+        let v = t.judge(Event::Retry, 12, true, ms(9));
         assert_eq!(v, Verdict::Reissue { flip: true });
     }
 
     #[test]
     fn a_stale_timer_is_ignored() {
-        let rc = retry(0);
-        let mut t = Requests::new(Some(SimDuration::from_millis(1)));
+        let mut t = Requests::new(Some(SimDuration::from_millis(1)), Some(retry(0)));
         let seq = t.start(tuple(1, SimTime::ZERO), ms(0));
-        t.sent(3, seq, 0, ms(0));
+        t.sent(3, &params(seq), ms(0));
         // Answered, then its retry timer fires long past the budget.
         assert_eq!(t.answered(3).map(|r| r.seq), Some(seq));
         for event in [Event::Nack, Event::Represent, Event::Retry] {
-            assert_eq!(t.judge(event, 3, false, ms(50), Some(&rc)), Verdict::Ignore);
+            assert_eq!(t.judge(event, 3, false, ms(50)), Verdict::Ignore);
         }
         assert!(t.remote(3).is_none());
     }
 
     #[test]
     fn the_budget_runs_from_arrival_and_caps_retry_timers() {
-        let rc = retry(8);
-        let mut t = Requests::new(Some(SimDuration::from_millis(5)));
+        let mut t = Requests::new(Some(SimDuration::from_millis(5)), Some(retry(8)));
         let queued = tuple(7, ms(10));
         assert_eq!(t.queue_deadline(&queued), Some(ms(15)));
         assert_eq!(t.queue_deadline(&tuple(8, SimTime::ZERO)), None, "batch");
         let seq = t.start(queued, ms(12));
-        t.sent(20, seq, 0, ms(12));
-        assert_eq!(t.retry_after(20, &rc, ms(12)), SimDuration::from_millis(3));
-        let v = t.judge(Event::Retry, 20, true, ms(15), Some(&rc));
-        assert_eq!(v, Verdict::Shed("deadline-on-timeout"));
+        let to = t.sent(20, &params(seq), ms(12));
         assert_eq!(
-            t.remote(20).map(|r| r.attempt),
-            Some(0),
-            "a shed is no attempt"
+            to,
+            Some(SimDuration::from_millis(3)),
+            "capped at the budget"
         );
+        let v = t.judge(Event::Retry, 20, true, ms(15));
+        assert_eq!(v, Verdict::Shed("deadline-on-timeout"));
+        let attempt = t.remote(20).map(|r| r.attempt);
+        assert_eq!(attempt, Some(0), "a shed is no attempt");
         assert_eq!(t.shed(20), Some(seq));
         assert_eq!(t.live(), 0);
         // A batch tuple's budget starts at ingest; completing after it is late.
@@ -479,18 +479,17 @@ mod tests {
 
     #[test]
     fn tuples_and_both_kinds_of_request_share_one_table() {
-        let mut t = Requests::new(None);
+        let mut t = Requests::new(None, None);
         let a = t.start(tuple(1, SimTime::ZERO), ms(0));
         let b = t.start(tuple(2, SimTime::ZERO), ms(0));
         assert_eq!(t.live(), 2);
         assert_eq!(t.tuple(b).seq, 2);
         let value = Val(StoredValue::new(vec![1], 1, SimDuration::ZERO));
         t.run_local(0, (0, RowKey::from_u64(1)), Bytes::new(), value);
-        t.sent(1, b, 0, ms(0));
+        assert_eq!(t.sent(1, &params(b), ms(0)), None, "no retry timer");
         assert!(t.remote(0).is_none(), "a local request is not remote");
-        assert!(t
-            .take_local(0)
-            .is_some_and(|(key, ..)| key.1 == RowKey::from_u64(1)));
+        let local = t.take_local(0);
+        assert!(local.is_some_and(|(key, ..)| key.1 == RowKey::from_u64(1)));
         assert!(t.take_local(0).is_none(), "taken twice");
         assert_eq!(t.give_up(1).map(|r| (r.seq, r.stage)), Some((b, 0)));
         let (ended, late) = t.finish(b, ms(3)).expect("live");
