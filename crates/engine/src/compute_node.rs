@@ -423,11 +423,8 @@ impl ComputeNode {
             };
             // Early shed: a queued tuple already past its deadline is
             // doomed — drop it before paying any decision or wire cost.
-            if self
-                .reqs
-                .queue_deadline(&tuple)
-                .is_some_and(|d| ctx.now() >= d)
-            {
+            let deadline = self.reqs.queue_deadline(&tuple);
+            if deadline.is_some_and(|d| ctx.now() >= d) {
                 self.note_shed(tuple.seq, "expired-in-queue", ctx);
                 continue;
             }

@@ -177,6 +177,8 @@ pub(crate) struct Requests {
 }
 
 impl Requests {
+    /// An empty table for tuples with this deadline budget and requests
+    /// under this retry policy.
     pub(crate) fn new(budget: Option<SimDuration>, retry: Option<RetryConfig>) -> Self {
         Requests {
             tuples: FxHashMap::default(),
@@ -231,10 +233,9 @@ impl Requests {
 
     /// Record that request `id`, for the tuple and stage its `params`
     /// encode, went on the wire at `now`, keeping the attempt a re-key
-    /// carried over. Returns the retry timeout to arm for it, if retries
+    /// carried over. Returns the retry timeout to arm for it when retries
     /// are on: capped exponential backoff by attempt, and never past the
-    /// tuple's budget, so backoff cannot stretch a tuple's latency beyond
-    /// it.
+    /// tuple's budget, so backoff cannot stretch its latency beyond it.
     pub(crate) fn sent(&mut self, id: u64, params: &[u8], now: SimTime) -> Option<SimDuration> {
         let (seq, stage) = decode_params(params);
         let attempt = self.remote(id).map_or(0, |r| r.attempt);
@@ -250,36 +251,36 @@ impl Requests {
     }
 
     /// Record a local execution awaiting its completion timer.
-    pub(crate) fn run_local(&mut self, req_id: u64, key: EKey, params: Bytes, value: Val) {
-        self.reqs.insert(req_id, Req::Local(key, params, value));
+    pub(crate) fn run_local(&mut self, id: u64, key: EKey, params: Bytes, value: Val) {
+        self.reqs.insert(id, Req::Local(key, params, value));
     }
 
-    /// Take the local execution `req_id` whose timer fired.
-    pub(crate) fn take_local(&mut self, req_id: u64) -> Option<(EKey, Bytes, Val)> {
-        match self.reqs.remove(&req_id)? {
+    /// Take the local execution `id` whose timer fired.
+    pub(crate) fn take_local(&mut self, id: u64) -> Option<(EKey, Bytes, Val)> {
+        match self.reqs.remove(&id)? {
             Req::Local(key, params, value) => Some((key, params, value)),
             Req::Remote(_) => None,
         }
     }
 
-    /// Remote request `req_id`, if it is outstanding.
-    pub(crate) fn remote(&self, req_id: u64) -> Option<&Remote> {
-        match self.reqs.get(&req_id)? {
+    /// Remote request `id`, if it is outstanding.
+    pub(crate) fn remote(&self, id: u64) -> Option<&Remote> {
+        match self.reqs.get(&id)? {
             Req::Remote(r) => Some(r),
             Req::Local(..) => None,
         }
     }
 
-    /// Time left in the budget of the tuple `req_id` works for (`ZERO`
+    /// Time left in the budget of the tuple `id` works for (`ZERO`
     /// once spent); `None` when no budget applies. The one deadline
     /// lookup: retry timeouts are capped by it and verdicts read it.
-    fn remaining(&self, req_id: u64, now: SimTime) -> Option<SimDuration> {
-        let started = self.tuples.get(&self.remote(req_id)?.seq)?.started;
+    fn remaining(&self, id: u64, now: SimTime) -> Option<SimDuration> {
+        let started = self.tuples.get(&self.remote(id)?.seq)?.started;
         let deadline = started + self.budget?;
         Some(deadline.since(now.min(deadline)))
     }
 
-    /// Judge `event` for request `req_id` by [`rule`]. A retry verdict
+    /// Judge `event` for request `id` by [`rule`]. A retry verdict
     /// that re-issues or gives up counts the attempt it starts, so a
     /// re-key carries it and [`remote`](Self::remote) reports it.
     pub(crate) fn judge(&mut self, event: Event, id: u64, flying: bool, now: SimTime) -> Verdict {
@@ -302,27 +303,27 @@ impl Requests {
         }
     }
 
-    /// Remote request `req_id` was answered (or its value came back to run
+    /// Remote request `id` was answered (or its value came back to run
     /// locally): forget it. Ids come from one counter, so a local id is
     /// never answered and a remote one never fires a local timer.
-    pub(crate) fn answered(&mut self, req_id: u64) -> Option<Remote> {
-        match self.reqs.remove(&req_id)? {
+    pub(crate) fn answered(&mut self, id: u64) -> Option<Remote> {
+        match self.reqs.remove(&id)? {
             Req::Remote(r) => Some(r),
             Req::Local(..) => None,
         }
     }
 
-    /// Shed request `req_id` and its tuple; returns the tuple's seq.
-    pub(crate) fn shed(&mut self, req_id: u64) -> Option<u64> {
-        let seq = self.answered(req_id)?.seq;
+    /// Shed request `id` and its tuple; returns the tuple's seq.
+    pub(crate) fn shed(&mut self, id: u64) -> Option<u64> {
+        let seq = self.answered(id)?.seq;
         self.tuples.remove(&seq);
         Some(seq)
     }
 
-    /// Request `req_id` gave up: forget it and mark its tuple, which now
+    /// Request `id` gave up: forget it and mark its tuple, which now
     /// completes with no output.
-    pub(crate) fn give_up(&mut self, req_id: u64) -> Option<Remote> {
-        let r = self.answered(req_id)?;
+    pub(crate) fn give_up(&mut self, id: u64) -> Option<Remote> {
+        let r = self.answered(id)?;
         if let Some(live) = self.tuples.get_mut(&r.seq) {
             live.gave_up = true;
         }
