@@ -18,37 +18,44 @@ use jl_telemetry::{ArgVal, TelemetryHandle, Track};
 
 use crate::cluster::{EKey, Msg, Val, BATCH_OVERHEAD, CTRL_BYTES, ITEM_OVERHEAD};
 
-/// One reply wave: ready time, items, computed outputs, wire bytes.
-type ReplyWave = (
-    SimTime,
-    Vec<ResponseItem<EKey, Val>>,
-    Vec<(u64, Bytes)>,
-    u64,
-);
-/// A served item pending wave assembly: item, done time, wire bytes, and
-/// the computed output (for `Computed` payloads only).
-type ServedItem = (ResponseItem<EKey, Val>, SimTime, u64, Option<Bytes>);
 use crate::config::{ClusterSpec, OverloadConfig};
+use crate::ingest::{Admit, Ingest, Served};
 use crate::migration::{Effect, Event, Migrations, Peer};
 use crate::plan::{decode_params, JobPlan};
 use crate::telemetry::NodeTrace;
+
+/// One reply to a batch: its items, the computed outputs among them, the
+/// wire bytes, and when the last of them is ready.
+struct Wave {
+    ready: SimTime,
+    items: Vec<ResponseItem<EKey, Val>>,
+    outputs: Vec<(u64, Bytes)>,
+    bytes: u64,
+}
+
+impl Wave {
+    fn new(now: SimTime) -> Self {
+        Wave {
+            ready: now,
+            items: Vec::new(),
+            outputs: Vec::new(),
+            bytes: BATCH_OVERHEAD,
+        }
+    }
+
+    /// Add `item`, `bytes` on the wire and ready at `done`.
+    fn push(&mut self, item: ResponseItem<EKey, Val>, done: SimTime, bytes: u64) {
+        self.ready = self.ready.max(done);
+        self.bytes += bytes;
+        self.items.push(item);
+    }
+}
 
 /// Timer tag for the autoscaler heartbeat. `u64::MAX` carries the
 /// migration bit below, so it must be matched first.
 const HEARTBEAT_TAG: u64 = u64::MAX;
 /// Tag bit marking a migration phase timer, either end (`MIG_BIT | mig_id`).
 const MIG_BIT: u64 = 1 << 63;
-
-/// Queue-counter decrements scheduled for a batch's completion time.
-struct PendingDrain {
-    computed: u64,
-    bounced: u64,
-    data_served: u64,
-    responses: u64,
-    /// Items this batch holds in the bounded ingest queue (0 when the run
-    /// carries no overload config).
-    admitted: u64,
-}
 
 /// The data-node actor state.
 pub struct DataNode {
@@ -62,8 +69,6 @@ pub struct DataNode {
     interest: InterestTracker,
     block_cache: BlockCache<EKey>,
     scv_est: ExpSmoothed,
-    drains: rustc_hash::FxHashMap<u64, PendingDrain>,
-    next_drain: u64,
     version_clock: u64,
     udf_execs: u64,
     /// Data-node indices whose regions this node also hosts as failover
@@ -71,19 +76,9 @@ pub struct DataNode {
     replica_sources: Vec<usize>,
     /// Crashes survived (process state wiped, on-disk regions kept).
     crashes: u64,
-    /// Overload protection; `None` admits everything (seed behavior).
-    overload: Option<OverloadConfig>,
-    /// Request items currently admitted and not yet drained.
-    queued: u64,
-    /// Hysteresis state: queue crossed the high watermark and has not yet
-    /// fallen back under the low one. Piggybacked on every reply.
-    pressured: bool,
-    /// Deepest the ingest queue ever got (tracked only with overload on).
-    peak_depth: u64,
-    /// Batches refused at the admission check.
-    nacks: u64,
-    /// Pressure-on transitions (low→high watermark crossings).
-    pressure_events: u64,
+    /// Every batch from admission to completion, and the bounded ingest
+    /// queue they fill.
+    ingest: Ingest,
     /// This node's tracing handle (inert on untraced runs).
     trace: NodeTrace,
     /// Admitted-item queue depth over time, tracked locally per sample and
@@ -144,18 +139,11 @@ impl DataNode {
             interest: InterestTracker::new(),
             block_cache,
             scv_est: ExpSmoothed::new(alpha),
-            drains: rustc_hash::FxHashMap::default(),
-            next_drain: 0,
             version_clock: 1,
             udf_execs: 0,
             replica_sources: Vec::new(),
             crashes: 0,
-            overload,
-            queued: 0,
-            pressured: false,
-            peak_depth: 0,
-            nacks: 0,
-            pressure_events: 0,
+            ingest: Ingest::new(overload),
             trace: NodeTrace::default(),
             queue_gauge: None,
             membership_on: false,
@@ -227,7 +215,7 @@ impl DataNode {
     }
 
     /// A fault from the kernel. A crash loses every piece of process
-    /// state — the block cache, queued counter drains (their timers died
+    /// state — the block cache, the ingest table (its batches' timers died
     /// with the node), the load counters, and any in-flight migration
     /// handoffs (the surviving peer's phase timeout aborts them) — while
     /// the on-disk regions, the handoff metadata (`moved_to` /
@@ -238,13 +226,9 @@ impl DataNode {
             FaultKind::Crash => {
                 self.crashes += 1;
                 self.block_cache = BlockCache::new(self.spec.block_cache_bytes);
-                self.drains.clear();
+                self.ingest.crash();
+                self.tel_queue_depth(ctx);
                 self.rt.on_crash();
-                // The admitted queue died with the process (its drain timers
-                // are gone); the pressure flag resets with it. Peak depth is a
-                // run statistic and survives.
-                self.queued = 0;
-                self.pressured = false;
                 self.mig.crash();
             }
             FaultKind::Restart => {
@@ -329,20 +313,20 @@ impl DataNode {
         }
     }
 
-    /// Track the admitted-item queue depth as a time-weighted gauge. The
+    /// Track the admitted-item queue depth as a time-weighted gauge (traced
+    /// runs with a bounded queue only: an unbounded one has no depth). The
     /// gauge is node-local state updated in place — no registry lookup, no
     /// recorder lock (only this node writes it, and its callbacks execute
     /// in timestamp order). The runner adopts the finished gauge into the
     /// registry at snapshot.
     fn tel_queue_depth<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
-        if !self.trace.is_on() {
+        if !self.trace.is_on() || !self.ingest.bounded() {
             return;
         }
-        let now = ctx.now();
-        let v = self.queued as f64;
+        let v = self.ingest.depth() as f64;
         self.queue_gauge
             .get_or_insert_with(|| jl_simkit::stats::TimeWeightedGauge::new(SimTime::ZERO, 0.0))
-            .set(now, v);
+            .set(ctx.now(), v);
     }
 
     /// The locally-tracked queue-depth gauge, if any sample was taken
@@ -355,60 +339,14 @@ impl DataNode {
     /// peak ingest-queue depth)`. All zero when the run carries no
     /// overload config.
     pub fn overload_stats(&self) -> (u64, u64, u64) {
-        (self.nacks, self.pressure_events, self.peak_depth)
+        self.ingest.stats()
     }
 
     /// Live ingest state for mid-run observability: `(current queue
     /// depth, pressured flag)`. Read by the stats snapshot while the run
     /// is in flight; both are plain accounting with no side effects.
     pub fn live_queue(&self) -> (u64, bool) {
-        (self.queued, self.pressured)
-    }
-
-    /// Admission control (overload runs only): returns `false` — after
-    /// NACKing the batch on the wire, *before* any disk or CPU is paid —
-    /// when the ingest queue cannot take it; otherwise admits the batch's
-    /// items, updating the watermark hysteresis and depth accounting.
-    fn admit<C: RuntimeCtx<Msg>>(
-        &mut self,
-        from_compute: usize,
-        batch: &BatchRequest<EKey, Bytes>,
-        ctx: &mut C,
-    ) -> bool {
-        let Some(ov) = self.overload else { return true };
-        let n = batch.items.len() as u64;
-        // A draining node never NACKs: its job is to empty its queues, and
-        // a refusal would bounce work back to a sender that is already
-        // steering away (rent-penalized health). Depth/pressure accounting
-        // continues so the drain stays observable.
-        if !self.draining && self.queued + n > ov.data_queue_cap {
-            self.nacks += 1;
-            let req_ids: Vec<u64> = batch.items.iter().map(|i| i.req_id).collect();
-            self.trace.instant(Track::Fault, "nack", ctx.now(), || {
-                [("items", n.into()), ("depth", self.queued.into())]
-            });
-            ctx.send(
-                self.spec.compute_id(from_compute),
-                Msg::Nack {
-                    from_data: self.idx,
-                    req_ids,
-                },
-                BATCH_OVERHEAD + 8 * n,
-            );
-            return false;
-        }
-        self.queued += n;
-        self.peak_depth = self.peak_depth.max(self.queued);
-        if !self.pressured && self.queued >= ov.high_watermark {
-            self.pressured = true;
-            self.pressure_events += 1;
-            self.trace
-                .instant(Track::Fault, "pressure-on", ctx.now(), || {
-                    [("depth", self.queued.into())]
-                });
-        }
-        self.tel_queue_depth(ctx);
-        true
+        (self.ingest.depth(), self.ingest.pressured())
     }
 
     fn handle_batch<C: RuntimeCtx<Msg>>(
@@ -423,16 +361,40 @@ impl DataNode {
         let Some(batch) = batch else {
             return;
         };
-        if !self.admit(from_compute, &batch, ctx) {
-            return;
-        }
+        let n_items = batch.items.len() as u64;
         let now = ctx.now();
-        let n_items = batch.items.len();
+        match self.ingest.admit(n_items, self.draining) {
+            // Refused before any disk or CPU is paid.
+            Admit::Refused => {
+                let req_ids = batch.items.iter().map(|i| i.req_id).collect();
+                self.trace.instant(Track::Fault, "nack", now, || {
+                    [
+                        ("items", n_items.into()),
+                        ("depth", self.ingest.depth().into()),
+                    ]
+                });
+                let nack = Msg::Nack {
+                    from_data: self.idx,
+                    req_ids,
+                };
+                let to = self.spec.compute_id(from_compute);
+                ctx.send(to, nack, BATCH_OVERHEAD + 8 * n_items);
+                return;
+            }
+            Admit::Admitted { pressure_on } => {
+                if pressure_on {
+                    self.trace.instant(Track::Fault, "pressure-on", now, || {
+                        [("depth", self.ingest.depth().into())]
+                    });
+                }
+                self.tel_queue_depth(ctx);
+            }
+        }
 
         // 1. Fetch every requested row from the simulated disk (real bytes
         //    from the region shard, simulated service time per record).
-        let mut fetched: Vec<Option<(StoredValue, SimTime)>> = Vec::with_capacity(n_items);
-        let mut found_sizes: Vec<u64> = Vec::with_capacity(n_items);
+        let mut fetched = Vec::with_capacity(batch.items.len());
+        let mut found_bytes = 0u64;
         let mut key_bytes = 0u64;
         let mut params_bytes = 0u64;
         let mut prev_evictions = self.block_cache.evictions();
@@ -447,47 +409,41 @@ impl DataNode {
                  nor the migrated-in owner of region ({table}, {region})",
                 self.idx
             );
-            match self.server.get(*table, region, row) {
-                Some(v) => {
-                    // HBase block cache: hot rows are served from RAM.
-                    let hit = self.block_cache.access(item.key.clone(), v.size());
-                    let evictions = self.block_cache.evictions();
-                    if evictions > prev_evictions {
-                        self.trace
-                            .instant(Track::Decision, "cache-evict", ctx.now(), || {
-                                [("count", (evictions - prev_evictions).into())]
-                            });
-                        prev_evictions = evictions;
-                    }
-                    let done = if hit {
-                        self.rt.observe_disk(0.0);
-                        now
-                    } else {
-                        let svc = self.spec.disk_service(v.size());
-                        let grant = ctx.use_resource(ResourceKind::Disk, now, svc);
-                        self.rt.observe_disk(svc.as_secs_f64());
-                        self.rt
-                            .observe_disk_effective(grant.done.since(now).as_secs_f64());
-                        grant.done
-                    };
-                    found_sizes.push(v.size());
-                    fetched.push(Some((v, done)));
-                }
-                None => fetched.push(None),
+            let Some(v) = self.server.get(*table, region, row) else {
+                fetched.push(None);
+                continue;
+            };
+            // HBase block cache: hot rows are served from RAM.
+            let hit = self.block_cache.access(item.key.clone(), v.size());
+            let evictions = self.block_cache.evictions();
+            if evictions > prev_evictions {
+                self.trace
+                    .instant(Track::Decision, "cache-evict", ctx.now(), || {
+                        [("count", (evictions - prev_evictions).into())]
+                    });
+                prev_evictions = evictions;
             }
+            let done = if hit {
+                self.rt.observe_disk(0.0);
+                now
+            } else {
+                let svc = self.spec.disk_service(v.size());
+                let grant = ctx.use_resource(ResourceKind::Disk, now, svc);
+                self.rt.observe_disk(svc.as_secs_f64());
+                self.rt
+                    .observe_disk_effective(grant.done.since(now).as_secs_f64());
+                grant.done
+            };
+            found_bytes += v.size();
+            fetched.push(Some((v, done)));
         }
 
         // 2. Build the batch's size profile from what it actually contains.
-        let n = n_items.max(1) as u64;
-        let mean_value = if found_sizes.is_empty() {
-            1024
-        } else {
-            found_sizes.iter().sum::<u64>() / found_sizes.len() as u64
-        };
+        let found = fetched.iter().flatten().count() as u64;
         let sizes = SizeProfile {
-            key: key_bytes / n,
-            params: params_bytes / n,
-            value: mean_value,
+            key: key_bytes / n_items.max(1),
+            params: params_bytes / n_items.max(1),
+            value: found_bytes.checked_div(found).unwrap_or(1024),
             computed: self.scv_est.get_or(256.0).max(1.0) as u64,
         };
 
@@ -503,212 +459,141 @@ impl DataNode {
         //    executes the *largest-valued* items locally and bounces the
         //    cheapest-to-ship ones (shipping a 28 MB model to save 56 ms of
         //    CPU would be a net loss on every axis).
-        let mut compute_sizes: Vec<(u64, u64)> = batch
+        let mut here: Vec<(u64, u64)> = batch
             .items
             .iter()
-            .zip(fetched.iter())
+            .zip(&fetched)
             .filter_map(|(item, slot)| match (item.kind, slot) {
                 (ReqKind::Compute, Some((v, _))) => Some((item.req_id, v.size())),
                 _ => None,
             })
             .collect();
         // Largest first; req_id tie-break keeps runs deterministic.
-        compute_sizes.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        // Sorted id list + binary search beats a per-batch hash set: no
-        // allocation-heavy table build for a membership test used once per
-        // item.
-        let mut execute_here: Vec<u64> = compute_sizes
-            .iter()
-            .take(d as usize)
-            .map(|(id, _)| *id)
-            .collect();
-        execute_here.sort_unstable();
-        let mut executed = 0u64;
-        let mut item_parts: Vec<ServedItem> = Vec::with_capacity(n_items);
+        here.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        here.truncate(d as usize);
+        // Sorted by id for a binary search per item: no allocation-heavy
+        // hash set for a membership test used once per item.
+        here.sort_unstable();
+        // Values, bounces and misses need no CPU here: they go back in one
+        // first reply, at disk speed. Computed outputs follow in waves as
+        // their CPU work finishes, so cheap fetches never wait behind heavy
+        // UDF stragglers queued on this node's CPU.
+        let mut first = Wave::new(now);
+        let mut computed: Vec<(SimTime, ResponseItem<EKey, Val>, Bytes)> = Vec::new();
         let mut ready = now;
-        for (item, slot) in batch.items.iter().zip(fetched) {
+        for (item, slot) in batch.items.into_iter().zip(fetched) {
             // Every served item costs RPC/read-path CPU at this node.
-            let rpc = ctx.use_resource(ResourceKind::Cpu, now, self.spec.rpc_cpu);
-            let rpc_done = rpc.done;
+            let rpc_done = ctx
+                .use_resource(ResourceKind::Cpu, now, self.spec.rpc_cpu)
+                .done;
+            let answer = |key, payload, cost| ResponseItem {
+                req_id: item.req_id,
+                key,
+                payload,
+                cost,
+            };
             let Some((value, disk_done)) = slot else {
-                item_parts.push((
-                    ResponseItem {
-                        req_id: item.req_id,
-                        key: item.key.clone(),
-                        payload: ResponsePayload::Missing,
-                        cost: None,
-                    },
+                first.push(
+                    answer(item.key, ResponsePayload::Missing, None),
                     now,
                     ITEM_OVERHEAD,
-                    None,
-                ));
+                );
                 continue;
             };
             let cost = Some(self.cost_info(&value));
-            match item.kind {
-                ReqKind::Compute if execute_here.binary_search(&item.req_id).is_ok() => {
-                    executed += 1;
-                    let ready_in = disk_done.max(rpc_done);
-                    let grant = ctx.use_resource(ResourceKind::Cpu, ready_in, value.udf_cpu());
-                    self.rt.observe_cpu(value.udf_cpu().as_secs_f64());
-                    // Effective cost is measured from when the item's data
-                    // was ready (disk), NOT from after its RPC slot cleared
-                    // the CPU queue — the queue wait *is* the congestion
-                    // signal that tells compute nodes this node is melting.
-                    self.rt
-                        .observe_cpu_effective(grant.done.since(disk_done).as_secs_f64());
-                    let (_, stage) = decode_params(&item.params);
-                    let udf = self
-                        .udfs
-                        .get(self.plan.stages[stage as usize].udf)
-                        .expect("udf registered")
-                        .clone();
-                    let out = udf.apply(&item.key.1, &item.params, &value);
-                    self.udf_execs += 1;
-                    self.scv_est.update(out.len() as f64);
-                    ready = ready.max(grant.done);
-                    let bytes = out.len() as u64 + ITEM_OVERHEAD;
-                    item_parts.push((
-                        ResponseItem {
-                            req_id: item.req_id,
-                            key: item.key.clone(),
-                            payload: ResponsePayload::Computed {
-                                output_size: bytes - ITEM_OVERHEAD,
-                            },
-                            cost,
-                        },
-                        grant.done,
-                        bytes,
-                        Some(out),
-                    ));
-                }
-                kind => {
-                    // Data request, or a bounced compute request: ship the
-                    // stored value back (its *logical* size on the wire).
-                    let bounced = kind == ReqKind::Compute;
-                    if !bounced {
-                        // The compute node will cache this value: register
-                        // interest for targeted update notification.
-                        self.interest
-                            .record_cached(item.key.0, item.key.1.clone(), from_compute);
-                    }
-                    ready = ready.max(disk_done).max(rpc_done);
-                    let bytes = value.size() + ITEM_OVERHEAD;
-                    item_parts.push((
-                        ResponseItem {
-                            req_id: item.req_id,
-                            key: item.key.clone(),
-                            payload: ResponsePayload::Value {
-                                value: Val(value),
-                                bounced,
-                            },
-                            cost,
-                        },
-                        disk_done,
-                        bytes,
-                        None,
-                    ));
-                }
+            let run_here = here.binary_search_by_key(&item.req_id, |&(id, _)| id);
+            if item.kind == ReqKind::Compute && run_here.is_ok() {
+                let ready_in = disk_done.max(rpc_done);
+                let grant = ctx.use_resource(ResourceKind::Cpu, ready_in, value.udf_cpu());
+                self.rt.observe_cpu(value.udf_cpu().as_secs_f64());
+                // Effective cost is measured from when the item's data
+                // was ready (disk), NOT from after its RPC slot cleared
+                // the CPU queue — the queue wait *is* the congestion
+                // signal that tells compute nodes this node is melting.
+                self.rt
+                    .observe_cpu_effective(grant.done.since(disk_done).as_secs_f64());
+                let (_, stage) = decode_params(&item.params);
+                let udf = self
+                    .udfs
+                    .get(self.plan.stages[stage as usize].udf)
+                    .expect("udf registered")
+                    .clone();
+                let out = udf.apply(&item.key.1, &item.params, &value);
+                self.udf_execs += 1;
+                self.scv_est.update(out.len() as f64);
+                ready = ready.max(grant.done);
+                let output_size = out.len() as u64;
+                let payload = ResponsePayload::Computed { output_size };
+                computed.push((grant.done, answer(item.key, payload, cost), out));
+                continue;
             }
+            // Data request, or a bounced compute request: ship the stored
+            // value back (its *logical* size on the wire).
+            let bounced = item.kind == ReqKind::Compute;
+            if !bounced {
+                // The compute node will cache this value: register
+                // interest for targeted update notification.
+                self.interest
+                    .record_cached(item.key.0, item.key.1.clone(), from_compute);
+            }
+            ready = ready.max(disk_done).max(rpc_done);
+            let bytes = value.size() + ITEM_OVERHEAD;
+            let payload = ResponsePayload::Value {
+                value: Val(value),
+                bounced,
+            };
+            first.push(answer(item.key, payload, cost), disk_done, bytes);
         }
 
-        // 5. Reply in waves rather than one message gated on the slowest
-        //    item: values, bounces and misses are ready at disk speed, and
-        //    computed outputs return in chunks as their CPU work finishes.
-        //    A single all-or-nothing reply would serialize cheap fetches
-        //    behind heavy UDF stragglers queued on this node's CPU.
+        // 5. Reply: the first wave, then the computed outputs in completion
+        //    order, eight to a wave.
         let reply_to = self.spec.compute_id(from_compute);
-        let mut waves: Vec<ReplyWave> = Vec::new();
-        {
-            // Wave 0: everything that needs no CPU here.
-            let mut value_items = Vec::new();
-            let mut value_bytes = BATCH_OVERHEAD;
-            let mut value_ready = now;
-            let mut computed: Vec<ServedItem> = Vec::new();
-            for part in item_parts {
-                let (item, done_at, bytes, _) = &part;
-                match &item.payload {
-                    ResponsePayload::Computed { .. } => computed.push(part),
-                    _ => {
-                        value_ready = value_ready.max(*done_at);
-                        value_bytes += bytes;
-                        value_items.push(part.0);
-                    }
-                }
-            }
-            if !value_items.is_empty() {
-                waves.push((value_ready, value_items, Vec::new(), value_bytes));
-            }
-            // Computed waves: chunks of 8 in completion order. Items and
-            // outputs move into their wave — nothing is re-cloned here.
-            computed.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.req_id.cmp(&b.0.req_id)));
-            let mut chunk_items = Vec::with_capacity(8);
-            let mut chunk_outputs = Vec::with_capacity(8);
-            let mut chunk_ready = now;
-            let mut chunk_bytes = BATCH_OVERHEAD;
-            for (item, done_at, bytes, out) in computed {
-                chunk_ready = chunk_ready.max(done_at);
-                chunk_bytes += bytes;
-                chunk_outputs.push((item.req_id, out.expect("computed item has output")));
-                chunk_items.push(item);
-                if chunk_items.len() == 8 {
-                    waves.push((
-                        chunk_ready,
-                        std::mem::take(&mut chunk_items),
-                        std::mem::take(&mut chunk_outputs),
-                        chunk_bytes,
-                    ));
-                    chunk_ready = now;
-                    chunk_bytes = BATCH_OVERHEAD;
-                }
-            }
-            if !chunk_items.is_empty() {
-                waves.push((chunk_ready, chunk_items, chunk_outputs, chunk_bytes));
-            }
+        if !first.items.is_empty() {
+            self.reply(reply_to, first, ctx);
         }
-        for (wave_ready, items, outputs, bytes) in waves {
-            ctx.send_ready_at(
-                wave_ready,
-                reply_to,
-                Msg::Reply {
-                    from_data: self.idx,
-                    items,
-                    outputs,
-                    // Delay-accept signal: the sender throttles while this
-                    // is set. Sampled at serve time — the hysteresis state
-                    // when the batch entered, which is what the sender's
-                    // window should react to.
-                    pressured: self.pressured,
-                },
-                bytes,
-            );
+        let executed = computed.len() as u64;
+        computed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.req_id.cmp(&b.1.req_id)));
+        let mut computed = computed.into_iter().peekable();
+        while computed.peek().is_some() {
+            let mut wave = Wave::new(now);
+            for (done, item, out) in computed.by_ref().take(8) {
+                let bytes = out.len() as u64 + ITEM_OVERHEAD;
+                wave.outputs.push((item.req_id, out));
+                wave.push(item, done, bytes);
+            }
+            self.reply(reply_to, wave, ctx);
         }
 
         self.trace.span(Track::Serve, "batch", now, ready, || {
             [
-                ("items", ArgVal::U64(n_items as u64)),
+                ("items", ArgVal::U64(n_items)),
                 ("executed", executed.into()),
                 ("bounced", (n_compute - executed).into()),
                 ("data", n_data.into()),
             ]
         });
 
-        // 6. Drain the queue counters when the batch completes.
-        let drain = PendingDrain {
+        // 6. Release the queue and the load counters when the batch completes.
+        let served = Served {
             computed: executed,
             bounced: n_compute - executed,
-            data_served: n_data,
-            responses: n_data + n_compute,
-            admitted: if self.overload.is_some() {
-                n_items as u64
-            } else {
-                0
-            },
+            data: n_data,
         };
-        let tag = self.next_drain;
-        self.next_drain += 1;
-        self.drains.insert(tag, drain);
-        ctx.set_timer(ready, tag);
+        ctx.set_timer(ready, self.ingest.served(served));
+    }
+
+    /// Send one reply wave, on the wire once its last item is ready.
+    fn reply<C: RuntimeCtx<Msg>>(&self, to: NodeId, wave: Wave, ctx: &mut C) {
+        let reply = Msg::Reply {
+            from_data: self.idx,
+            items: wave.items,
+            outputs: wave.outputs,
+            // Delay-accept signal: the sender throttles while this is set.
+            // Sampled at serve time — the hysteresis state when the batch
+            // entered, which is what the sender's window should react to.
+            pressured: self.ingest.pressured(),
+        };
+        ctx.send_ready_at(wave.ready, to, reply, wave.bytes);
     }
 
     fn handle_put<C: RuntimeCtx<Msg>>(
@@ -819,8 +704,8 @@ impl DataNode {
             self.spec.controller_id(),
             Msg::Heartbeat {
                 from_data: self.idx,
-                queue_depth: self.queued,
-                pressured: self.pressured,
+                queue_depth: self.ingest.depth(),
+                pressured: self.ingest.pressured(),
             },
             CTRL_BYTES,
         );
@@ -880,22 +765,19 @@ impl DataNode {
             self.migrate(tag & !MIG_BIT, Event::Timeout, ctx);
             return;
         }
-        if let Some(d) = self.drains.remove(&tag) {
-            self.rt.on_computed(d.computed);
-            self.rt.on_bounced(d.bounced);
-            self.rt.on_data_served(d.data_served);
-            self.rt.on_responses_sent(d.responses);
-            if let Some(ov) = self.overload {
-                self.queued = self.queued.saturating_sub(d.admitted);
-                if self.pressured && self.queued <= ov.low_watermark {
-                    self.pressured = false;
-                    self.trace
-                        .instant(Track::Fault, "pressure-off", ctx.now(), || {
-                            [("depth", self.queued.into())]
-                        });
-                }
-                self.tel_queue_depth(ctx);
-            }
+        let Some((served, pressure_off)) = self.ingest.done(tag) else {
+            return;
+        };
+        self.rt.on_computed(served.computed);
+        self.rt.on_bounced(served.bounced);
+        self.rt.on_data_served(served.data);
+        self.rt.on_responses_sent(served.items());
+        if pressure_off {
+            self.trace
+                .instant(Track::Fault, "pressure-off", ctx.now(), || {
+                    [("depth", self.ingest.depth().into())]
+                });
         }
+        self.tel_queue_depth(ctx);
     }
 }

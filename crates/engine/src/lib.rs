@@ -13,10 +13,15 @@
 //! `jl-serve` request/response layer builds on, by pacing the kernel
 //! [`runner::load_host`] returns). Both run the same [`ClusterSim`].
 //!
-//! Live region migration is one sans-IO transition table (the private
+//! Three protocols are sans-IO tables that read no clock and perform no
+//! IO; the node that owns each makes every runtime and trace call.
+//! Live region migration is one transition table (the private
 //! `migration` module) that the data node feeds events and whose effects
-//! it performs; the [`controller`] plans migrations and drains. The
-//! compute node's tuples and requests are one sans-IO table too (the
+//! it performs; the [`controller`] plans migrations and drains. The data
+//! node's batches live in one ingest table (the private `ingest` module)
+//! from admission to completion: the queue cap, the high/low watermark
+//! hysteresis and the load counters a batch releases when it completes.
+//! The compute node's tuples and requests are one table too (the
 //! private `requests` module): one record per live tuple and per
 //! outstanding request, one timer-tag decoder, and one rule for what a
 //! NACK or a fired timer does.
@@ -29,6 +34,7 @@ pub mod compute_node;
 pub mod config;
 pub mod controller;
 pub mod data_node;
+mod ingest;
 mod migration;
 pub mod plan;
 mod requests;

@@ -1395,6 +1395,51 @@ mod tests {
         assert_eq!(r.retries, 0);
     }
 
+    /// A crash empties the ingest queue, and the queue-depth gauge says
+    /// so: data node 0 dies for good with batches still queued, and its
+    /// gauge reads 0 from the crash on instead of the pre-crash depth.
+    #[test]
+    fn a_crash_zeroes_the_queue_depth_gauge() {
+        use jl_simkit::fault::FaultPlan;
+        let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let healthy = run_job(&job, store, udfs, tuples, vec![]);
+        let (mut job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let d = healthy.duration.as_secs_f64();
+        let crash_at = SimTime::ZERO + SimDuration::from_secs_f64(d * 0.3);
+        job.faults = Some(FaultPlan::new(3).crash(job.cluster.data_id(0), crash_at, None));
+        let t = (d * 0.01).clamp(0.05, 1.0);
+        job.retry = Some(RetryConfig {
+            timeout: SimDuration::from_secs_f64(t),
+            backoff_cap: SimDuration::from_secs_f64(8.0 * t),
+            max_retries: 8,
+            down_cooldown: SimDuration::from_secs_f64(4.0 * t),
+        });
+        job.overload = Some(OverloadConfig::permissive());
+        job.telemetry = Some(TelemetryConfig::default());
+        let tel = job.telemetry.map(jl_telemetry::shared);
+        let built = build_cluster(&job, store, udfs, tuples, vec![], &tel);
+        let mut sim = load_host(&job, built, &tel);
+        let end = sim.run_until(SimTime::MAX);
+        let node = sim
+            .node(job.cluster.data_id(0))
+            .as_data()
+            .expect("data role");
+        let gauge = node
+            .queue_gauge()
+            .expect("traced overload run samples depth");
+        assert!(gauge.peak() > 0.0, "the queue never filled");
+        assert_eq!(node.live_queue(), (0, false));
+        assert_eq!(gauge.value(), 0.0, "gauge kept the pre-crash depth");
+        // Zero for the 70 % of the run after the crash: the time-weighted
+        // mean is at most 30 % of the peak.
+        let mean = gauge.average(end);
+        assert!(
+            mean <= 0.3 * gauge.peak(),
+            "mean {mean} peak {}",
+            gauge.peak()
+        );
+    }
+
     /// Validation lives in `build_cluster`, so a caller that assembles
     /// its runtime by hand (the serve layer: `build_cluster` →
     /// `load_host`) cannot skip it.
