@@ -1257,14 +1257,20 @@ mod tests {
                 .straggle(job.cluster.data_id(1), (at(0.1), at(0.7)), 4.0)
                 .drop_link(None, Some(job.cluster.data_id(2)), (at(0.3), at(0.5)), 0.05),
         );
+        job.retry = Some(chaos_retry(d));
+        (job, store, udfs, tuples)
+    }
+
+    /// Retries for a run whose healthy duration is `d` seconds: a
+    /// timeout at 1 % of it (50 ms to 1 s), up to eight re-issues.
+    fn chaos_retry(d: f64) -> RetryConfig {
         let t = (d * 0.01).clamp(0.05, 1.0);
-        job.retry = Some(RetryConfig {
+        RetryConfig {
             timeout: SimDuration::from_secs_f64(t),
             backoff_cap: SimDuration::from_secs_f64(8.0 * t),
             max_retries: 8,
             down_cooldown: SimDuration::from_secs_f64(4.0 * t),
-        });
-        (job, store, udfs, tuples)
+        }
     }
 
     #[test]
@@ -1407,13 +1413,7 @@ mod tests {
         let d = healthy.duration.as_secs_f64();
         let crash_at = SimTime::ZERO + SimDuration::from_secs_f64(d * 0.3);
         job.faults = Some(FaultPlan::new(3).crash(job.cluster.data_id(0), crash_at, None));
-        let t = (d * 0.01).clamp(0.05, 1.0);
-        job.retry = Some(RetryConfig {
-            timeout: SimDuration::from_secs_f64(t),
-            backoff_cap: SimDuration::from_secs_f64(8.0 * t),
-            max_retries: 8,
-            down_cooldown: SimDuration::from_secs_f64(4.0 * t),
-        });
+        job.retry = Some(chaos_retry(d));
         job.overload = Some(OverloadConfig::permissive());
         job.telemetry = Some(TelemetryConfig::default());
         let tel = job.telemetry.map(jl_telemetry::shared);
@@ -1430,8 +1430,8 @@ mod tests {
         assert!(gauge.peak() > 0.0, "the queue never filled");
         assert_eq!(node.live_queue(), (0, false));
         assert_eq!(gauge.value(), 0.0, "gauge kept the pre-crash depth");
-        // Zero for the 70 % of the run after the crash: the time-weighted
-        // mean is at most 30 % of the peak.
+        // Zero from the crash, 30 % of the healthy run's length in, to the
+        // end: the time-weighted mean is at most 30 % of the peak.
         let mean = gauge.average(end);
         assert!(
             mean <= 0.3 * gauge.peak(),
