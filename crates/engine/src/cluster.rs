@@ -45,6 +45,10 @@ impl CacheValue for Val {
 }
 
 /// Messages exchanged in the simulated cluster.
+///
+/// Every pending event's slab slot in the kernel holds one `Msg`, so the
+/// rare large payloads (`Request`, `Put`, `MigSnapshot`) are boxed: the
+/// enum is sized by the common small messages, not by them.
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// A streaming input tuple arriving at a compute node.
@@ -54,7 +58,7 @@ pub enum Msg {
         /// Index of the sending compute node.
         from_compute: usize,
         /// The batch.
-        batch: BatchRequest<EKey, Bytes>,
+        batch: Box<BatchRequest<EKey, Bytes>>,
     },
     /// A batched response from a data node.
     Reply {
@@ -92,7 +96,7 @@ pub enum Msg {
         /// Row key.
         key: RowKey,
         /// New value.
-        value: StoredValue,
+        value: Box<StoredValue>,
     },
     /// A compute node reporting completion to the controller (batch jobs).
     Done,
@@ -186,7 +190,7 @@ pub enum Msg {
         /// Source data-node index.
         from_data: usize,
         /// The snapshot rows.
-        rows: jl_store::Region,
+        rows: Box<jl_store::Region>,
     },
     /// Target -> source: snapshot staged; send the delta and freeze.
     MigFetched {
@@ -318,5 +322,18 @@ impl ClusterNode {
             ClusterNode::Controller(n) => Some(n),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn msg_stays_small() {
+        // Every pending event's slab slot carries a `Msg`: box a new large
+        // variant instead of growing every slot.
+        let size = std::mem::size_of::<Msg>();
+        assert!(size <= 64, "Msg is {size} B");
     }
 }

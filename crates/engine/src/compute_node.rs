@@ -504,7 +504,7 @@ impl ComputeNode {
                         to,
                         Msg::Request {
                             from_compute: self.idx,
-                            batch,
+                            batch: Box::new(batch),
                         },
                         bytes,
                     );

@@ -718,8 +718,8 @@ impl DataNode {
             Msg::Request {
                 from_compute,
                 batch,
-            } => self.handle_batch(from_compute, batch, ctx),
-            Msg::Put { table, key, value } => self.handle_put(table, key, value, ctx),
+            } => self.handle_batch(from_compute, *batch, ctx),
+            Msg::Put { table, key, value } => self.handle_put(table, key, *value, ctx),
             Msg::Activate { .. } => {
                 self.draining = false;
                 if !self.mem_active {

@@ -117,7 +117,7 @@ impl Event {
                 region,
                 from_data,
                 rows,
-            } => (mig_id, Event::Snapshot(table, region, from_data, rows)),
+            } => (mig_id, Event::Snapshot(table, region, from_data, *rows)),
             Msg::MigFetched { mig_id } => (mig_id, Event::Fetched),
             Msg::MigCommit { mig_id, delta } => (mig_id, Event::Commit(delta)),
             Msg::MigCommitAck { mig_id } => (mig_id, Event::CommitAck),
@@ -257,6 +257,7 @@ impl Migrations {
     ) -> Result<Put, Vec<Effect>> {
         if let Some(owner) = self.moved_to(table, region) {
             let bytes = put_bytes(&key, &value);
+            let value = Box::new(value);
             let put = Msg::Put { table, key, value };
             return Err(vec![Effect::Send(Peer::Data(owner), put, bytes)]);
         }
@@ -320,7 +321,7 @@ impl Migrations {
                 "mig-forward",
                 &[("items", n), ("owner", owner as u64)],
             ));
-            let batch = BatchRequest { items, stats };
+            let batch = Box::new(BatchRequest { items, stats });
             let request = Msg::Request {
                 from_compute,
                 batch,
@@ -349,7 +350,7 @@ impl Migrations {
                     table,
                     region,
                     from_data: self.node,
-                    rows,
+                    rows: Box::new(rows),
                 };
                 let effects = vec![
                     Effect::Disk(bytes.max(1)),
@@ -467,6 +468,7 @@ impl Migrations {
                 // The frozen puts go to the new owner in arrival order.
                 effects.extend(frozen.into_iter().map(|(key, value)| {
                     let bytes = put_bytes(&key, &value);
+                    let value = Box::new(value);
                     Effect::Send(Peer::Data(peer), Msg::Put { table, key, value }, bytes)
                 }));
                 effects.push(trace(

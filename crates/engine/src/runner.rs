@@ -572,7 +572,11 @@ pub fn build_cluster(
         posts.push((
             at,
             cluster.data_id(server),
-            Msg::Put { table, key, value },
+            Msg::Put {
+                table,
+                key,
+                value: Box::new(value),
+            },
             bytes,
         ));
     }

@@ -13,7 +13,10 @@
 //!   `1 << shift` nanoseconds covering one "year" from the cursor. Pushes
 //!   land in their bucket unsorted in O(1); when the near tier empties, the
 //!   cursor advances and the next non-empty bucket is sorted once and
-//!   becomes the near tier.
+//!   becomes the near tier. The consumed bucket hands its buffer to near
+//!   instead of being copied out, so it restarts empty and the tiers'
+//!   capacity follows the events pending now (about 2× the live entries),
+//!   not the largest burst each bucket ever held.
 //! * **far** — a binary heap for events beyond the ring's year (the
 //!   hierarchical fallback). When the cursor reaches an empty ring the
 //!   queue jumps to the far minimum and re-tunes the bucket width to the
@@ -23,7 +26,9 @@
 //! `(time, seq, slot)` triples, so sorting and sifting never move the
 //! payload, and a payload is written once at push and moved out once at
 //! pop. [`CalendarQueue::reserve`] pre-sizes the slab, which is how
-//! `Sim::reserve_events` honors a known feed volume.
+//! `Sim::reserve_events` honors a known feed volume. A slot is as large as
+//! the payload type, so a payload enum should box its rare large variants
+//! (the engine's `Msg` does) rather than size every pending event by them.
 //!
 //! Ordering is exact regardless of bucket geometry — the tiers partition
 //! the time axis, so the near minimum is always the global minimum. The
@@ -106,7 +111,7 @@ impl<T> CalendarQueue<T> {
         CalendarQueue {
             slots: Vec::with_capacity(cap),
             free: Vec::new(),
-            near: Vec::with_capacity(64),
+            near: Vec::new(),
             ring: (0..NBUCKETS).map(|_| Vec::new()).collect(),
             ring_len: 0,
             cursor: 0,
@@ -128,8 +133,9 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Grow the payload slab (and freelist bookkeeping) to hold at least
-    /// `additional` more events without reallocating.
+    /// Reserve slab capacity for at least `additional` more pending events
+    /// (free slots count toward it). Only the slab grows: the freelist and
+    /// the tiers are not pre-sized.
     pub fn reserve(&mut self, additional: usize) {
         let live = self.slots.len() - self.free.len();
         let need = live + additional;
@@ -236,7 +242,10 @@ impl<T> CalendarQueue<T> {
             let b = (self.cursor & (NBUCKETS - 1)) as usize;
             if !self.ring[b].is_empty() {
                 self.ring_len -= self.ring[b].len();
-                self.near.append(&mut self.ring[b]);
+                // `near` is empty here, so it takes the bucket's buffer
+                // rather than copying out of it: no bucket keeps the
+                // capacity of the largest burst it ever held.
+                self.near = std::mem::take(&mut self.ring[b]);
                 // Descending, so pops come off the tail cheapest-first.
                 self.near
                     .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
@@ -361,6 +370,27 @@ mod tests {
         }
         // Steady-state ping-pong must not grow the slab past a handful.
         assert!(q.slots.len() <= 4, "slab grew to {}", q.slots.len());
+    }
+
+    #[test]
+    fn tier_capacity_follows_pending_events() {
+        const BURST: u64 = 512;
+        let mut q = CalendarQueue::with_capacity(BURST as usize);
+        let mut seq = 0u64;
+        // One burst per ring bucket in turn, each drained before the next:
+        // never more than BURST events pending at once.
+        for b in 0..NBUCKETS {
+            for i in 0..BURST {
+                q.push(SimTime((b << DEFAULT_SHIFT) + i), seq, 0);
+                seq += 1;
+            }
+            while q.pop().is_some() {}
+            let held = q.near.capacity() + q.ring.iter().map(Vec::capacity).sum::<usize>();
+            assert!(
+                held <= 4 * BURST as usize,
+                "after bucket {b}: tiers hold {held} entries of capacity for {BURST} pending"
+            );
+        }
     }
 }
 
