@@ -22,11 +22,11 @@
 #     `<rev>+1` and the PR number from $PR (default 0).
 # Exits with `--compare`'s code, or 1 if any run failed its checks.
 #
-# Environment: PAIRS (default 10), RUN_SECONDS (default 14), WORKLOADS (a
-# space-separated subset; default all six), PR. <workdir> defaults to a
-# fresh temporary directory; pass one to reuse the <rev> build.
+# <workdir> defaults to a fresh temporary directory; pass one to reuse the
+# <rev> build. The recipe (ten pairs, seeds 100-109, 14 s, all six
+# workloads) is fixed so that every printed row means the same measurement.
 #
-# Not a CI step. It takes about 35 minutes on two cores at the defaults.
+# Not a CI step. It takes about 35 minutes on two cores.
 
 set -euo pipefail
 
@@ -40,9 +40,9 @@ short=$(git -C "$root" rev-parse --short "$rev")
 work=${2:-$(mktemp -d)}
 mkdir -p "$work"
 work=$(cd "$work" && pwd)
-pairs=${PAIRS:-10}
-seconds=${RUN_SECONDS:-14}
-workloads=${WORKLOADS:-dh_batch ch_batch tweets_stream dh_updates dh_batch_par2 serve_open}
+pairs=10
+seconds=14
+workloads="dh_batch ch_batch tweets_stream dh_updates dh_batch_par2 serve_open"
 
 # build <side>: the benchmark binary of the source tree in <workdir>/<side>.
 build() {
