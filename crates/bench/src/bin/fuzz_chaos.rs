@@ -42,21 +42,17 @@
 
 use std::collections::HashMap;
 
-use jl_bench::{chaos_retry, digest_udfs};
-use jl_core::{OptimizerConfig, ShedMode, Strategy};
+use jl_bench::experiments::JobInputs;
+use jl_bench::{chaos_retry, fuzz_spec, pace, SyntheticCell};
+use jl_core::ShedMode;
 use jl_engine::{
-    build_store, build_store_active, reference_run, run_job, ClusterSpec, FeedMode, JobPlan,
-    JobSpec, JobTuple, MembershipConfig, MembershipEvent, OverloadConfig, RetryConfig, RunReport,
-    TupleFate,
+    reference_run, run_job, ClusterSpec, FeedMode, MembershipConfig, MembershipEvent,
+    OverloadConfig, RetryConfig, RunReport, TupleFate,
 };
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::rng::{splitmix64, stream_rng};
 use jl_simkit::time::{SimDuration, SimTime};
-use jl_store::RowKey;
-use jl_workloads::SyntheticSpec;
 use rand::Rng;
-
-const UDF: usize = 0;
 
 /// One fully-derived fuzz case. Every field the minimizer may flip is
 /// explicit here, so a printed case is a complete repro.
@@ -154,22 +150,6 @@ impl Case {
     }
 }
 
-/// The fuzz workload: small enough that a per-tuple reference pass over
-/// every tuple stays cheap, with value fetches and UDF cost big enough
-/// to congest a 4+4-node cluster at load > 1.
-fn fuzz_spec(n_tuples: u64) -> SyntheticSpec {
-    SyntheticSpec {
-        name: "DH",
-        n_keys: 2000,
-        value_size: 16 * 1024,
-        value_prefix: 64,
-        udf_cpu: SimDuration::from_micros(120),
-        n_tuples,
-        params_size: 128,
-        output_size: 256,
-    }
-}
-
 fn fuzz_cluster() -> ClusterSpec {
     ClusterSpec {
         n_compute: 4,
@@ -183,21 +163,29 @@ fn fuzz_cluster() -> ClusterSpec {
     }
 }
 
-fn make_tuples(spec: &SyntheticSpec, z: f64, seed: u64, gap: SimDuration) -> Vec<JobTuple> {
-    let mut rng = stream_rng(seed, "tuples");
-    let mut at = SimTime::ZERO;
-    spec.tuples(z, 1, &mut rng, seed)
-        .into_iter()
-        .map(|t| {
-            at += gap;
-            JobTuple {
-                seq: t.seq,
-                keys: vec![RowKey::from_u64(t.key)],
-                params_size: t.params_size,
-                arrival: at,
-            }
-        })
-        .collect()
+/// The fuzz job, its regions on the first `active` data nodes: `n`
+/// tuples of [`fuzz_spec`] at skew `z`, arriving `gap` apart, streamed
+/// through an issue window of `window` tuples per compute node.
+fn fuzz_job(
+    n: u64,
+    z: f64,
+    seed: u64,
+    gap: SimDuration,
+    window: usize,
+    active: usize,
+) -> JobInputs {
+    let cell = SyntheticCell {
+        cluster: fuzz_cluster(),
+        mem_cache: 100 << 20,
+        ..SyntheticCell::new(fuzz_spec(n), z, seed)
+    };
+    let (mut job, store, udfs, mut tuples) = cell.build_on(active);
+    pace(&mut tuples, |_| gap);
+    job.feed = FeedMode::Stream {
+        horizon: SimDuration::from_secs(100_000),
+        window,
+    };
+    (job, store, udfs, tuples)
 }
 
 /// Random fault plan over the first three data nodes, with windows as
@@ -326,50 +314,6 @@ fn retry_for(case: &Case, healthy: &RunReport) -> RetryConfig {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_once(
-    case: &Case,
-    spec: &SyntheticSpec,
-    cluster: &ClusterSpec,
-    tuples: Vec<JobTuple>,
-    faults: Option<FaultPlan>,
-    retry: Option<RetryConfig>,
-    overload: OverloadConfig,
-    membership: Option<MembershipConfig>,
-) -> RunReport {
-    let tables = vec![(spec.name.into(), spec.rows(1).collect())];
-    let store = match &membership {
-        Some(m) => build_store_active(cluster, tables, m.initial_active),
-        None => build_store(cluster, tables),
-    };
-    let mut optimizer = OptimizerConfig::for_strategy(Strategy::Full);
-    optimizer.batch_max_wait = SimDuration::from_millis(5);
-    let job = JobSpec {
-        faults,
-        retry,
-        overload: Some(overload),
-        membership,
-        ..JobSpec::new(
-            cluster.clone(),
-            optimizer,
-            FeedMode::Stream {
-                horizon: SimDuration::from_secs(100_000),
-                window: case.window,
-            },
-            JobPlan::single(0, UDF),
-            case.seed,
-            spec.udf_cpu.as_secs_f64(),
-        )
-    };
-    run_job(
-        &job,
-        store,
-        digest_udfs(spec.output_size as usize),
-        tuples,
-        vec![],
-    )
-}
-
 /// Reconcile one report against the per-tuple reference fingerprints.
 /// `churn` relaxes the queue-cap bound (drain handoffs admit past it by
 /// design) and instead demands at least one migration attempt.
@@ -444,21 +388,18 @@ fn check(
 /// Run one case end to end: reference pass, fault-free calibration run,
 /// then the fuzzed run, with invariants on both runs.
 fn run_case(case: &Case) -> Result<RunReport, String> {
-    let spec = fuzz_spec(case.n_tuples);
-    let cluster = fuzz_cluster();
     let gap = SimDuration::from_secs_f64(1.0 / (case.mu * case.load));
-    let tuples = make_tuples(&spec, case.z, case.seed, gap);
+    let job = |active| fuzz_job(case.n_tuples, case.z, case.seed, gap, case.window, active);
+    let n_data = fuzz_cluster().n_data;
 
     // Reference: the whole job executed directly against the store, and
     // each tuple's individual contribution for outcome reconciliation.
-    let ref_store = build_store(&cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let udfs = digest_udfs(spec.output_size as usize);
-    let plan = JobPlan::single(0, UDF);
-    let reference = reference_run(&ref_store, &udfs, &plan, &tuples);
+    let (spec, ref_store, udfs, tuples) = job(n_data);
+    let reference = reference_run(&ref_store, &udfs, &spec.plan, &tuples);
     let per_tuple: HashMap<u64, u64> = tuples
         .iter()
         .map(|t| {
-            let one = reference_run(&ref_store, &udfs, &plan, std::slice::from_ref(t));
+            let one = reference_run(&ref_store, &udfs, &spec.plan, std::slice::from_ref(t));
             (t.seq, one.fingerprint)
         })
         .collect();
@@ -470,16 +411,9 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
     // Fault-free calibration: its duration scales the fault and churn
     // timelines and the retry timeouts, its p99 anchors the deadline
     // budget — and it must itself reproduce the reference exactly.
-    let healthy = run_once(
-        case,
-        &spec,
-        &cluster,
-        tuples.clone(),
-        None,
-        None,
-        OverloadConfig::permissive(),
-        None,
-    );
+    let (mut spec, store, udfs, tuples) = job(n_data);
+    spec.overload = Some(OverloadConfig::permissive());
+    let healthy = run_job(&spec, store, udfs, tuples, vec![]);
     if healthy.completed != case.n_tuples || healthy.shed != 0 || healthy.gave_up != 0 {
         return Err(format!(
             "healthy run: completed {} shed {} gave_up {} (want {} / 0 / 0)",
@@ -497,7 +431,7 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
     let data_cap = overload.data_queue_cap;
     let faults = case
         .faults
-        .then(|| fault_plan(case, &cluster, healthy.duration));
+        .then(|| fault_plan(case, &spec.cluster, healthy.duration));
     let retry = (case.faults || case.retry).then(|| retry_for(case, &healthy));
     let membership = case.churn.then(|| {
         let timeout = retry
@@ -506,9 +440,13 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
             .unwrap_or_else(|| chaos_retry(healthy.duration).timeout);
         churn_plan(case, healthy.duration, timeout)
     });
-    let r = run_once(
-        case, &spec, &cluster, tuples, faults, retry, overload, membership,
-    );
+    let (mut spec, store, udfs, tuples) =
+        job(membership.as_ref().map_or(n_data, |m| m.initial_active));
+    spec.faults = faults;
+    spec.retry = retry;
+    spec.overload = Some(overload);
+    spec.membership = membership;
+    let r = run_job(&spec, store, udfs, tuples, vec![]);
     check(&r, &per_tuple, data_cap, case.churn)?;
     Ok(r)
 }
@@ -627,38 +565,13 @@ fn minimize(mut case: Case, mut err: String) -> (Case, String, Vec<&'static str>
 /// One firehose calibration pins the service rate (tuples/s); every
 /// case's offered load is a multiple of it.
 fn calibrate(seed: u64) -> f64 {
-    let case = Case {
-        seed,
-        z: 0.0,
-        load: 1.0,
-        n_tuples: 400,
-        window: 32,
-        faults: false,
-        bounded: false,
-        data_cap: 0,
-        compute_cap: 0,
-        shed: ShedMode::DeadlineAware,
-        deadline_mult: None,
-        nack_backoff: SimDuration::from_millis(2),
-        retry: false,
-        aggressive_retry: false,
-        churn: false,
-        mu: 0.0,
-    };
-    let spec = fuzz_spec(case.n_tuples);
-    let cluster = fuzz_cluster();
-    let tuples = make_tuples(&spec, 0.0, seed, SimDuration::from_micros(1));
-    let r = run_once(
-        &case,
-        &spec,
-        &cluster,
-        tuples,
-        None,
-        None,
-        OverloadConfig::permissive(),
-        None,
-    );
-    r.throughput().max(1.0)
+    let firehose = SimDuration::from_micros(1);
+    let (mut job, store, udfs, tuples) =
+        fuzz_job(400, 0.0, seed, firehose, 32, fuzz_cluster().n_data);
+    job.overload = Some(OverloadConfig::permissive());
+    run_job(&job, store, udfs, tuples, vec![])
+        .throughput()
+        .max(1.0)
 }
 
 fn main() {

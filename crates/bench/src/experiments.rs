@@ -25,7 +25,7 @@ use jl_store::{
     DigestUdf, Partitioning, RegionMap, RowKey, StoreCluster, StoredValue, UdfRegistry,
 };
 use jl_telemetry::{RunTelemetry, TelemetryConfig};
-use jl_workloads::{AnnotationWorkload, SyntheticSpec, TpcDsLite, TweetStream};
+use jl_workloads::{AnnotationWorkload, Document, SyntheticSpec, TpcDsLite, TweetStream};
 
 use crate::output::FigTable;
 
@@ -48,39 +48,22 @@ fn window_for(strategy: Strategy, cluster: &ClusterSpec, input_per_node: usize) 
     }
 }
 
-/// Thread count the experiment grid fans out over: the `JL_BENCH_THREADS`
-/// environment variable when set, otherwise the machine's available
-/// parallelism. `figs` exposes it as `--threads N`.
+/// Fan independent experiment cells across the threads of the pool the
+/// caller runs in (`figs --threads N` installs one; outside any pool, every
+/// core). Each cell is its own deterministic simulation with per-cell
+/// seeded RNGs, and the collected output preserves input order, so every
+/// figure series is byte-identical regardless of thread count.
 ///
-/// # Panics
-/// On a malformed or zero `JL_BENCH_THREADS`, naming the variable — the
-/// value `figs` would refuse must not silently mean "all cores".
-pub fn bench_threads() -> usize {
-    let raw = std::env::var_os("JL_BENCH_THREADS").map(|v| v.to_string_lossy().into_owned());
-    crate::env_threads(raw)
-        .unwrap_or_else(|e| panic!("{e}"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
-/// Fan independent experiment cells across cores. Each cell is its own
-/// deterministic simulation with per-cell seeded RNGs, and the collected
-/// output preserves input order, so every figure series is byte-identical
-/// regardless of thread count.
+/// The pool's budget belongs to the calling thread only, so a cell must
+/// not call `run_grid` itself: the inner grid would fan out over every
+/// core. None does; [`fig9`] runs its grids one after another.
 pub fn run_grid<I, O, F>(cells: Vec<I>, f: F) -> Vec<O>
 where
     I: Send,
     O: Send,
     F: Fn(I) -> O + Sync + Send,
 {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(bench_threads())
-        .build()
-        .expect("bench thread pool");
-    pool.install(|| cells.into_par_iter().map(f).collect())
+    cells.into_par_iter().map(f).collect()
 }
 
 /// Skew values of §9.3.
@@ -137,26 +120,6 @@ pub fn scaled(mut spec: SyntheticSpec, tuple_scale: f64) -> SyntheticSpec {
     spec
 }
 
-/// The synthetic input stream as single-key job tuples, all arriving at
-/// time zero (streaming experiments re-pace them).
-pub fn synthetic_tuples(
-    spec: &SyntheticSpec,
-    z: f64,
-    shift_epochs: u64,
-    seed: u64,
-) -> Vec<JobTuple> {
-    let mut rng = stream_rng(seed, "tuples");
-    spec.tuples(z, shift_epochs, &mut rng, seed)
-        .into_iter()
-        .map(|t| JobTuple {
-            seq: t.seq,
-            keys: vec![RowKey::from_u64(t.key)],
-            params_size: t.params_size,
-            arrival: SimTime::ZERO,
-        })
-        .collect()
-}
-
 /// Space the tuples' arrivals: tuple `i` arrives `gap(i)` after tuple
 /// `i - 1` (the first one `gap(0)` after time zero).
 pub fn pace(tuples: &mut [JobTuple], gap: impl Fn(usize) -> SimDuration) {
@@ -172,8 +135,8 @@ pub type JobInputs = (JobSpec, StoreCluster, UdfRegistry, Vec<JobTuple>);
 
 /// One synthetic batch job, described by the knobs the figures move.
 /// Every synthetic experiment — figure cells, the kernel benchmark, the
-/// chaos/overload/elastic scenarios, the ablations — is this descriptor
-/// plus, at most, a few edits to the [`JobSpec`] it builds.
+/// chaos/overload/elastic scenarios, the ablations, the chaos fuzzer — is
+/// this descriptor plus, at most, a few edits to the [`JobSpec`] it builds.
 #[derive(Clone)]
 pub struct SyntheticCell {
     /// Store and input-stream shape.
@@ -227,7 +190,19 @@ impl SyntheticCell {
         let (spec, cluster) = (&self.spec, &self.cluster);
         let rows = vec![(spec.name.into(), spec.rows(1).collect())];
         let store = build_store_active(cluster, rows, active);
-        let tuples = synthetic_tuples(spec, self.z, self.shift_epochs, self.seed);
+        let mut rng = stream_rng(self.seed, "tuples");
+        // Single-key tuples, all arriving at time zero (streaming
+        // experiments re-pace them).
+        let tuples: Vec<JobTuple> = spec
+            .tuples(self.z, self.shift_epochs, &mut rng, self.seed)
+            .into_iter()
+            .map(|t| JobTuple {
+                seq: t.seq,
+                keys: vec![RowKey::from_u64(t.key)],
+                params_size: t.params_size,
+                arrival: SimTime::ZERO,
+            })
+            .collect();
         let per_node = tuples.len() / cluster.n_compute;
         let mut optimizer = optimizer_for(self.strategy, self.mem_cache);
         // The freeze counter is per compute node.
@@ -279,6 +254,23 @@ pub fn bench_cell(spec_name: &str, tuple_scale: f64, seed: u64) -> SyntheticCell
     SyntheticCell::new(scaled(spec, tuple_scale), 1.0, seed)
 }
 
+/// The small stream workload of `fuzz_chaos` and the overload suite:
+/// cheap enough that a per-tuple reference pass over every tuple stays
+/// fast, with value fetches and UDF cost big enough to congest a
+/// 4+4-node cluster at load > 1.
+pub fn fuzz_spec(n_tuples: u64) -> SyntheticSpec {
+    SyntheticSpec {
+        name: "DH",
+        n_keys: 2000,
+        value_size: 16 * 1024,
+        value_prefix: 64,
+        udf_cpu: SimDuration::from_micros(120),
+        n_tuples,
+        params_size: 128,
+        output_size: 256,
+    }
+}
+
 /// The job shape the [`ablations`](crate::ablations) share: `cell`'s
 /// inputs, but the optimizer at its library defaults (only the cache size
 /// set) under a fixed 256-tuple window, so a sweep moves exactly the knob
@@ -291,38 +283,55 @@ pub fn ablation_inputs(cell: &SyntheticCell) -> JobInputs {
     (job, store, udfs, tuples)
 }
 
-/// Figure 8 (a: DH, b: CH, c: DCH): Hadoop-mode synthetic workloads,
-/// normalized time vs skew for NO/FC/FD/FR/CO/LO/FO.
-pub fn fig8(spec: &SyntheticSpec, tuple_scale: f64, seed: u64) -> FigTable {
+/// The §9.3 skew grid shared by Figures 8 and 11: `metric` of every
+/// `strategies` cell at every skew of [`SKEWS`], normalized by NO at z = 0,
+/// one row per skew.
+fn skew_grid(
+    spec: &SyntheticSpec,
+    tuple_scale: f64,
+    seed: u64,
+    strategies: &[Strategy],
+    title: String,
+    metric: fn(&SyntheticCell) -> f64,
+) -> FigTable {
     let spec = scaled(spec.clone(), tuple_scale);
-    let secs = |z: f64, strategy: Strategy| {
-        SyntheticCell {
-            strategy,
-            ..SyntheticCell::new(spec.clone(), z, seed)
-        }
-        .sim_secs()
+    let cell = |z: f64, strategy: Strategy| SyntheticCell {
+        strategy,
+        ..SyntheticCell::new(spec.clone(), z, seed)
     };
-    let strategies = Strategy::all();
-    let base = secs(0.0, Strategy::NoOpt);
+    let base = metric(&cell(0.0, Strategy::NoOpt));
     let points: Vec<(f64, Strategy)> = SKEWS
         .iter()
         .flat_map(|&z| strategies.iter().map(move |&s| (z, s)))
         .collect();
-    let times = run_grid(points, |(z, s)| secs(z, s) / base);
-    let mut rows = Vec::new();
-    for (zi, &z) in SKEWS.iter().enumerate() {
-        let vals = times[zi * strategies.len()..(zi + 1) * strategies.len()].to_vec();
-        rows.push((format!("{z}"), vals));
-    }
+    let vals = run_grid(points, |(z, s)| metric(&cell(z, s)) / base);
     FigTable {
-        title: format!(
-            "Figure 8 ({}) — Hadoop synthetic workload, normalized time (NO @ z=0 = 1)",
-            spec.name
-        ),
+        title,
         row_label: "skew z".into(),
         columns: strategies.iter().map(|s| s.label().to_string()).collect(),
-        rows,
+        rows: SKEWS
+            .iter()
+            .zip(vals.chunks(strategies.len()))
+            .map(|(z, row)| (format!("{z}"), row.to_vec()))
+            .collect(),
     }
+}
+
+/// Figure 8 (a: DH, b: CH, c: DCH): Hadoop-mode synthetic workloads,
+/// normalized time vs skew for NO/FC/FD/FR/CO/LO/FO.
+pub fn fig8(spec: &SyntheticSpec, tuple_scale: f64, seed: u64) -> FigTable {
+    let title = format!(
+        "Figure 8 ({}) — Hadoop synthetic workload, normalized time (NO @ z=0 = 1)",
+        spec.name
+    );
+    skew_grid(
+        spec,
+        tuple_scale,
+        seed,
+        &Strategy::all(),
+        title,
+        SyntheticCell::sim_secs,
+    )
 }
 
 /// Figure 9: ratio of non-adaptive to adaptive (FO) time under a shifting
@@ -386,54 +395,33 @@ fn stream_throughput(cell: &SyntheticCell) -> f64 {
 /// Figure 11 (a: DH, b: CH, c: DCH): Muppet-mode synthetic workloads,
 /// normalized throughput vs skew for NO/FC/FD/FR/FO.
 pub fn fig11(spec: &SyntheticSpec, tuple_scale: f64, seed: u64) -> FigTable {
-    let spec = scaled(spec.clone(), tuple_scale);
-    let thr = |z: f64, strategy: Strategy| {
-        stream_throughput(&SyntheticCell {
-            strategy,
-            ..SyntheticCell::new(spec.clone(), z, seed)
-        })
-    };
-    let base = thr(0.0, Strategy::NoOpt);
-    let points: Vec<(f64, Strategy)> = SKEWS
-        .iter()
-        .flat_map(|&z| STREAM_STRATEGIES.iter().map(move |&s| (z, s)))
-        .collect();
-    let thr = run_grid(points, |(z, s)| thr(z, s) / base);
-    let mut rows = Vec::new();
-    for (zi, &z) in SKEWS.iter().enumerate() {
-        let vals = thr[zi * STREAM_STRATEGIES.len()..(zi + 1) * STREAM_STRATEGIES.len()].to_vec();
-        rows.push((format!("{z}"), vals));
-    }
-    FigTable {
-        title: format!(
-            "Figure 11 ({}) — Muppet synthetic workload, normalized throughput (NO @ z=0 = 1)",
-            spec.name
-        ),
-        row_label: "skew z".into(),
-        columns: STREAM_STRATEGIES
-            .iter()
-            .map(|s| s.label().to_string())
-            .collect(),
-        rows,
-    }
+    let title = format!(
+        "Figure 11 ({}) — Muppet synthetic workload, normalized throughput (NO @ z=0 = 1)",
+        spec.name
+    );
+    skew_grid(
+        spec,
+        tuple_scale,
+        seed,
+        &STREAM_STRATEGIES,
+        title,
+        stream_throughput,
+    )
 }
 
-/// Turn an annotation corpus into one tuple per spot.
-fn annotation_tuples(w: &AnnotationWorkload) -> Vec<JobTuple> {
-    let mut tuples = Vec::new();
-    let mut seq = 0u64;
-    for doc in w.documents() {
-        for spot in doc.spots {
-            tuples.push(JobTuple {
-                seq,
-                keys: vec![RowKey::from_u64(spot.token)],
-                params_size: spot.context_size,
-                arrival: SimTime::ZERO,
-            });
-            seq += 1;
-        }
-    }
-    tuples
+/// One tuple per entity spot of each `(arrival, document)`, numbered in
+/// order; a spot arrives with its document.
+fn spot_tuples(docs: impl IntoIterator<Item = (SimTime, Document)>) -> Vec<JobTuple> {
+    docs.into_iter()
+        .flat_map(|(arrival, doc)| doc.spots.into_iter().map(move |spot| (arrival, spot)))
+        .enumerate()
+        .map(|(seq, (arrival, spot))| JobTuple {
+            seq: seq as u64,
+            keys: vec![RowKey::from_u64(spot.token)],
+            params_size: spot.context_size,
+            arrival,
+        })
+        .collect()
 }
 
 /// Figure 5: entity annotation on the ClueWeb-shaped corpus — total time
@@ -442,7 +430,7 @@ pub fn fig5(doc_scale: f64, seed: u64) -> FigTable {
     let mut w = AnnotationWorkload::scaled_default(seed);
     w.docs = ((w.docs as f64 * doc_scale) as u64).max(100);
     let cluster = ClusterSpec::default();
-    let tuples = annotation_tuples(&w);
+    let tuples = spot_tuples(w.documents().into_iter().map(|doc| (SimTime::ZERO, doc)));
     let udfs = digest_udfs(96);
     let plan = JobPlan::single(0, UDF);
     let rows_map: HashMap<RowKey, StoredValue> = w.model_rows().collect();
@@ -523,23 +511,12 @@ fn fig6_inputs(tweet_scale: f64, seed: u64) -> (AnnotationWorkload, Vec<JobTuple
     stream.count = ((stream.count as f64 * tweet_scale) as u64).max(10_000);
     stream.rate_per_sec = 50_000.0; // saturating offered load
     let w = AnnotationWorkload::scaled_default(seed);
-    let mut tuples = Vec::new();
-    let mut seq = 0u64;
-    let mut annotatable_tweets = 0u64;
-    for (at, doc) in stream.generate() {
-        if !doc.spots.is_empty() {
-            annotatable_tweets += 1;
-        }
-        for spot in doc.spots {
-            tuples.push(JobTuple {
-                seq,
-                keys: vec![RowKey::from_u64(spot.token)],
-                params_size: spot.context_size,
-                arrival: at,
-            });
-            seq += 1;
-        }
-    }
+    let tweets = stream.generate();
+    let annotatable_tweets = tweets
+        .iter()
+        .filter(|(_, doc)| !doc.spots.is_empty())
+        .count();
+    let tuples = spot_tuples(tweets);
     let spots_per_tweet = tuples.len() as f64 / annotatable_tweets.max(1) as f64;
     (w, tuples, spots_per_tweet)
 }
@@ -650,16 +627,42 @@ pub fn chaos_retry(baseline: SimDuration) -> RetryConfig {
 /// then the same job under injected faults with timeout/retry/failover
 /// enabled — recording telemetry if the cell asks for it. Returns
 /// `(healthy, chaos, chaos telemetry)`.
-pub fn run_chaos_report(cell: &SyntheticCell) -> (RunReport, RunReport, Option<RunTelemetry>) {
+///
+/// `churn` layers membership churn over the faults: the fleet starts two
+/// nodes short, the two standbys join at 25% and 45% of the fault-free
+/// baseline, and a mid-fleet node is gracefully decommissioned at 65% — so
+/// live migrations race the crash, the straggler, and the lossy link. The
+/// healthy calibration run stays static; its fingerprint is the
+/// exactly-once reference the churned run must still reproduce.
+pub fn run_chaos_report(
+    cell: &SyntheticCell,
+    churn: bool,
+) -> (RunReport, RunReport, Option<RunTelemetry>) {
     let healthy = SyntheticCell {
         telemetry: None,
         ..cell.clone()
     }
     .run(Backend::Sim)
     .0;
-    let (mut job, store, udfs, tuples) = cell.build();
+    let n_data = cell.cluster.n_data;
+    let active = if churn { n_data - 2 } else { n_data };
+    let (mut job, store, udfs, tuples) = cell.build_on(active);
+    let retry = chaos_retry(healthy.duration);
+    let at = |f: f64| SimDuration::from_secs_f64(healthy.duration.as_secs_f64() * f);
+    job.membership = churn.then(|| MembershipConfig {
+        migration_timeout: retry.timeout,
+        events: vec![
+            (at(0.25), MembershipEvent::Join(active)),
+            (at(0.45), MembershipEvent::Join(active + 1)),
+            // Node 3 is none of the faulted nodes (0 crashes, 1 straggles,
+            // 2 sits behind the bad link); its drain lands after node 0 has
+            // restarted, so the decommission has somewhere healthy to go.
+            (at(0.65), MembershipEvent::Decommission(3)),
+        ],
+        ..MembershipConfig::static_active(active)
+    });
     job.faults = Some(chaos_fault_plan(&cell.cluster, healthy.duration, cell.seed));
-    job.retry = Some(chaos_retry(healthy.duration));
+    job.retry = Some(retry);
     let (chaos, tel) = run_job_on(&job, Backend::Sim, store, udfs, tuples, vec![]);
     (healthy, chaos, tel)
 }
@@ -681,47 +684,8 @@ pub fn traced_chaos_run(
         telemetry: Some(telemetry),
         ..bench_cell("DH", tuple_scale, seed)
     };
-    let (_healthy, chaos, tel) = run_chaos_report(&cell);
+    let (_healthy, chaos, tel) = run_chaos_report(&cell, false);
     (chaos, tel.expect("telemetry was requested"))
-}
-
-/// The chaos scenario with a membership-churn overlay on the full
-/// optimizer: the same DH cell and fault plan as the strategy rows, but
-/// the fleet starts two nodes short, the two standbys join at 25% and 45%
-/// of the fault-free baseline, and a mid-fleet node is gracefully
-/// decommissioned at 65% — so live migrations race the crash, the
-/// straggler, and the lossy link. The healthy calibration run stays
-/// static; its fingerprint is the exactly-once reference the churned run
-/// must still reproduce. Returns `(healthy, churned chaos, its telemetry)`
-/// like [`run_chaos_report`].
-pub fn run_chaos_churn_report(
-    cell: &SyntheticCell,
-) -> (RunReport, RunReport, Option<RunTelemetry>) {
-    let healthy = SyntheticCell {
-        telemetry: None,
-        ..cell.clone()
-    }
-    .run(Backend::Sim)
-    .0;
-    let active = cell.cluster.n_data - 2;
-    let (mut job, store, udfs, tuples) = cell.build_on(active);
-    let retry = chaos_retry(healthy.duration);
-    let at = |f: f64| SimDuration::from_secs_f64(healthy.duration.as_secs_f64() * f);
-    let mut membership = MembershipConfig::static_active(active);
-    membership.migration_timeout = retry.timeout;
-    membership.events = vec![
-        (at(0.25), MembershipEvent::Join(active)),
-        (at(0.45), MembershipEvent::Join(active + 1)),
-        // Node 3 is none of the faulted nodes (0 crashes, 1 straggles,
-        // 2 sits behind the bad link); its drain lands after node 0 has
-        // restarted, so the decommission has somewhere healthy to go.
-        (at(0.65), MembershipEvent::Decommission(3)),
-    ];
-    job.faults = Some(chaos_fault_plan(&cell.cluster, healthy.duration, cell.seed));
-    job.retry = Some(retry);
-    job.membership = Some(membership);
-    let (chaos, tel) = run_job_on(&job, Backend::Sim, store, udfs, tuples, vec![]);
-    (healthy, chaos, tel)
 }
 
 /// The chaos figure: the DH workload at z = 1.0 under the
@@ -732,27 +696,18 @@ pub fn run_chaos_churn_report(
 /// whose migration counters populate the last three columns.
 pub fn fig_chaos(tuple_scale: f64, seed: u64) -> FigTable {
     let full = bench_cell("DH", tuple_scale, seed);
-    let cells: Vec<Option<Strategy>> = CHAOS_STRATEGIES
+    let cells: Vec<(Strategy, bool)> = CHAOS_STRATEGIES
         .iter()
-        .copied()
-        .map(Some)
-        .chain([None]) // the churn overlay row
+        .map(|&strategy| (strategy, false))
+        .chain([(Strategy::Full, true)]) // the churn overlay row
         .collect();
-    let rows = run_grid(cells, |cell| {
-        let (label, healthy, chaos) = match cell {
-            Some(strategy) => {
-                let cell = SyntheticCell {
-                    strategy,
-                    ..full.clone()
-                };
-                let (h, c, _) = run_chaos_report(&cell);
-                (strategy.label().to_string(), h, c)
-            }
-            None => {
-                let (h, c, _) = run_chaos_churn_report(&full);
-                (format!("{}+churn", Strategy::Full.label()), h, c)
-            }
+    let rows = run_grid(cells, |(strategy, churn)| {
+        let cell = SyntheticCell {
+            strategy,
+            ..full.clone()
         };
+        let (healthy, chaos, _) = run_chaos_report(&cell, churn);
+        let label = format!("{}{}", strategy.label(), if churn { "+churn" } else { "" });
         let slowdown = if healthy.duration.as_secs_f64() > 0.0 {
             chaos.duration.as_secs_f64() / healthy.duration.as_secs_f64()
         } else {

@@ -23,12 +23,11 @@ pub mod output;
 pub mod serve;
 
 pub use experiments::{
-    ablation_inputs, bench_cell, bench_threads, chaos_fault_plan, chaos_retry,
-    check_elastic_invariants, check_overload_invariants, digest_udfs, fig11, fig5, fig6, fig7,
-    fig8, fig9, fig_chaos, fig_elastic, fig_overload, overload_bounded_config, pace,
-    run_chaos_churn_report, run_chaos_report, run_elastic_stream, run_grid, run_overload_stream,
-    scaled, synthetic_tuples, traced_chaos_run, ElasticCell, OverloadCell, SyntheticCell,
-    CHAOS_STRATEGIES, ELASTIC_PEAK_LOAD, ELASTIC_TROUGH_LOAD, SKEWS,
+    ablation_inputs, bench_cell, chaos_fault_plan, chaos_retry, check_elastic_invariants,
+    check_overload_invariants, digest_udfs, fig11, fig5, fig6, fig7, fig8, fig9, fig_chaos,
+    fig_elastic, fig_overload, fuzz_spec, overload_bounded_config, pace, run_chaos_report,
+    run_elastic_stream, run_grid, run_overload_stream, scaled, traced_chaos_run, ElasticCell,
+    OverloadCell, SyntheticCell, CHAOS_STRATEGIES, ELASTIC_PEAK_LOAD, ELASTIC_TROUGH_LOAD, SKEWS,
 };
 pub use observe::{ObserveConfig, ServeLive, ServeShared};
 pub use output::FigTable;
@@ -50,12 +49,12 @@ pub struct BenchArgs {
     /// paper's evaluation and therefore opt-in.
     pub faults: bool,
     /// Where to write the Chrome trace-event JSON of the canonical traced
-    /// run ([`traced_chaos_run`]), from `--trace <path>` or the `JL_TRACE`
-    /// environment variable. `None` disables telemetry entirely.
+    /// run ([`traced_chaos_run`]), from `--trace <path>`. `None` disables
+    /// telemetry entirely.
     pub trace: Option<PathBuf>,
-    /// Experiment-grid thread count from `--threads N` or
-    /// `JL_BENCH_THREADS` (see [`bench_threads`]); `None` is every core.
-    threads: Option<usize>,
+    /// `--threads N`: the thread budget `figs` runs the figure in (see
+    /// [`run_grid`]); `None` is every core.
+    pub threads: Option<usize>,
 }
 
 /// How a [`FIGURES`] entry runs.
@@ -167,10 +166,10 @@ usage: figs <name> [dh|ch|dch] [options]
   dh|ch|dch  one workload of fig8 / fig11 (default: all three)
   options    --scale F   input volume, 1.0 = figure scale (the default)
              --seed N    base seed (default 42)
-             --threads N grid threads (default JL_BENCH_THREADS, else all cores)
+             --threads N grid threads (default: all cores)
              --faults    `all` only: append the chaos figure
              --trace PATH       also write the traced chaos run's Chrome trace
-                                and PATH's .metrics.json (default JL_TRACE)";
+                                and PATH's .metrics.json";
 
 /// Parse `raw`, the value given for `flag`, as a `T` that passes `ok`;
 /// the error names `flag` and what was `expected`.
@@ -187,33 +186,15 @@ fn value<T: std::str::FromStr>(
         .ok_or_else(|| format!("{flag} {raw:?}: expected {expected}"))
 }
 
-/// A count given for `flag`: an integer ≥ 1.
-fn count(flag: &str, raw: Option<&String>) -> Result<usize, String> {
-    value(flag, raw, |&n: &usize| n >= 1, "an integer >= 1")
-}
-
-/// The raw `JL_BENCH_THREADS` value, checked as `--threads` is: `None`
-/// when unset, an error naming the variable when malformed or zero. Both
-/// `figs` and [`bench_threads`] read the variable through this.
-pub(crate) fn env_threads(raw: Option<String>) -> Result<Option<usize>, String> {
-    raw.map(|raw| count("JL_BENCH_THREADS", Some(&raw)))
-        .transpose()
-}
-
 /// Parse the `figs` command line out of `args` (the process arguments
-/// without the program name); `env` looks up an environment variable.
-/// Flags and positionals may come in any order. Everything must be known
-/// and well formed or the whole parse fails — a typo must not run the
-/// full-scale figure under the wrong label: the figure name is one of
-/// [`FIGURES`], the `dh|ch|dch` selector goes only with a [`Run::PerSpec`]
-/// figure and `--faults` only with `all`, `--scale` is a finite number
-/// ≥ 0, `--threads` an integer ≥ 1. Where `--trace` / `--threads` are
-/// absent, `JL_TRACE` / `JL_BENCH_THREADS` stand in, under the same checks.
+/// without the program name). Flags and positionals may come in any
+/// order. Everything must be known and well formed or the whole parse
+/// fails — a typo must not run the full-scale figure under the wrong
+/// label: the figure name is one of [`FIGURES`], the `dh|ch|dch` selector
+/// goes only with a [`Run::PerSpec`] figure and `--faults` only with
+/// `all`, `--scale` is a finite number ≥ 0, `--threads` an integer ≥ 1.
 /// Returns what to run with its arguments; has no side effects.
-pub fn parse_from(
-    args: &[String],
-    env: impl Fn(&str) -> Option<String>,
-) -> Result<(Run, BenchArgs), String> {
+pub fn parse_from(args: &[String]) -> Result<(Run, BenchArgs), String> {
     let path = |flag: &str, raw| value(flag, raw, |p: &PathBuf| p != Path::new(""), "a path");
 
     let mut parsed = BenchArgs {
@@ -235,17 +216,14 @@ pub fn parse_from(
             }
             "--seed" => parsed.seed = value(arg, it.next(), |_| true, "an unsigned integer")?,
             "--trace" => parsed.trace = Some(path(arg, it.next())?),
-            "--threads" => parsed.threads = Some(count(arg, it.next())?),
+            "--threads" => {
+                let ok = |&n: &usize| n >= 1;
+                parsed.threads = Some(value(arg, it.next(), ok, "an integer >= 1")?);
+            }
             "--faults" => parsed.faults = true,
             flag if flag.starts_with("--") => return Err(format!("{flag}: unknown option")),
             _ => positionals.push(arg.as_str()),
         }
-    }
-    if let (None, Some(raw)) = (&parsed.trace, env("JL_TRACE")) {
-        parsed.trace = Some(path("JL_TRACE", Some(&raw))?);
-    }
-    if parsed.threads.is_none() {
-        parsed.threads = env_threads(env("JL_BENCH_THREADS"))?;
     }
 
     let mut positionals = positionals.into_iter();
@@ -280,28 +258,18 @@ pub fn parse_from(
     Ok((run, parsed))
 }
 
-/// [`parse_from`] over the process arguments and environment; on an error
-/// prints it plus [`USAGE`] and exits with status 2.
-///
-/// Applies `--threads N` by exporting `JL_BENCH_THREADS` (the variable
-/// [`bench_threads`] reads). Thread count never changes results — cells
-/// are independent seeded simulations collected in input order — so it is
-/// purely a resource-control knob.
+/// [`parse_from`] over the process arguments; on an error prints it plus
+/// [`USAGE`] and exits with status 2.
 pub fn parse_args() -> (Run, BenchArgs) {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let env = |var: &str| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    let (run, parsed) = parse_from(&args, env).unwrap_or_else(|e| {
+    parse_from(&args).unwrap_or_else(|e| {
         eprintln!("error: {e}\n{USAGE}");
         std::process::exit(2);
-    });
-    if let Some(n) = parsed.threads {
-        std::env::set_var("JL_BENCH_THREADS", n.to_string());
-    }
-    (run, parsed)
+    })
 }
 
 impl BenchArgs {
-    /// If `--trace` / `JL_TRACE` named a path, run the canonical traced
+    /// If `--trace` named a path, run the canonical traced
     /// chaos cell and write its Chrome trace-event JSON there and the
     /// metrics snapshot next to it with a `.metrics.json` extension;
     /// otherwise do nothing. Load the trace in Perfetto (ui.perfetto.dev)
@@ -330,17 +298,9 @@ impl BenchArgs {
 mod tests {
     use super::*;
 
-    fn parse_env(args: &[&str], env: &[(&str, &str)]) -> Result<BenchArgs, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        let parsed = parse_from(&args, |var| {
-            let hit = env.iter().find(|(k, _)| *k == var);
-            hit.map(|(_, v)| v.to_string())
-        });
-        parsed.map(|(_run, args)| args)
-    }
-
     fn parse(args: &[&str]) -> Result<BenchArgs, String> {
-        parse_env(args, &[])
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_from(&args).map(|(_run, args)| args)
     }
 
     #[test]
@@ -375,16 +335,6 @@ mod tests {
         assert_eq!(format!("{first:?}"), format!("{last:?}"));
         let a = parse(&["--seed", "1", "ablate", "--scale", "0.2", "ski"]).unwrap();
         assert_eq!((a.figure, a.scale, a.seed), ("ablate ski", 0.2, 1));
-
-        // The environment stands in for an absent flag only.
-        let env = [("JL_TRACE", "env.json")];
-        let a = parse_env(&["chaos"], &env).unwrap();
-        assert_eq!(a.trace, Some("env.json".into()));
-        let a = parse_env(&["chaos", "--trace", "t.json"], &env).unwrap();
-        assert_eq!(a.trace, Some("t.json".into()));
-        let env = [("JL_BENCH_THREADS", "x")];
-        let a = parse_env(&["chaos", "--threads", "2"], &env).unwrap();
-        assert_eq!(a.threads, Some(2));
     }
 
     #[test]
@@ -427,18 +377,40 @@ mod tests {
             let err = parse(bad).expect_err(&format!("{bad:?} parsed"));
             assert!(err.contains("name"), "{bad:?}: {err}");
         }
-        for (var, value) in [
-            ("JL_TRACE", ""),
-            ("JL_BENCH_THREADS", "x"),
-            ("JL_BENCH_THREADS", "0"),
-        ] {
-            let err = parse_env(&["chaos"], &[(var, value)]).expect_err(var);
-            assert!(err.starts_with(var), "{var}={value:?}: {err}");
-        }
-        // The library path (`bench_threads`) reads the variable the same way.
-        for value in ["x", "0"] {
-            let err = env_threads(Some(value.into())).expect_err(value);
-            assert!(err.starts_with("JL_BENCH_THREADS"), "{value:?}: {err}");
+    }
+
+    /// The figures no other test runs — fig6, fig7, fig9, fig11 and the six
+    /// ablations — at the smallest scale: each table keeps its shape and
+    /// every value is finite. The simulated figures floor their inputs at
+    /// scale 0; the offline cache and frequency traces have no floor, so
+    /// the ablations run at 0.001. To keep this near 15 s unoptimized on
+    /// two cores, fig5 (~4 s alone) and fig11's DH and DCH tables (the CH
+    /// table runs the same code) are left to `scripts/same-bytes.sh`.
+    #[test]
+    fn unpinned_figures_run_at_floor_scale() {
+        let a = parse(&["ablate", "ski", "--scale", "0.001", "--seed", "1"]).unwrap();
+        let tables = [
+            (fig6(0.0, 1), 1, 5),
+            (fig7(0.0, 1), 4, 2),
+            (fig9(0.0, 1), 4, 3),
+            (ablations::batch(&a), 6, 3),
+            (ablations::cache_eviction(&a), 3, 3),
+            (ablations::cache_admission(&a), 3, 3),
+            (ablations::extensions(&a), 5, 2),
+            (ablations::freq_accuracy(&a), 5, 3),
+            (ablations::freq_end_to_end(&a), 3, 3),
+            (ablations::lb(&a), 4, 3),
+            (ablations::ski(&a), 5, 3),
+            (fig11(&SyntheticSpec::ch(), 0.0, 1), 4, 5),
+        ];
+        for (table, rows, columns) in tables {
+            let shape = (table.rows.len(), table.columns.len());
+            assert_eq!(shape, (rows, columns), "{}", table.title);
+            for (label, vals) in &table.rows {
+                assert_eq!(vals.len(), columns, "{}: {label}", table.title);
+                let finite = vals.iter().all(|v| v.is_finite());
+                assert!(finite, "{}: {label} {vals:?}", table.title);
+            }
         }
     }
 

@@ -647,7 +647,10 @@ fn drive(
     };
     let finish = |sim: &ClusterSim, end: SimTime| {
         let report = gather_report(sim, &spec.cluster, end);
-        snapshot_and_summarize(sim, &spec.cluster, end, tel);
+        // Traced runs fold the end-of-run metrics into the recorder.
+        if let Some(t) = tel {
+            snapshot_metrics(&mut t.borrow_mut().registry, sim, &spec.cluster, end);
+        }
         (report, end)
     };
     let mut sim = load_host(spec, built, tel);
@@ -789,38 +792,7 @@ pub fn gather_report(host: &ClusterSim, cluster: &ClusterSpec, end: SimTime) -> 
     }
 }
 
-/// End-of-run metrics snapshot: built into the recorder's registry on
-/// traced runs, or into a throwaway registry when only the verbose summary
-/// wants it. `JL_VERBOSE=1` prints the machine-parseable telemetry
-/// summary; the default is silent.
-fn snapshot_and_summarize(
-    host: &ClusterSim,
-    cluster: &ClusterSpec,
-    end: SimTime,
-    tel: &Option<TelemetryHandle>,
-) {
-    let verbosity = std::env::var("JL_VERBOSE")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(0);
-    if tel.is_some() || verbosity >= 1 {
-        let mut standalone = MetricsRegistry::new();
-        match tel {
-            Some(t) => snapshot_metrics(&mut t.borrow_mut().registry, host, cluster, end),
-            None => snapshot_metrics(&mut standalone, host, cluster, end),
-        }
-        if verbosity >= 1 {
-            let names = process_names(cluster);
-            let text = match tel {
-                Some(t) => jl_telemetry::summary_text(&t.borrow().registry, &names, end),
-                None => jl_telemetry::summary_text(&standalone, &names, end),
-            };
-            eprint!("{text}");
-        }
-    }
-}
-
-/// Trace/summary display names for every sim node of `cluster`.
+/// Trace display names for every sim node of `cluster`.
 pub fn process_names(cluster: &ClusterSpec) -> Vec<(u32, String)> {
     let mut names = Vec::with_capacity(cluster.n_compute + cluster.n_data + 1);
     for i in 0..cluster.n_compute {
@@ -838,8 +810,8 @@ pub fn process_names(cluster: &ClusterSpec) -> Vec<(u32, String)> {
 /// recorder-owned registry untouched. Every underlying read is
 /// observation-only (counters are copied, histograms merged into the new
 /// registry, gauges cloned), so calling this any number of times mid-run
-/// changes nothing about the final summary — a pinned test runs a job
-/// with and without mid-run snapshots and requires identical summaries.
+/// changes nothing about the final metrics — a pinned test runs a job
+/// with and without mid-run snapshots and requires identical metrics JSON.
 /// `end` is the read time (closes utilization and time-weighted gauges).
 pub fn snapshot_delta(host: &ClusterSim, cluster: &ClusterSpec, end: SimTime) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
@@ -1190,11 +1162,11 @@ mod tests {
 
     /// The incremental-snapshot pin: taking [`snapshot_delta`] mid-run
     /// must not reset, reorder, or otherwise perturb any state — the
-    /// final summary (and report) of a run that was snapshotted mid-way
-    /// is byte-identical to one that never was.
+    /// final metrics JSON (and report) of a run that was snapshotted
+    /// mid-way is byte-identical to one that never was.
     #[test]
     fn mid_run_snapshot_delta_does_not_perturb_the_run() {
-        let final_summary = |snapshotted: bool| -> (RunReport, String) {
+        let final_metrics = |snapshotted: bool| -> (RunReport, String) {
             let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
             let built = build_cluster(&job, store, udfs, tuples, vec![], &None);
             let mut sim = load_host(&job, built, &None);
@@ -1209,15 +1181,14 @@ mod tests {
             let end = sim.run();
             let report = gather_report(&sim, &job.cluster, end);
             let reg = snapshot_delta(&sim, &job.cluster, end);
-            let summary = jl_telemetry::summary_text(&reg, &process_names(&job.cluster), end);
-            (report, summary)
+            (report, reg.to_json(end))
         };
-        let (ra, sa) = final_summary(false);
-        let (rb, sb) = final_summary(true);
+        let (ra, sa) = final_metrics(false);
+        let (rb, sb) = final_metrics(true);
         assert_eq!(ra.fingerprint, rb.fingerprint);
         assert_eq!(ra.completed, rb.completed);
         assert_eq!(ra.duration, rb.duration);
-        assert_eq!(sa, sb, "mid-run snapshots changed the final summary");
+        assert_eq!(sa, sb, "mid-run snapshots changed the final metrics");
     }
 
     #[test]

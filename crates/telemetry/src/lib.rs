@@ -2,7 +2,7 @@
 //!
 //! Deterministic observability for the join-location simulator: structured
 //! span tracing, a metrics registry, and exporters (Chrome trace-event JSON
-//! for Perfetto, metrics JSON, text summary).
+//! for Perfetto, metrics JSON, Prometheus exposition).
 //!
 //! ## Design rules
 //!
@@ -32,7 +32,6 @@ pub mod flight;
 pub mod json;
 pub mod recorder;
 pub mod registry;
-pub mod summary;
 pub mod window;
 
 pub use chrome::chrome_trace_json;
@@ -41,7 +40,6 @@ pub use expo::{validate_exposition, ExpoBuilder, ExpoCheck};
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use recorder::{shared, Telemetry, TelemetryConfig, TelemetryHandle};
 pub use registry::{Metric, MetricsRegistry};
-pub use summary::summary_text;
 pub use window::{WindowSnapshot, WindowedCounter, WindowedHistogram};
 
 use jl_simkit::time::SimTime;
@@ -71,11 +69,6 @@ impl RunTelemetry {
     /// Metrics snapshot JSON (`jl-telemetry-metrics/v1`).
     pub fn metrics_json(&self) -> String {
         self.registry.to_json(self.end)
-    }
-
-    /// Machine-parseable text summary of the metrics registry.
-    pub fn summary(&self) -> String {
-        summary_text(&self.registry, &self.processes, self.end)
     }
 
     /// Chrome trace-event JSON of the flight ring's final contents, or
@@ -118,7 +111,8 @@ mod tests {
         let metrics = run.metrics_json();
         assert!(json::parse(&metrics).is_ok());
         assert!(metrics.contains("\"hits\""));
-        let sum = run.summary();
-        assert!(sum.contains("node=C0 scope=cache hits=5"));
+        let mut expo = ExpoBuilder::new();
+        expo.add_registry(&run.registry, &run.processes, run.end);
+        assert!(expo.render().contains("jl_cache_hits_total{node=\"C0\"} 5"));
     }
 }

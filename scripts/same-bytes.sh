@@ -34,8 +34,16 @@ runs() {
 chaos figs chaos --scale 0.05 --trace t.json
 overload figs overload --scale 0.05
 elastic figs elastic --scale 0.1
+fig5 figs fig5 --scale 0.1 --seed 1
+fig6 figs fig6 --scale 0.05 --seed 1
+fig7 figs fig7 --scale 0.01 --seed 1
 fig8-dh figs fig8 dh --scale 0.1 --seed 1
+fig8-ch figs fig8 ch --scale 0.1 --seed 1
+fig8-dch figs fig8 dch --scale 0.1 --seed 1
+fig9 figs fig9 --scale 0.2 --seed 1
 fig11-dh figs fig11 dh --scale 0.05 --seed 1
+fig11-ch figs fig11 ch --scale 0.05 --seed 1
+fig11-dch figs fig11 dch --scale 0.05 --seed 1
 ablate-batch figs ablate batch --scale 0.2 --seed 1
 ablate-cache figs ablate cache --scale 0.2 --seed 1
 ablate-extensions figs ablate extensions --scale 0.2 --seed 1

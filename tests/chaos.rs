@@ -14,7 +14,7 @@ fn chaos(strategy: Strategy) -> (RunReport, RunReport) {
         strategy,
         ..bench_cell("DH", 0.05, 42)
     };
-    let (healthy, chaos, _) = run_chaos_report(&cell);
+    let (healthy, chaos, _) = run_chaos_report(&cell, false);
     (healthy, chaos)
 }
 

@@ -6,9 +6,10 @@
 //! figure grid run at 1, 2 and 8 threads must produce byte-identical
 //! rendered tables and identical `RunReport` series, down to the digest.
 //!
-//! All thread counts run inside ONE `#[test]` because the knob is the
-//! process-global `JL_BENCH_THREADS` environment variable — parallel test
-//! binaries would race on it.
+//! Each thread count is a pool installed on the test's own thread (the
+//! way `figs --threads N` runs a figure), so tests running beside it keep
+//! their own budget; the counts share one `#[test]` only because each is
+//! compared against the one-thread run.
 //!
 //! Beyond invariance, `traced_cells_pin_every_emitter` pins absolute trace
 //! bytes: golden digests of traced cells that reach every engine event.
@@ -18,7 +19,7 @@ use std::collections::BTreeSet;
 use jl_bench::experiments::fig6_stream_report;
 use jl_bench::{
     bench_cell, fig8, fig_chaos, fig_elastic, fig_overload, overload_bounded_config, pace,
-    run_chaos_churn_report, scaled, traced_chaos_run, SyntheticCell,
+    run_chaos_report, scaled, traced_chaos_run, SyntheticCell,
 };
 use jl_core::{AutoscaleMode, Strategy};
 use jl_engine::runner::UpdateEvent;
@@ -43,10 +44,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
-    std::env::set_var("JL_BENCH_THREADS", n.to_string());
-    let out = f();
-    std::env::remove_var("JL_BENCH_THREADS");
-    out
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(n).build();
+    pool.expect("thread pool").install(f)
 }
 
 #[test]
@@ -351,7 +350,7 @@ fn traced_cells_pin_every_emitter() {
             "chaos",
             traced_chaos_run(0.05, 7, TelemetryConfig::default()).1,
         ),
-        ("churn", run_chaos_churn_report(&churn).2.expect("traced")),
+        ("churn", run_chaos_report(&churn, true).2.expect("traced")),
         ("overload", overload),
         ("updates", traced(&cached, all, updates, |_, _| {})),
         ("elastic", elastic),

@@ -4,27 +4,12 @@
 //! queue under its cap (property-tested across random configurations),
 //! and exercises the wire backpressure path under tiny admission caps.
 
-use jl_bench::{overload_bounded_config, run_overload_stream, SyntheticCell};
+use jl_bench::{fuzz_spec, overload_bounded_config, run_overload_stream, SyntheticCell};
 use jl_core::ShedMode;
 use jl_engine::{ClusterSpec, OverloadConfig};
 use jl_simkit::time::SimDuration;
 use jl_workloads::SyntheticSpec;
 use proptest::prelude::*;
-
-/// Small stream workload: enough tuples that queues build at overload,
-/// small enough that every test run stays fast.
-fn stream_spec(n_tuples: u64) -> SyntheticSpec {
-    SyntheticSpec {
-        name: "DH",
-        n_keys: 2000,
-        value_size: 16 * 1024,
-        value_prefix: 64,
-        udf_cpu: SimDuration::from_micros(120),
-        n_tuples,
-        params_size: 128,
-        output_size: 256,
-    }
-}
 
 /// The full optimizer over `spec` at skew `z` with the figure-standard
 /// 32 MB cache, on `cluster`.
@@ -53,7 +38,7 @@ fn gap_for(spec: &SyntheticSpec, cluster: &ClusterSpec, seed: u64, load: f64) ->
 
 #[test]
 fn permissive_config_is_byte_inert() {
-    let spec = stream_spec(800);
+    let spec = fuzz_spec(800);
     let cluster = ClusterSpec::default();
     let gap = gap_for(&spec, &cluster, 11, 1.5);
     let mut off = run_overload_stream(&cell(&spec, 0.8, &cluster, 11), gap, long(), None);
@@ -80,7 +65,7 @@ fn permissive_config_is_byte_inert() {
 
 #[test]
 fn bounded_config_is_inert_at_nominal_load() {
-    let spec = stream_spec(800);
+    let spec = fuzz_spec(800);
     let cluster = ClusterSpec::default();
     let gap = gap_for(&spec, &cluster, 13, 0.5);
     let off = run_overload_stream(&cell(&spec, 0.0, &cluster, 13), gap, long(), None);
@@ -105,7 +90,7 @@ fn bounded_config_is_inert_at_nominal_load() {
 
 #[test]
 fn protection_engages_with_complete_accounting_at_overload() {
-    let spec = stream_spec(2400);
+    let spec = fuzz_spec(2400);
     let cluster = ClusterSpec::default();
     let seed = 17;
     let gap = gap_for(&spec, &cluster, seed, 0.5);
@@ -142,7 +127,7 @@ fn protection_engages_with_complete_accounting_at_overload() {
 
 #[test]
 fn tiny_admission_cap_exercises_wire_backpressure() {
-    let spec = stream_spec(800);
+    let spec = fuzz_spec(800);
     let cluster = ClusterSpec::default();
     let seed = 23;
     let gap = gap_for(&spec, &cluster, seed, 2.0);
@@ -181,7 +166,7 @@ proptest! {
         z_tenths in 0u64..13,
         seed in 0u64..1000,
     ) {
-        let spec = stream_spec(300);
+        let spec = fuzz_spec(300);
         let cluster = ClusterSpec { n_compute: 4, n_data: 4, ..ClusterSpec::default() };
         let gap = gap_for(&spec, &cluster, seed, load_pct as f64 / 100.0);
         let cfg = OverloadConfig {
