@@ -292,6 +292,14 @@ impl ComputeNode {
         (self.reqs.live(), self.n_pressured as u64)
     }
 
+    /// What this node still holds: `(requests in flight, local runs
+    /// pending, live tuples)`. All three are zero once a run has drained.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> (usize, u64, u64) {
+        let rt = &self.rt;
+        (rt.inflight_count(), rt.local_pending(), self.reqs.live())
+    }
+
     /// Remote request→reply latency distribution.
     pub fn remote_latency(&self) -> &jl_simkit::stats::DurationHistogram {
         &self.remote_lat

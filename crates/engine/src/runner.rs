@@ -1353,6 +1353,13 @@ mod tests {
         let gave_up = seen.iter().filter(|&&(_, f)| f == TupleFate::GaveUp);
         let logged = (gave_up.count() as u64, seen.len() as u64);
         assert_eq!(logged, (r.gave_up, r.gave_up + r.shed), "log vs counters");
+        // No request outlives its tuple: every compute node ends holding
+        // nothing in flight, no pending local run and no live tuple.
+        for i in 0..job.cluster.n_compute {
+            let node = sim.node(job.cluster.compute_id(i)).as_compute();
+            let held = node.expect("compute role").held();
+            assert_eq!(held, (0, 0, 0), "compute {i}: (in flight, local, live)");
+        }
     }
 
     #[test]

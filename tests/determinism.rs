@@ -18,15 +18,16 @@ use std::collections::BTreeSet;
 
 use jl_bench::experiments::fig6_stream_report;
 use jl_bench::{
-    bench_cell, fig8, fig_chaos, fig_elastic, fig_overload, overload_bounded_config, pace,
-    run_chaos_report, scaled, traced_chaos_run, SyntheticCell,
+    bench_cell, chaos_retry, fig8, fig_chaos, fig_elastic, fig_overload, overload_bounded_config,
+    pace, run_chaos_report, scaled, traced_chaos_run, SyntheticCell,
 };
 use jl_core::{AutoscaleMode, Strategy};
 use jl_engine::runner::UpdateEvent;
 use jl_engine::{
-    run_job_on, AutoscaleConfig, Backend, ClusterSpec, FeedMode, JobSpec, JobTuple,
-    MembershipConfig, MembershipEvent, OverloadConfig,
+    run_job_on, AutoscaleConfig, Backend, ClusterSpec, FeedMode, JobPlan, JobSpec, JobTuple,
+    MembershipConfig, MembershipEvent, OverloadConfig, RunReport, StageSpec,
 };
+use jl_simkit::fault::FaultPlan;
 use jl_simkit::time::{SimDuration, SimTime};
 use jl_store::{RowKey, StoredValue};
 use jl_telemetry::{RunTelemetry, TelemetryConfig};
@@ -215,13 +216,16 @@ const EVENT_NAMES: &str = "\
 /// elastic cell was re-pinned once, when drains learned to re-plan regions
 /// that land after the drain began: before that, one of its two drains
 /// never finished (two `member-drain`, one `member-drained` in its trace;
-/// two and two since).
-const GOLDEN: [(&str, u64, u64); 5] = [
+/// two and two since). The multistage cell was pinned while the compute
+/// node still kept its own per-request table beside the optimizer's
+/// in-flight record, so it checks that folding the two moved no byte.
+const GOLDEN: [(&str, u64, u64); 6] = [
     ("chaos", 0x0e8c_c2b8_3455_b546, 0xb34c_53ba_18fb_76d0),
     ("churn", 0x7d80_8e17_7970_489a, 0xdc6b_4513_4264_ed56),
     ("overload", 0xcb1b_a00e_f773_164d, 0xc366_0c7e_b043_53cb),
     ("updates", 0x6442_8707_3b96_2725, 0xf31d_39f3_13d1_c090),
     ("elastic", 0xc0fc_fdcb_6a9d_063b, 0xeae8_42be_c982_44fa),
+    ("multistage", 0x34d5_1679_8e86_0bfb, 0x3e9c_839e_d844_68d3),
 ];
 
 /// Run `cell` traced, its regions on the first `active` data nodes, after
@@ -231,12 +235,30 @@ fn traced(
     active: usize,
     updates: Vec<UpdateEvent>,
     edit: impl FnOnce(&mut JobSpec, &mut [JobTuple]),
-) -> RunTelemetry {
+) -> (RunReport, RunTelemetry) {
     let (mut job, store, udfs, mut tuples) = cell.build_on(active);
     job.telemetry = Some(TelemetryConfig::default());
     edit(&mut job, &mut tuples);
-    let (_, tel) = run_job_on(&job, Backend::Sim, store, udfs, tuples, updates);
-    tel.expect("telemetry was requested")
+    let (report, tel) = run_job_on(&job, Backend::Sim, store, udfs, tuples, updates);
+    (report, tel.expect("telemetry was requested"))
+}
+
+/// Make `cell`'s job a two-stage plan over its one table: each tuple's
+/// second key is another tuple's first, so both stages draw from the same
+/// skewed key stream, and each stage passes 60% of its tuples on.
+fn two_stage(job: &mut JobSpec, tuples: &mut [JobTuple]) {
+    let stage = StageSpec {
+        table: 0,
+        udf: 0,
+        selectivity: 0.6,
+    };
+    job.plan = std::sync::Arc::new(JobPlan {
+        stages: vec![stage; 2],
+    });
+    let firsts: Vec<RowKey> = tuples.iter().map(|t| t.keys[0].clone()).collect();
+    for (i, t) in tuples.iter_mut().enumerate() {
+        t.keys.push(firsts[(i * 7 + 1) % firsts.len()].clone());
+    }
 }
 
 /// Turn a batch input into a stream of `window` in-flight tuples per
@@ -254,10 +276,11 @@ fn stream(
     };
 }
 
-/// Golden trace bytes. Five small traced cells — the chaos run, chaos
+/// Golden trace bytes. Six small traced cells — the chaos run, chaos
 /// plus membership churn, a bounded stream at ~2× its drain rate with a
-/// deadline, store updates against the block cache, and an autoscaled
-/// fleet with scripted joins and drains — between them reach every event
+/// deadline, store updates against the block cache, an autoscaled fleet
+/// with scripted joins and drains, and a two-stage plan under a crash and
+/// a small data-node queue — between them reach every event
 /// name the engine emits, and each one's trace and metrics bytes are
 /// pinned by digest. A recorder or emitter change that moves one byte of
 /// any trace fails here. A name no deterministic cell can reach would be
@@ -271,7 +294,7 @@ fn traced_cells_pin_every_emitter() {
         ..dh()
     };
     let all = dh().cluster.n_data;
-    let overload = traced(&dh(), all, vec![], |job, tuples| {
+    let (_, overload) = traced(&dh(), all, vec![], |job, tuples| {
         // 7 µs gaps offer ~2× the 32k tuples/s this stream drains; the
         // deadline is twice its p99 at half that rate, over 300 tuples per
         // compute node. A small data-node queue makes backpressure fire too.
@@ -314,7 +337,7 @@ fn traced_cells_pin_every_emitter() {
         z: 0.0,
         ..dh()
     };
-    let elastic = traced(&fleet, 3, vec![], |job, tuples| {
+    let (_, elastic) = traced(&fleet, 3, vec![], |job, tuples| {
         // The three-node fleet drains ~21k tuples/s: the trough offers
         // ~0.3× that, the peak ~1.9×.
         let n = tuples.len();
@@ -345,6 +368,30 @@ fn traced_cells_pin_every_emitter() {
         });
         job.membership = Some(m);
     });
+    // Two stages, so a retried or NACKed request can belong to either; a
+    // crash of data node 0 for a third of the fault-free run times
+    // requests out (retried, flipped on the second attempt), and a 16-deep
+    // data-node queue NACKs batches that are re-presented after a backoff.
+    let small = bench_cell("DH", 0.02, 7);
+    let (mut job, store, udfs, mut tuples) = small.build();
+    two_stage(&mut job, &mut tuples);
+    let healthy = run_job_on(&job, Backend::Sim, store, udfs, tuples, vec![]);
+    let baseline = healthy.0.duration;
+    let at = |f: f64| SimTime::ZERO + SimDuration::from_secs_f64(baseline.as_secs_f64() * f);
+    let (report, multistage) = traced(&small, all, vec![], |job, tuples| {
+        two_stage(job, tuples);
+        let data0 = job.cluster.data_id(0);
+        job.faults = Some(FaultPlan::new(7).crash(data0, at(0.2), Some(at(0.55))));
+        job.retry = Some(chaos_retry(baseline));
+        job.overload = Some(OverloadConfig {
+            data_queue_cap: 16,
+            high_watermark: 8,
+            low_watermark: 4,
+            ..OverloadConfig::permissive()
+        });
+    });
+    assert!(report.retries > 0, "no stage request was retried");
+    assert!(report.backpressure_events > 0, "no batch was NACKed");
     let cells = [
         (
             "chaos",
@@ -352,8 +399,9 @@ fn traced_cells_pin_every_emitter() {
         ),
         ("churn", run_chaos_report(&churn, true).2.expect("traced")),
         ("overload", overload),
-        ("updates", traced(&cached, all, updates, |_, _| {})),
+        ("updates", traced(&cached, all, updates, |_, _| {}).1),
         ("elastic", elastic),
+        ("multistage", multistage),
     ];
 
     let mut seen = BTreeSet::new();
