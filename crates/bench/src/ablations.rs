@@ -108,10 +108,11 @@ fn run_eviction<P: BenefitPolicy<u64>>(policy: P, trace: &[u64]) -> (f64, f64) {
 }
 
 /// Eviction: weighted LFU-DA (the paper's choice) vs LRU vs plain LFU on a
-/// hot-set-shifting Zipf trace, driven against the cache directly.
+/// hot-set-shifting Zipf trace, driven against the cache directly. The
+/// trace is floored at 1000 accesses, like [`scaled`] inputs.
 pub fn cache_eviction(args: &BenchArgs) -> FigTable {
     let (scale, seed) = (args.scale, args.seed);
-    let n = (500_000.0 * scale) as usize;
+    let n = ((500_000.0 * scale) as usize).max(1000);
     let mut ks = KeyStream::shifting(10_000, 1.0, (n as u64 / 5).max(1), seed);
     let mut rng = stream_rng(seed, "cache");
     let trace: Vec<u64> = (0..n).map(|_| ks.next_key(&mut rng)).collect();
@@ -250,10 +251,11 @@ fn evaluate<E: FrequencyEstimator<u64>>(
 }
 
 /// Frequency estimators offline — Lossy Counting (the paper's choice) vs
-/// Space-Saving vs exact counts: accuracy and space on a raw Zipf stream.
+/// Space-Saving vs exact counts: accuracy and space on a raw Zipf stream
+/// of at least 1000 items.
 pub fn freq_accuracy(args: &BenchArgs) -> FigTable {
     let (scale, seed) = (args.scale, args.seed);
-    let n = (1_000_000.0 * scale) as usize;
+    let n = ((1_000_000.0 * scale) as usize).max(1000);
     let zipf = Zipf::new(100_000, 1.1);
     let mut rng = stream_rng(seed, "freq");
     let stream: Vec<u64> = (0..n).map(|_| zipf.sample(&mut rng) as u64).collect();

@@ -143,15 +143,12 @@ fn stats_listener(listener: TcpListener, shared: Arc<ServeShared>) {
             let reply = match read_line(&mut reader, &mut buf) {
                 Ok(Line::Eof) | Err(_) => break,
                 Ok(Line::Malformed) => "error malformed line".to_string(),
-                Ok(Line::Text(line)) => match line.trim() {
-                    "" => continue,
-                    "METRICS" => shared.metrics(),
-                    "STATS" => shared.stats(),
-                    "DUMP" => shared.dump(),
-                    other => format!("error unknown command {other}"),
-                },
+                Ok(Line::Text(line)) if line.trim().is_empty() => continue,
+                Ok(Line::Text(line)) => shared
+                    .answer(line)
+                    .unwrap_or_else(|| format!("error unknown command {}", line.trim())),
             };
-            if writeln!(stream, "{}", reply.trim_end()).is_err() {
+            if writeln!(stream, "{reply}").is_err() {
                 break;
             }
             let _ = stream.flush();

@@ -381,14 +381,14 @@ mod tests {
 
     /// The figures no other test runs — fig6, fig7, fig9, fig11 and the six
     /// ablations — at the smallest scale: each table keeps its shape and
-    /// every value is finite. The simulated figures floor their inputs at
-    /// scale 0; the offline cache and frequency traces have no floor, so
-    /// the ablations run at 0.001. To keep this near 15 s unoptimized on
+    /// every value is finite. Every figure floors its input, the offline
+    /// cache and frequency traces at 1000 items like the simulated cells,
+    /// so all of them run at scale 0. To keep this near 15 s unoptimized on
     /// two cores, fig5 (~4 s alone) and fig11's DH and DCH tables (the CH
     /// table runs the same code) are left to `scripts/same-bytes.sh`.
     #[test]
     fn unpinned_figures_run_at_floor_scale() {
-        let a = parse(&["ablate", "ski", "--scale", "0.001", "--seed", "1"]).unwrap();
+        let a = parse(&["ablate", "ski", "--scale", "0", "--seed", "1"]).unwrap();
         let tables = [
             (fig6(0.0, 1), 1, 5),
             (fig7(0.0, 1), 4, 2),

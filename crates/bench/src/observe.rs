@@ -357,18 +357,27 @@ pub fn dump_flight(
     path: &Path,
 ) -> std::io::Result<usize> {
     let drained = tel.borrow_mut().drain_flight();
-    let log = match drained {
-        Some(pair) => flight::stitch(pair),
-        None => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "flight recorder not armed",
-            ))
-        }
-    };
+    let log = flight::stitch(drained.ok_or_else(not_armed)?);
     let n = log.len();
     std::fs::write(path, chrome_trace_json(&log, processes))?;
     Ok(n)
+}
+
+/// Why there is nothing to dump: no flight ring records, or nowhere to
+/// write it.
+fn not_armed() -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::Unsupported, "flight recorder not armed")
+}
+
+/// The `n`th `tag` sibling of dump path `base`: `trace.json` with tag
+/// `fault` and `n = 0` is `trace.fault0.json`.
+pub(crate) fn numbered_dump(base: &Path, tag: &str, n: u64) -> PathBuf {
+    let stem = base
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("flight");
+    let ext = base.extension().and_then(|s| s.to_str()).unwrap_or("json");
+    base.with_file_name(format!("{stem}.{tag}{n}.{ext}"))
 }
 
 /// Probe wrapper that dumps the flight ring on every fault transition
@@ -400,21 +409,6 @@ impl FaultDumpProbe {
             dumps: 0,
         }
     }
-
-    fn fault_path(&self) -> PathBuf {
-        let stem = self
-            .path
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .unwrap_or("flight");
-        let ext = self
-            .path
-            .extension()
-            .and_then(|s| s.to_str())
-            .unwrap_or("json");
-        self.path
-            .with_file_name(format!("{stem}.fault{}.{ext}", self.dumps))
-    }
 }
 
 impl SimProbe for FaultDumpProbe {
@@ -441,7 +435,7 @@ impl SimProbe for FaultDumpProbe {
         // Record the transition first so the dump's last event is the
         // fault itself.
         self.inner.on_fault(node, kind, at);
-        let path = self.fault_path();
+        let path = numbered_dump(&self.path, "fault", self.dumps);
         if let Ok(n) = dump_flight(&self.tel, &self.processes, &path) {
             eprintln!(
                 "flight dump (fault {:?} on node {node}): {n} events -> {}",
@@ -510,43 +504,56 @@ impl ServeShared {
         *self.hooks.lock().expect("hooks") = None;
     }
 
-    /// Prometheus exposition of the live session, or a down-marker when
-    /// no session is attached.
-    pub fn metrics(&self) -> String {
+    /// The reply to a scrape command line, without its final newline, or
+    /// `None` if `line` is not one. `METRICS` is the Prometheus exposition
+    /// (its last line is the `# EOF` terminator, so a client reads until
+    /// that marker), `STATS` the one-line JSON snapshot, and `DUMP` writes
+    /// the flight ring to the session's dump path. With no session
+    /// attached they answer a down-marker, a stub and an error. The
+    /// in-band request stream and the `--stats-port` listener both reply
+    /// through here.
+    pub fn answer(&self, line: &str) -> Option<String> {
+        let cmd = line.trim();
+        if !matches!(cmd, "METRICS" | "STATS" | "DUMP") {
+            return None;
+        }
         let g = self.hooks.lock().expect("hooks");
-        match g.as_ref() {
-            Some(h) => render_metrics(&h.live, h.tel.as_ref(), (h.clock)()),
-            None => {
+        let mut reply = match (cmd, g.as_ref()) {
+            ("METRICS", Some(h)) => render_metrics(&h.live, h.tel.as_ref(), (h.clock)()),
+            ("METRICS", None) => {
                 let mut b = ExpoBuilder::new();
                 b.gauge("jl_serve_up", &[], 0.0);
                 b.render()
             }
-        }
+            ("STATS", Some(h)) => stats_json(&h.live, h.tel.as_ref(), (h.clock)()),
+            ("STATS", None) => "{\"schema\":\"jl-serve-stats/v1\",\"up\":false}".to_string(),
+            (_, None) => "error no live session".to_string(),
+            (_, Some(h)) => {
+                let dumped = match (h.tel.as_ref(), h.dump_path.as_ref()) {
+                    (Some(tel), Some(path)) => dump_flight(tel, &h.processes, path)
+                        .map(|n| format!("dump {} {n}", path.display())),
+                    _ => Err(not_armed()),
+                };
+                dumped.unwrap_or_else(|e| format!("error {e}"))
+            }
+        };
+        reply.truncate(reply.trim_end().len());
+        Some(reply)
     }
 
-    /// JSON stats snapshot of the live session, or a stub when none is.
+    /// [`answer`](Self::answer) to `METRICS`.
+    pub fn metrics(&self) -> String {
+        self.answer("METRICS").expect("a scrape command")
+    }
+
+    /// [`answer`](Self::answer) to `STATS`.
     pub fn stats(&self) -> String {
-        let g = self.hooks.lock().expect("hooks");
-        match g.as_ref() {
-            Some(h) => stats_json(&h.live, h.tel.as_ref(), (h.clock)()),
-            None => "{\"schema\":\"jl-serve-stats/v1\",\"up\":false}".to_string(),
-        }
+        self.answer("STATS").expect("a scrape command")
     }
 
-    /// Dump the live session's flight ring to its configured dump path.
-    /// Returns the one-line response for the wire.
+    /// [`answer`](Self::answer) to `DUMP`.
     pub fn dump(&self) -> String {
-        let g = self.hooks.lock().expect("hooks");
-        let Some(h) = g.as_ref() else {
-            return "error no live session".to_string();
-        };
-        let (Some(tel), Some(path)) = (h.tel.as_ref(), h.dump_path.as_ref()) else {
-            return "error flight recorder not armed".to_string();
-        };
-        match dump_flight(tel, &h.processes, path) {
-            Ok(n) => format!("dump {} {n}", path.display()),
-            Err(e) => format!("error {e}"),
-        }
+        self.answer("DUMP").expect("a scrape command")
     }
 }
 

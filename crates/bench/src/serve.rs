@@ -83,8 +83,7 @@ use jl_workloads::SyntheticSpec;
 
 use crate::experiments::overload_bounded_config;
 use crate::observe::{
-    dump_flight, render_metrics, stats_json, FaultDumpProbe, LiveSample, ObserveConfig, ServeLive,
-    ServeShared,
+    dump_flight, numbered_dump, FaultDumpProbe, LiveSample, ObserveConfig, ServeLive, ServeShared,
 };
 
 /// The UDF id the serve table registers its digest function under.
@@ -461,8 +460,12 @@ where
         );
     }
 
-    if let (Some(sh), Some(l)) = (shared, &live) {
-        sh.attach(
+    // In-band commands answer through the same seam as the out-of-band
+    // listener: the caller's, or a private one when there is none.
+    let private = ServeShared::new();
+    let seam = shared.unwrap_or(&private);
+    if let Some(l) = &live {
+        seam.attach(
             Arc::clone(l),
             tel.clone(),
             processes.clone(),
@@ -498,9 +501,6 @@ where
             let malformed = Arc::clone(&malformed);
             let compute_ids = compute_ids.clone();
             let live = live.clone();
-            let tel = tel.clone();
-            let processes = processes.clone();
-            let dump_path = observe.as_ref().and_then(|o| o.dump_path.clone());
             s.spawn(move || {
                 let mut input = input;
                 let mut buf = Vec::new();
@@ -537,20 +537,11 @@ where
                         }
                         continue;
                     }
-                    if let Some(l) = &live {
-                        if let Some(reply) = handle_command(
-                            line,
-                            l,
-                            tel.as_ref(),
-                            &processes,
-                            dump_path.as_deref(),
-                            ingress.now(),
-                        ) {
-                            if cmd_tx.send(Out::Text(reply)).is_err() {
-                                break;
-                            }
-                            continue;
+                    if let Some(reply) = live.as_ref().and_then(|_| seam.answer(line)) {
+                        if cmd_tx.send(Out::Text(reply)).is_err() {
+                            break;
                         }
+                        continue;
                     }
                     match parse_request(line) {
                         Ok(None) => {}
@@ -664,9 +655,7 @@ where
         (served, responded, write_err)
     });
 
-    if let Some(sh) = shared {
-        sh.detach();
-    }
+    seam.detach();
     if let Some(e) = write_err {
         return Err(e);
     }
@@ -678,32 +667,6 @@ where
         malformed: malformed.load(Ordering::Relaxed),
         report,
     })
-}
-
-/// Reply to an in-band observability command, or `None` if `line` is not
-/// one. `now` is the run clock at receipt. The `METRICS` reply is
-/// multi-line; its final line is the exposition's `# EOF` terminator, so
-/// a client reads until that marker.
-fn handle_command(
-    line: &str,
-    live: &ServeLive,
-    tel: Option<&TelemetryHandle>,
-    processes: &[(u32, String)],
-    dump_path: Option<&std::path::Path>,
-    now: SimTime,
-) -> Option<String> {
-    match line.trim() {
-        "METRICS" => Some(render_metrics(live, tel, now).trim_end().to_string()),
-        "STATS" => Some(stats_json(live, tel, now)),
-        "DUMP" => Some(match (tel, dump_path) {
-            (Some(t), Some(p)) => match dump_flight(t, processes, p) {
-                Ok(n) => format!("dump {} {n}", p.display()),
-                Err(e) => format!("error {e}"),
-            },
-            _ => "error flight recorder not armed".to_string(),
-        }),
-        _ => None,
-    }
 }
 
 /// Responder-side SLO check, sampled every 32 completions: on the
@@ -732,12 +695,7 @@ fn check_slo(
     if over && !*breached {
         *breached = true;
         if let (Some(t), Some(base)) = (tel, observe.dump_path.as_ref()) {
-            let stem = base
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("flight");
-            let ext = base.extension().and_then(|s| s.to_str()).unwrap_or("json");
-            let path = base.with_file_name(format!("{stem}.slo{slo_dumps}.{ext}"));
+            let path = numbered_dump(base, "slo", *slo_dumps);
             if let Ok(n) = dump_flight(t, processes, &path) {
                 eprintln!(
                     "flight dump (SLO breach, window p99 {:.3}ms >= {slo_ms}ms): {n} events -> {}",

@@ -463,16 +463,7 @@ where
             };
             // Credit the destination the request was last *sent* to — after
             // a failover reissue that can differ from the replying node.
-            match inflight.kind {
-                ReqKind::Compute => {
-                    self.dests[inflight.dest].inflight_compute =
-                        self.dests[inflight.dest].inflight_compute.saturating_sub(1);
-                }
-                ReqKind::Data => {
-                    self.dests[inflight.dest].inflight_data =
-                        self.dests[inflight.dest].inflight_data.saturating_sub(1);
-                }
-            }
+            self.release(inflight.dest, inflight.kind);
             if let Some(cost) = item.cost {
                 self.policy.on_feedback(&item.key, &cost);
                 // §4.2.3: if the item's version moved since we last saw
@@ -572,11 +563,13 @@ where
         self.policy.freq_count(key)
     }
 
-    /// The destination and kind of an in-flight request, if it is still
-    /// unanswered (drivers consult this when a timeout fires: a missing
-    /// entry means the response already arrived and the timer is stale).
-    pub fn inflight_info(&self, req_id: u64) -> Option<(usize, ReqKind)> {
-        self.inflight.get(&req_id).map(|f| (f.dest, f.kind))
+    /// The destination and params of an in-flight request, if it is still
+    /// unanswered. This record is the one table of a driver's requests: it
+    /// finds the work a request serves through the params, and a missing
+    /// entry when a timeout fires means the response already arrived (or
+    /// the id was re-issued or abandoned) and the timer is stale.
+    pub fn inflight_info(&self, req_id: u64) -> Option<(usize, &P)> {
+        self.inflight.get(&req_id).map(|f| (f.dest, &f.params))
     }
 
     /// Re-issue an unanswered request as a fresh single-item batch to
@@ -595,17 +588,7 @@ where
         flip_kind: bool,
     ) -> Option<(u64, Action<K, P, V>)> {
         let mut inflight = self.inflight.remove(&req_id)?;
-        let old_dest = inflight.dest;
-        match inflight.kind {
-            ReqKind::Compute => {
-                self.dests[old_dest].inflight_compute =
-                    self.dests[old_dest].inflight_compute.saturating_sub(1);
-            }
-            ReqKind::Data => {
-                self.dests[old_dest].inflight_data =
-                    self.dests[old_dest].inflight_data.saturating_sub(1);
-            }
-        }
+        self.release(inflight.dest, inflight.kind);
         if flip_kind {
             match inflight.kind {
                 ReqKind::Compute => {
@@ -657,18 +640,19 @@ where
         let Some(inflight) = self.inflight.remove(&req_id) else {
             return false;
         };
-        match inflight.kind {
-            ReqKind::Compute => {
-                self.dests[inflight.dest].inflight_compute =
-                    self.dests[inflight.dest].inflight_compute.saturating_sub(1);
-            }
-            ReqKind::Data => {
-                self.dests[inflight.dest].inflight_data =
-                    self.dests[inflight.dest].inflight_data.saturating_sub(1);
-            }
-        }
+        self.release(inflight.dest, inflight.kind);
         self.fetching.remove(&inflight.key);
         true
+    }
+
+    /// One fewer request of `kind` in flight to `dest`.
+    fn release(&mut self, dest: usize, kind: ReqKind) {
+        let d = &mut self.dests[dest];
+        let n = match kind {
+            ReqKind::Compute => &mut d.inflight_compute,
+            ReqKind::Data => &mut d.inflight_data,
+        };
+        *n = n.saturating_sub(1);
     }
 
     fn run_local(&mut self, key: K, params: P, value: V, source: ValueSource) -> Action<K, P, V> {

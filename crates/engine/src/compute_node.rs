@@ -77,6 +77,17 @@ pub struct ComputeNodeReport {
     pub peak_ingest_queue: u64,
 }
 
+/// A request in flight, as the optimizer's in-flight record names it.
+#[derive(Clone, Copy)]
+struct Flying {
+    req_id: u64,
+    /// The data node it was last sent to.
+    dest: usize,
+    /// The tuple and stage it works for.
+    seq: u64,
+    stage: u16,
+}
+
 /// The compute-node actor state.
 pub struct ComputeNode {
     idx: usize,
@@ -87,7 +98,7 @@ pub struct ComputeNode {
     spec: ClusterSpec,
     feed: FeedMode,
     input: VecDeque<JobTuple>,
-    /// Every live tuple and outstanding request.
+    /// Every live tuple and the engine's state of its request.
     reqs: Requests,
     report: ComputeNodeReport,
     done_sent: bool,
@@ -453,7 +464,7 @@ impl ComputeNode {
     }
 
     fn issue_stage<C: RuntimeCtx<Msg>>(&mut self, seq: u64, stage: u16, ctx: &mut C) {
-        let tuple = self.reqs.tuple(seq);
+        let tuple = self.reqs.next_stage(seq);
         let spec = &self.plan.stages[stage as usize];
         let row = tuple.keys[stage as usize].clone();
         let params = encode_params(seq, stage, tuple.params_size);
@@ -496,14 +507,16 @@ impl ComputeNode {
                     };
                     let grant = ctx.use_resource(ResourceKind::Cpu, ready, value.0.udf_cpu());
                     self.local_lat.record(grant.done.since(ctx.now()));
-                    self.reqs.run_local(req_id, key, params, value);
-                    ctx.set_timer(grant.done, Timer::Local(req_id).tag());
+                    let (seq, _) = decode_params(&params);
+                    self.reqs.run_local(seq, (req_id, key, params, value));
+                    ctx.set_timer(grant.done, Timer::Local(seq).tag());
                 }
                 Action::Send { dest, batch } => {
                     let mut bytes = BATCH_OVERHEAD;
                     for item in &batch.items {
                         bytes += item.key.1.len() as u64 + item.params.len() as u64 + ITEM_OVERHEAD;
-                        if let Some(to) = self.reqs.sent(item.req_id, &item.params, ctx.now()) {
+                        let (seq, _) = decode_params(&item.params);
+                        if let Some(to) = self.reqs.sent(seq, ctx.now()) {
                             ctx.set_timer_after(to, Timer::Retry(item.req_id).tag());
                         }
                     }
@@ -562,17 +575,30 @@ impl ComputeNode {
         self.spec.data_id(dest)
     }
 
+    /// The destination, tuple and stage of request `req_id` while it is in
+    /// flight: the optimizer's in-flight record is the one request table,
+    /// and its params name the tuple. `None` once the request was
+    /// answered, re-issued or abandoned.
+    fn flying(&self, req_id: u64) -> Option<Flying> {
+        let (dest, params) = self.rt.inflight_info(req_id)?;
+        let (seq, stage) = decode_params(params);
+        Some(Flying {
+            req_id,
+            dest,
+            seq,
+            stage,
+        })
+    }
+
     /// Shed an in-flight request whose deadline is hopeless: abandon the
     /// request, drop the tuple from the pipeline with a `Shed` outcome,
     /// and free its window slot. The typed counterpart of give-up — but
     /// *early*, before more CPU/NIC is burnt on doomed work.
-    fn shed_request<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, why: &'static str, ctx: &mut C) {
-        self.rt.abandon(req_id);
+    fn shed_request<C: RuntimeCtx<Msg>>(&mut self, f: Flying, why: &'static str, ctx: &mut C) {
+        self.rt.abandon(f.req_id);
         self.drain_decisions(ctx);
-        let Some(seq) = self.reqs.shed(req_id) else {
-            return;
-        };
-        self.note_shed(seq, why, ctx);
+        self.reqs.shed(f.seq);
+        self.note_shed(f.seq, why, ctx);
         self.tel_outstanding(ctx);
         self.refill(ctx);
     }
@@ -583,21 +609,19 @@ impl ComputeNode {
     /// premature timeouts safe: they can duplicate work but never
     /// completions.
     fn on_request<C: RuntimeCtx<Msg>>(&mut self, event: Event, req_id: u64, ctx: &mut C) {
-        let flying = self.rt.inflight_info(req_id);
-        let verdict = self.reqs.judge(event, req_id, flying.is_some(), ctx.now());
-        let Some((dest, _)) = flying else {
+        let Some(f) = self.flying(req_id) else {
             return;
         };
-        match verdict {
+        match self.reqs.judge(event, f.seq, ctx.now()) {
             Verdict::Ignore => {}
-            Verdict::Shed(why) => self.shed_request(req_id, why, ctx),
+            Verdict::Shed(why) => self.shed_request(f, why, ctx),
             Verdict::Backoff => {
                 if let Some(ov) = self.overload {
                     ctx.set_timer_after(ov.nack_backoff, Timer::Represent(req_id).tag());
                 }
             }
-            Verdict::Represent => self.reissue(req_id, dest, verdict, ctx),
-            Verdict::Reissue { .. } | Verdict::GiveUp => self.timed_out(req_id, dest, verdict, ctx),
+            v @ Verdict::Represent => self.reissue(f, v, ctx),
+            v @ (Verdict::Reissue { .. } | Verdict::GiveUp) => self.timed_out(f, v, ctx),
         }
     }
 
@@ -606,67 +630,66 @@ impl ComputeNode {
     /// probing it (slow links and stragglers recover on their own) but
     /// tell the optimizer it is degraded so ski-rental prices rents
     /// against it up. Then re-issue the request or give up, as judged.
-    fn timed_out<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, dest: usize, v: Verdict, ctx: &mut C) {
+    fn timed_out<C: RuntimeCtx<Msg>>(&mut self, f: Flying, v: Verdict, ctx: &mut C) {
         if let Some(rc) = self.reqs.retry() {
-            self.down_until[dest] = ctx.now() + rc.down_cooldown;
+            self.down_until[f.dest] = ctx.now() + rc.down_cooldown;
         }
-        let health = if self.backups.contains_key(&dest) {
+        let health = if self.backups.contains_key(&f.dest) {
             NodeHealth::Down
         } else {
             NodeHealth::Degraded
         };
-        self.rt.set_health(dest, health);
-        if let Some(r) = self.reqs.remote(req_id).copied() {
+        self.rt.set_health(f.dest, health);
+        if let Some(r) = self.reqs.get(f.seq) {
             self.trace
                 .span(Track::Fault, "timeout", r.sent_at, ctx.now(), || {
                     [
-                        ("req", req_id.into()),
-                        ("dest", ArgVal::U64(dest as u64)),
+                        ("req", f.req_id.into()),
+                        ("dest", ArgVal::U64(f.dest as u64)),
                         ("attempt", ArgVal::U64(r.attempt.into())),
                     ]
                 });
         }
         match v {
-            Verdict::GiveUp => self.give_up(req_id, ctx),
-            _ => self.reissue(req_id, dest, v, ctx),
+            Verdict::GiveUp => self.give_up(f, ctx),
+            _ => self.reissue(f, v, ctx),
         }
     }
 
-    /// Re-issue `req_id` to `dest` under a new id: a NACK re-present, or a
-    /// retry (`Verdict::Reissue`), which is counted and traced.
-    fn reissue<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, dest: usize, v: Verdict, ctx: &mut C) {
-        let attempt = self.reqs.remote(req_id).map_or(0, |r| r.attempt);
+    /// Re-issue a request to its destination under a new id: a NACK
+    /// re-present, or a retry (`Verdict::Reissue`), which is counted and
+    /// traced. The tuple's record keeps its attempt for the new id.
+    fn reissue<C: RuntimeCtx<Msg>>(&mut self, f: Flying, v: Verdict, ctx: &mut C) {
+        let attempt = self.reqs.get(f.seq).map_or(0, |r| r.attempt);
         let flip = v == Verdict::Reissue { flip: true };
-        let reissued = self.rt.reissue(req_id, dest, flip);
+        let reissued = self.rt.reissue(f.req_id, f.dest, flip);
         self.drain_decisions(ctx);
-        let Some((new_id, action)) = reissued else {
+        let Some((_, action)) = reissued else {
             return;
         };
         if let Verdict::Reissue { .. } = v {
             self.report.retries += 1;
             self.trace.instant(Track::Fault, "retry", ctx.now(), || {
                 [
-                    ("req", req_id.into()),
+                    ("req", f.req_id.into()),
                     ("attempt", ArgVal::U64(attempt.into())),
                 ]
             });
         }
-        self.reqs.rekey(req_id, new_id);
         self.handle_actions(vec![action], ctx);
     }
 
-    /// Retries are exhausted: abandon `req_id` and complete its tuple with
-    /// no output.
-    fn give_up<C: RuntimeCtx<Msg>>(&mut self, req_id: u64, ctx: &mut C) {
-        self.rt.abandon(req_id);
+    /// Retries are exhausted: abandon the request and complete its tuple
+    /// with no output.
+    fn give_up<C: RuntimeCtx<Msg>>(&mut self, f: Flying, ctx: &mut C) {
+        self.rt.abandon(f.req_id);
         self.drain_decisions(ctx);
         self.report.gave_up += 1;
         self.trace.instant(Track::Fault, "gave-up", ctx.now(), || {
-            [("req", req_id.into())]
+            [("req", f.req_id.into())]
         });
-        if let Some(r) = self.reqs.give_up(req_id) {
-            self.stage_finished(r.seq, r.stage, None, ctx);
-        }
+        self.reqs.give_up(f.seq);
+        self.stage_finished(f.seq, f.stage, None, ctx);
     }
 
     /// A stage of a tuple produced `output` (or was filtered/missing when
@@ -786,8 +809,13 @@ impl ComputeNode {
                         self.rt.set_health(from_data, NodeHealth::Degraded);
                     }
                 }
+                // The optimizer drops the answered ids last, so each pass
+                // finds its items' tuples, and this first one reads every
+                // `sent_at` before a next stage's send can overwrite it.
                 for item in &items {
-                    if let Some(t0) = self.reqs.remote(item.req_id).map(|r| r.sent_at) {
+                    let flying = self.flying(item.req_id);
+                    let sent = flying.and_then(|f| self.reqs.get(f.seq));
+                    if let Some(t0) = sent.map(|r| r.sent_at) {
                         self.remote_lat.record(ctx.now().since(t0));
                         self.trace.span(Track::Wire, "request", t0, ctx.now(), || {
                             [
@@ -801,17 +829,15 @@ impl ComputeNode {
                 // computed at the data node complete theirs; a returned
                 // value (a data request or a bounce) runs locally below.
                 for item in &items {
-                    if matches!(item.payload, ResponsePayload::Computed { .. }) {
-                        continue;
-                    }
-                    let answered = self.reqs.answered(item.req_id);
-                    if let (ResponsePayload::Missing, Some(r)) = (&item.payload, answered) {
-                        self.stage_finished(r.seq, r.stage, None, ctx);
+                    if let ResponsePayload::Missing = item.payload {
+                        if let Some(f) = self.flying(item.req_id) {
+                            self.stage_finished(f.seq, f.stage, None, ctx);
+                        }
                     }
                 }
                 for (req_id, out) in &outputs {
-                    if let Some(r) = self.reqs.answered(*req_id) {
-                        self.stage_finished(r.seq, r.stage, Some(out), ctx);
+                    if let Some(f) = self.flying(*req_id) {
+                        self.stage_finished(f.seq, f.stage, Some(out), ctx);
                     }
                 }
                 let actions = self.rt.on_batch_response(from_data, items);
@@ -885,7 +911,7 @@ impl ComputeNode {
     /// Kernel timer dispatch: local UDF completions, batch deadlines,
     /// NACK re-presents and per-request retry timeouts.
     pub fn on_timer<C: RuntimeCtx<Msg>>(&mut self, tag: u64, ctx: &mut C) {
-        let req_id = match Timer::decode(tag) {
+        let seq = match Timer::decode(tag) {
             Timer::Flush => {
                 let actions = self.rt.poll(ctx.now());
                 self.drain_decisions(ctx);
@@ -894,12 +920,12 @@ impl ComputeNode {
             }
             Timer::Retry(req_id) => return self.on_request(Event::Retry, req_id, ctx),
             Timer::Represent(req_id) => return self.on_request(Event::Represent, req_id, ctx),
-            Timer::Local(req_id) => req_id,
+            Timer::Local(seq) => seq,
         };
-        let Some((key, params, value)) = self.reqs.take_local(req_id) else {
+        let Some((req_id, key, params, value)) = self.reqs.take_local(seq) else {
             return;
         };
-        let (seq, stage) = decode_params(&params);
+        let (_, stage) = decode_params(&params);
         let spec = &self.plan.stages[stage as usize];
         let udf = self.udfs.get(spec.udf).expect("udf registered").clone();
         let out = udf.apply(&key.1, &params, &value.0);

@@ -1,13 +1,16 @@
-//! The compute node's tuples and requests as one sans-IO table.
+//! The compute node's live tuples as one sans-IO table.
 //!
 //! A tuple is live from ingest until it completes or is shed, and while
 //! live it has at most one request outstanding: a remote one (sent to a
-//! data node, re-keyed when it is re-issued) or a local one (a UDF running
-//! on this node's CPU until its completion timer fires). Local ids come
-//! from the optimizer's one request counter, so they never collide with
-//! remote ids. [`Requests`] keeps one record per live tuple and one per
-//! outstanding request; [`rule`] decides what a NACK or a fired timer does
-//! to a request:
+//! data node, re-issued under a new id on a retry or a NACK) or a local one
+//! (a UDF running on this node's CPU until its completion timer fires).
+//! The optimizer's in-flight record is the one record of a remote request;
+//! its params name the tuple and stage it works for
+//! ([`decode_params`](crate::plan::decode_params)). [`Requests`] keeps one
+//! record per live tuple, and in it what the compute node adds to the
+//! tuple's request: when it went on the wire, how often it was re-issued,
+//! and the value a local run works on. [`rule`] decides what a NACK or a
+//! fired timer does to a request:
 //!
 //! | event        | not in flight | budget spent                 | otherwise                                          |
 //! |--------------|---------------|------------------------------|----------------------------------------------------|
@@ -25,19 +28,20 @@ use rustc_hash::FxHashMap;
 
 use crate::cluster::{EKey, Val};
 use crate::config::RetryConfig;
-use crate::plan::{decode_params, JobTuple};
+use crate::plan::JobTuple;
 
-/// Bits 63–62 of a timer tag hold its kind; the rest hold the request id.
+/// Bits 63–62 of a timer tag hold its kind; the rest hold a request id or,
+/// for a local run, the tuple's seq.
 const KIND_SHIFT: u32 = 62;
 
-/// The id part of a timer tag. Request ids count up from zero and never
-/// reach the kind bits.
+/// The id part of a timer tag. Request ids and seqs count up from zero
+/// and never reach the kind bits.
 const ID_MASK: u64 = (1 << KIND_SHIFT) - 1;
 
 /// What a compute-node timer is for, decoded from its `u64` tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Timer {
-    /// Kind `00`: a local UDF execution finished on this node's CPU.
+    /// Kind `00`: tuple `seq`'s local UDF run finished on this node's CPU.
     Local(u64),
     /// Kind `01`: a NACK backoff ran out; re-present the request.
     Represent(u64),
@@ -138,38 +142,28 @@ fn arrival(tuple: &JobTuple) -> Option<SimTime> {
     (tuple.arrival > SimTime::ZERO).then_some(tuple.arrival)
 }
 
-/// One live tuple.
+/// A local UDF run awaiting its completion timer: the request id, key,
+/// params and the value the UDF runs on.
+pub(crate) type LocalRun = (u64, EKey, Bytes, Val);
+
+/// One live tuple and the state of its one request.
 pub(crate) struct Live {
     tuple: JobTuple,
     /// When its latency clock and its deadline budget started.
     pub(crate) started: SimTime,
     /// Its request gave up; it completes with no output.
     pub(crate) gave_up: bool,
-}
-
-/// A request on the wire, for stage `stage` of tuple `seq`.
-#[derive(Clone, Copy)]
-pub(crate) struct Remote {
-    pub(crate) seq: u64,
-    pub(crate) stage: u16,
-    /// When it was last sent.
+    /// When its request last went on the wire.
     pub(crate) sent_at: SimTime,
-    /// Re-issues so far (0 on the first send).
+    /// Re-issues of its request so far (0 on a stage's first send).
     pub(crate) attempt: u32,
+    /// Its local run, while one is pending.
+    local: Option<LocalRun>,
 }
 
-/// One outstanding request.
-enum Req {
-    Remote(Remote),
-    /// A UDF running on this node's CPU until its completion timer fires:
-    /// the key, the params and the value it runs on.
-    Local(EKey, Bytes, Val),
-}
-
-/// Every live tuple and every outstanding request of one compute node.
+/// Every live tuple of one compute node.
 pub(crate) struct Requests {
     tuples: FxHashMap<u64, Live>,
-    reqs: FxHashMap<u64, Req>,
     /// The per-tuple deadline budget, if overload protection sets one.
     budget: Option<SimDuration>,
     /// The timeout/retry policy; `None` arms no retry timers at all.
@@ -182,7 +176,6 @@ impl Requests {
     pub(crate) fn new(budget: Option<SimDuration>, retry: Option<RetryConfig>) -> Self {
         Requests {
             tuples: FxHashMap::default(),
-            reqs: FxHashMap::default(),
             budget,
             retry,
         }
@@ -213,14 +206,25 @@ impl Requests {
             tuple,
             started,
             gave_up: false,
+            sent_at: now,
+            attempt: 0,
+            local: None,
         };
         self.tuples.insert(seq, live);
         seq
     }
 
-    /// The live tuple `seq`. Panics if it is not live.
-    pub(crate) fn tuple(&self, seq: u64) -> &JobTuple {
-        &self.tuples[&seq].tuple
+    /// Live tuple `seq`, whose next stage is about to be issued: that
+    /// stage's request starts at attempt 0. Panics if it is not live.
+    pub(crate) fn next_stage(&mut self, seq: u64) -> &JobTuple {
+        let live = self.tuples.get_mut(&seq).expect("live tuple");
+        live.attempt = 0;
+        &live.tuple
+    }
+
+    /// Tuple `seq`'s record, while it is live.
+    pub(crate) fn get(&self, seq: u64) -> Option<&Live> {
+        self.tuples.get(&seq)
     }
 
     /// Forget tuple `seq`, which completed at `now`: its record, and
@@ -231,103 +235,64 @@ impl Requests {
         Some((live, late))
     }
 
-    /// Record that request `id`, for the tuple and stage its `params`
-    /// encode, went on the wire at `now`, keeping the attempt a re-key
-    /// carried over. Returns the retry timeout to arm for it when retries
+    /// Tuple `seq`'s request went on the wire at `now`, at the attempt its
+    /// record holds. Returns the retry timeout to arm for it when retries
     /// are on: capped exponential backoff by attempt, and never past the
     /// tuple's budget, so backoff cannot stretch its latency beyond it.
-    pub(crate) fn sent(&mut self, id: u64, params: &[u8], now: SimTime) -> Option<SimDuration> {
-        let (seq, stage) = decode_params(params);
-        let attempt = self.remote(id).map_or(0, |r| r.attempt);
-        let remote = Remote {
-            seq,
-            stage,
-            sent_at: now,
-            attempt,
-        };
-        self.reqs.insert(id, Req::Remote(remote));
+    pub(crate) fn sent(&mut self, seq: u64, now: SimTime) -> Option<SimDuration> {
+        let live = self.tuples.get_mut(&seq)?;
+        live.sent_at = now;
+        let attempt = live.attempt;
         let to = self.retry?.timeout_for(attempt);
-        Some(self.remaining(id, now).map_or(to, |rem| to.min(rem)))
+        Some(self.remaining(seq, now).map_or(to, |rem| to.min(rem)))
     }
 
-    /// Record a local execution awaiting its completion timer.
-    pub(crate) fn run_local(&mut self, id: u64, key: EKey, params: Bytes, value: Val) {
-        self.reqs.insert(id, Req::Local(key, params, value));
-    }
-
-    /// Take the local execution `id` whose timer fired.
-    pub(crate) fn take_local(&mut self, id: u64) -> Option<(EKey, Bytes, Val)> {
-        match self.reqs.remove(&id)? {
-            Req::Local(key, params, value) => Some((key, params, value)),
-            Req::Remote(_) => None,
+    /// Tuple `seq`'s stage runs locally until its completion timer fires.
+    pub(crate) fn run_local(&mut self, seq: u64, run: LocalRun) {
+        if let Some(live) = self.tuples.get_mut(&seq) {
+            live.local = Some(run);
         }
     }
 
-    /// Remote request `id`, if it is outstanding.
-    pub(crate) fn remote(&self, id: u64) -> Option<&Remote> {
-        match self.reqs.get(&id)? {
-            Req::Remote(r) => Some(r),
-            Req::Local(..) => None,
-        }
+    /// Take tuple `seq`'s local run, whose timer fired.
+    pub(crate) fn take_local(&mut self, seq: u64) -> Option<LocalRun> {
+        self.tuples.get_mut(&seq)?.local.take()
     }
 
-    /// Time left in the budget of the tuple `id` works for (`ZERO`
-    /// once spent); `None` when no budget applies. The one deadline
-    /// lookup: retry timeouts are capped by it and verdicts read it.
-    fn remaining(&self, id: u64, now: SimTime) -> Option<SimDuration> {
-        let started = self.tuples.get(&self.remote(id)?.seq)?.started;
-        let deadline = started + self.budget?;
+    /// Time left in tuple `seq`'s budget (`ZERO` once spent); `None` when
+    /// no budget applies. The one deadline lookup: retry timeouts are
+    /// capped by it and verdicts read it.
+    fn remaining(&self, seq: u64, now: SimTime) -> Option<SimDuration> {
+        let deadline = self.tuples.get(&seq)?.started + self.budget?;
         Some(deadline.since(now.min(deadline)))
     }
 
-    /// Judge `event` for request `id` by [`rule`]. A retry verdict
-    /// that re-issues or gives up counts the attempt it starts, so a
-    /// re-key carries it and [`remote`](Self::remote) reports it.
-    pub(crate) fn judge(&mut self, event: Event, id: u64, flying: bool, now: SimTime) -> Verdict {
-        let spent = self.remaining(id, now) == Some(SimDuration::ZERO);
-        let attempt = self.remote(id).map_or(0, |r| r.attempt) + 1;
-        let verdict = rule(event, flying, spent, attempt, self.retry.as_ref());
-        if let Verdict::Reissue { .. } | Verdict::GiveUp = verdict {
-            if let Some(Req::Remote(r)) = self.reqs.get_mut(&id) {
-                r.attempt = attempt;
-            }
+    /// Judge `event` for tuple `seq`'s request by [`rule`]; a tuple that is
+    /// not live has no request in flight. A retry verdict that re-issues
+    /// or gives up counts the attempt it starts, so the re-issue is sent
+    /// at it and [`get`](Self::get) reports it.
+    pub(crate) fn judge(&mut self, event: Event, seq: u64, now: SimTime) -> Verdict {
+        let spent = self.remaining(seq, now) == Some(SimDuration::ZERO);
+        let live = self.tuples.get_mut(&seq);
+        let attempt = live.as_ref().map_or(0, |l| l.attempt) + 1;
+        let verdict = rule(event, live.is_some(), spent, attempt, self.retry.as_ref());
+        if let (Verdict::Reissue { .. } | Verdict::GiveUp, Some(live)) = (verdict, live) {
+            live.attempt = attempt;
         }
         verdict
     }
 
-    /// Move `old`'s record to `new`, the id it was re-issued under, keeping
-    /// its attempt.
-    pub(crate) fn rekey(&mut self, old: u64, new: u64) {
-        if let Some(req) = self.reqs.remove(&old) {
-            self.reqs.insert(new, req);
-        }
-    }
-
-    /// Remote request `id` was answered (or its value came back to run
-    /// locally): forget it. Ids come from one counter, so a local id is
-    /// never answered and a remote one never fires a local timer.
-    pub(crate) fn answered(&mut self, id: u64) -> Option<Remote> {
-        match self.reqs.remove(&id)? {
-            Req::Remote(r) => Some(r),
-            Req::Local(..) => None,
-        }
-    }
-
-    /// Shed request `id` and its tuple; returns the tuple's seq.
-    pub(crate) fn shed(&mut self, id: u64) -> Option<u64> {
-        let seq = self.answered(id)?.seq;
+    /// Shed tuple `seq`, whose request was abandoned.
+    pub(crate) fn shed(&mut self, seq: u64) {
         self.tuples.remove(&seq);
-        Some(seq)
     }
 
-    /// Request `id` gave up: forget it and mark its tuple, which now
-    /// completes with no output.
-    pub(crate) fn give_up(&mut self, id: u64) -> Option<Remote> {
-        let r = self.answered(id)?;
-        if let Some(live) = self.tuples.get_mut(&r.seq) {
+    /// Tuple `seq`'s request gave up: mark the tuple, which now completes
+    /// with no output.
+    pub(crate) fn give_up(&mut self, seq: u64) {
+        if let Some(live) = self.tuples.get_mut(&seq) {
             live.gave_up = true;
         }
-        Some(r)
     }
 }
 
@@ -347,11 +312,6 @@ mod tests {
             params_size: 8,
             arrival,
         }
-    }
-
-    /// Stage-0 params of tuple `seq`, as the compute node encodes them.
-    fn params(seq: u64) -> Bytes {
-        crate::plan::encode_params(seq, 0, 16)
     }
 
     fn retry(max_retries: u32) -> RetryConfig {
@@ -417,40 +377,41 @@ mod tests {
     }
 
     #[test]
-    fn rekey_drops_the_old_id_and_keeps_the_attempt() {
+    fn a_reissue_keeps_the_attempt_and_a_new_stage_resets_it() {
         let rc = retry(8);
         let mut t = Requests::new(None, Some(rc));
         let seq = t.start(tuple(4, SimTime::ZERO), ms(1));
-        assert_eq!(t.sent(10, &params(seq), ms(1)), Some(rc.timeout_for(0)));
-        let v = t.judge(Event::Retry, 10, true, ms(5));
+        assert_eq!(t.sent(seq, ms(1)), Some(rc.timeout_for(0)));
+        let v = t.judge(Event::Retry, seq, ms(5));
         assert_eq!(v, Verdict::Reissue { flip: false });
-        assert_eq!(t.remote(10).map(|r| r.attempt), Some(1));
-        t.rekey(10, 11);
-        assert!(t.remote(10).is_none(), "old id still known");
-        // The re-issue backs off by the attempt it carried over.
-        assert_eq!(t.sent(11, &params(seq), ms(5)), Some(rc.timeout_for(1)));
-        let r = *t.remote(11).expect("re-keyed");
-        assert_eq!((r.seq, r.stage, r.sent_at, r.attempt), (seq, 0, ms(5), 1));
+        assert_eq!(t.get(seq).map(|r| r.attempt), Some(1));
+        // The re-issue backs off by the attempt the tuple's record holds.
+        assert_eq!(t.sent(seq, ms(5)), Some(rc.timeout_for(1)));
+        let r = t.get(seq).expect("live");
+        assert_eq!((r.sent_at, r.attempt), (ms(5), 1));
         // A NACK re-present keeps the attempt too: no timeout was seen.
-        let v = t.judge(Event::Represent, 11, true, ms(6));
+        let v = t.judge(Event::Represent, seq, ms(6));
         assert_eq!(v, Verdict::Represent);
-        t.rekey(11, 12);
-        assert_eq!(t.remote(12).map(|r| r.attempt), Some(1));
-        let v = t.judge(Event::Retry, 12, true, ms(9));
+        t.sent(seq, ms(6));
+        assert_eq!(t.get(seq).map(|r| r.attempt), Some(1));
+        let v = t.judge(Event::Retry, seq, ms(9));
         assert_eq!(v, Verdict::Reissue { flip: true });
+        // The next stage's request starts over.
+        assert_eq!(t.next_stage(seq).seq, 4);
+        assert_eq!(t.sent(seq, ms(9)), Some(rc.timeout_for(0)));
     }
 
     #[test]
     fn a_stale_timer_is_ignored() {
         let mut t = Requests::new(Some(SimDuration::from_millis(1)), Some(retry(0)));
         let seq = t.start(tuple(1, SimTime::ZERO), ms(0));
-        t.sent(3, &params(seq), ms(0));
-        // Answered, then its retry timer fires long past the budget.
-        assert_eq!(t.answered(3).map(|r| r.seq), Some(seq));
+        t.sent(seq, ms(0));
+        // Completed, then its retry timer fires long past the budget.
+        assert!(t.finish(seq, ms(0)).is_some());
         for event in [Event::Nack, Event::Represent, Event::Retry] {
-            assert_eq!(t.judge(event, 3, false, ms(50)), Verdict::Ignore);
+            assert_eq!(t.judge(event, seq, ms(50)), Verdict::Ignore);
         }
-        assert!(t.remote(3).is_none());
+        assert!(t.get(seq).is_none());
     }
 
     #[test]
@@ -460,17 +421,17 @@ mod tests {
         assert_eq!(t.queue_deadline(&queued), Some(ms(15)));
         assert_eq!(t.queue_deadline(&tuple(8, SimTime::ZERO)), None, "batch");
         let seq = t.start(queued, ms(12));
-        let to = t.sent(20, &params(seq), ms(12));
+        let to = t.sent(seq, ms(12));
         assert_eq!(
             to,
             Some(SimDuration::from_millis(3)),
             "capped at the budget"
         );
-        let v = t.judge(Event::Retry, 20, true, ms(15));
+        let v = t.judge(Event::Retry, seq, ms(15));
         assert_eq!(v, Verdict::Shed("deadline-on-timeout"));
-        let attempt = t.remote(20).map(|r| r.attempt);
+        let attempt = t.get(seq).map(|r| r.attempt);
         assert_eq!(attempt, Some(0), "a shed is no attempt");
-        assert_eq!(t.shed(20), Some(seq));
+        t.shed(seq);
         assert_eq!(t.live(), 0);
         // A batch tuple's budget starts at ingest; completing after it is late.
         let seq = t.start(tuple(9, SimTime::ZERO), ms(100));
@@ -484,15 +445,16 @@ mod tests {
         let a = t.start(tuple(1, SimTime::ZERO), ms(0));
         let b = t.start(tuple(2, SimTime::ZERO), ms(0));
         assert_eq!(t.live(), 2);
-        assert_eq!(t.tuple(b).seq, 2);
+        assert_eq!(t.next_stage(b).seq, 2);
         let value = Val(StoredValue::new(vec![1], 1, SimDuration::ZERO));
-        t.run_local(0, (0, RowKey::from_u64(1)), Bytes::new(), value);
-        assert_eq!(t.sent(1, &params(b), ms(0)), None, "no retry timer");
-        assert!(t.remote(0).is_none(), "a local request is not remote");
-        let local = t.take_local(0);
-        assert!(local.is_some_and(|(key, ..)| key.1 == RowKey::from_u64(1)));
-        assert!(t.take_local(0).is_none(), "taken twice");
-        assert_eq!(t.give_up(1).map(|r| (r.seq, r.stage)), Some((b, 0)));
+        let key = (0, RowKey::from_u64(1));
+        t.run_local(a, (7, key, Bytes::new(), value));
+        assert_eq!(t.sent(b, ms(0)), None, "no retry timer");
+        let local = t.take_local(a);
+        assert!(local.is_some_and(|(id, key, ..)| id == 7 && key.1 == RowKey::from_u64(1)));
+        assert!(t.take_local(a).is_none(), "taken twice");
+        assert!(t.take_local(b).is_none(), "a remote request is not local");
+        t.give_up(b);
         let (ended, late) = t.finish(b, ms(3)).expect("live");
         assert!(ended.gave_up && !late);
         assert!(t.finish(a, ms(3)).is_some_and(|(e, _)| !e.gave_up));
