@@ -157,8 +157,9 @@ pub(crate) struct Live {
     pub(crate) sent_at: SimTime,
     /// Re-issues of its request so far (0 on a stage's first send).
     pub(crate) attempt: u32,
-    /// Its local run, while one is pending.
-    local: Option<LocalRun>,
+    /// Its local run, while one is pending. Boxed: most live tuples have
+    /// none, and every record pays for the slot.
+    local: Option<Box<LocalRun>>,
 }
 
 /// Every live tuple of one compute node.
@@ -250,13 +251,13 @@ impl Requests {
     /// Tuple `seq`'s stage runs locally until its completion timer fires.
     pub(crate) fn run_local(&mut self, seq: u64, run: LocalRun) {
         if let Some(live) = self.tuples.get_mut(&seq) {
-            live.local = Some(run);
+            live.local = Some(Box::new(run));
         }
     }
 
     /// Take tuple `seq`'s local run, whose timer fired.
     pub(crate) fn take_local(&mut self, seq: u64) -> Option<LocalRun> {
-        self.tuples.get_mut(&seq)?.local.take()
+        self.tuples.get_mut(&seq)?.local.take().map(|run| *run)
     }
 
     /// Time left in tuple `seq`'s budget (`ZERO` once spent); `None` when
