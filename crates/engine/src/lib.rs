@@ -21,10 +21,11 @@
 //! node's batches live in one ingest table (the private `ingest` module)
 //! from admission to completion: the queue cap, the high/low watermark
 //! hysteresis and the load counters a batch releases when it completes.
-//! The compute node's tuples and requests are one table too (the
-//! private `requests` module): one record per live tuple and per
-//! outstanding request, one timer-tag decoder, and one rule for what a
-//! NACK or a fired timer does.
+//! The compute node's live tuples are one table too (the private
+//! `requests` module): one record per live tuple, holding what the node
+//! adds to the tuple's one request, one timer-tag decoder, and one rule
+//! for what a NACK or a fired timer does. The request itself is recorded
+//! once, in the optimizer's in-flight table, whose params name its tuple.
 
 #![warn(missing_docs)]
 
