@@ -18,20 +18,18 @@
 //! so crashes land mid-migration and drains retry around dead targets).
 //! Invariants checked on every run:
 //!
-//! 1. **Accounting** — `completed + shed == n`: every offered tuple
-//!    either completed or was shed, nothing vanished; `gave_up` tuples
-//!    are a subset of completed; the per-tuple outcome log agrees with
-//!    the counters and names each tuple at most once.
-//! 2. **Fingerprint / exactly-once** — the run's output fingerprint
-//!    equals the XOR of the *reference* contributions of exactly the
-//!    tuples that completed with output (all minus shed minus gave-up).
-//!    A lost output breaks the equality, and so does a duplicated one:
-//!    XOR cancels pairs, so a tuple processed twice under retry drops
-//!    out of the fingerprint and is caught, not masked.
-//! 3. **Bounds** — the peak data-node ingest queue depth never exceeds
+//! 1. **Exactly-once** — both the healthy calibration run and the fuzzed
+//!    run reconcile against the reference join through
+//!    [`jl_engine::Expected::check`]: every offered tuple completed or
+//!    was shed, the outcome log agrees with the counters, and the output
+//!    fingerprint is the reference minus exactly the shed and gave-up
+//!    tuples' contributions — so a lost or a duplicated output (XOR
+//!    cancels pairs) is caught, not masked. The healthy run must also
+//!    shed and give up nothing.
+//! 2. **Bounds** — the peak data-node ingest queue depth never exceeds
 //!    `data_queue_cap`. Skipped under churn: a draining node accepts its
 //!    migration handoff past the cap by design.
-//! 4. **Churn liveness** — a churn case must at least attempt a
+//! 3. **Churn liveness** — a churn case must at least attempt a
 //!    migration (completed or aborted); a silently inert membership
 //!    plane would otherwise pass every other check.
 //!
@@ -40,14 +38,12 @@
 //! halved — and the smallest still-failing case is printed as a repro
 //! command.
 
-use std::collections::HashMap;
-
 use jl_bench::experiments::JobInputs;
-use jl_bench::{chaos_retry, fuzz_spec, pace, SyntheticCell};
+use jl_bench::{fuzz_spec, pace, SyntheticCell};
 use jl_core::ShedMode;
 use jl_engine::{
-    reference_run, run_job, ClusterSpec, FeedMode, MembershipConfig, MembershipEvent,
-    OverloadConfig, RetryConfig, RunReport, TupleFate,
+    chaos_retry, run_job, ClusterSpec, Expected, FeedMode, MembershipConfig, MembershipEvent,
+    OverloadConfig, RetryConfig, RunReport,
 };
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::rng::{splitmix64, stream_rng};
@@ -314,77 +310,6 @@ fn retry_for(case: &Case, healthy: &RunReport) -> RetryConfig {
     }
 }
 
-/// Reconcile one report against the per-tuple reference fingerprints.
-/// `churn` relaxes the queue-cap bound (drain handoffs admit past it by
-/// design) and instead demands at least one migration attempt.
-fn check(
-    r: &RunReport,
-    per_tuple: &HashMap<u64, u64>,
-    data_cap: u64,
-    churn: bool,
-) -> Result<(), String> {
-    let n = per_tuple.len() as u64;
-    if r.completed + r.shed != n {
-        return Err(format!(
-            "accounting: completed {} + shed {} != offered {}",
-            r.completed, r.shed, n
-        ));
-    }
-    if r.gave_up > r.completed {
-        return Err(format!(
-            "accounting: gave_up {} exceeds completed {}",
-            r.gave_up, r.completed
-        ));
-    }
-    let mut seen = HashMap::new();
-    let (mut shed_logged, mut gave_up_logged) = (0u64, 0u64);
-    let mut expected = per_tuple.values().fold(0u64, |acc, fp| acc ^ fp);
-    for &(seq, outcome) in &r.outcomes {
-        let Some(fp) = per_tuple.get(&seq) else {
-            return Err(format!("outcome log names unknown tuple seq {seq}"));
-        };
-        if seen.insert(seq, outcome).is_some() {
-            return Err(format!("outcome log names tuple seq {seq} twice"));
-        }
-        match outcome {
-            TupleFate::Shed => shed_logged += 1,
-            TupleFate::GaveUp => gave_up_logged += 1,
-            TupleFate::Done => return Err(format!("outcome log names completed tuple seq {seq}")),
-        }
-        // Shed tuples never produced output; gave-up tuples completed
-        // empty. Either way their reference contribution is absent.
-        expected ^= fp;
-    }
-    if shed_logged != r.shed {
-        return Err(format!(
-            "outcome log records {} shed tuples, report counts {}",
-            shed_logged, r.shed
-        ));
-    }
-    if gave_up_logged != r.gave_up {
-        return Err(format!(
-            "outcome log records {} gave-up tuples, report counts {}",
-            gave_up_logged, r.gave_up
-        ));
-    }
-    if r.fingerprint != expected {
-        return Err(format!(
-            "fingerprint {:#x} != reference-minus-outcomes {:#x} (lost or duplicated output)",
-            r.fingerprint, expected
-        ));
-    }
-    if !churn && r.peak_queue_depth > data_cap {
-        return Err(format!(
-            "peak data queue depth {} exceeds cap {}",
-            r.peak_queue_depth, data_cap
-        ));
-    }
-    if churn && r.migrations + r.migrations_aborted == 0 {
-        return Err("churn case never attempted a migration".into());
-    }
-    Ok(())
-}
-
 /// Run one case end to end: reference pass, fault-free calibration run,
 /// then the fuzzed run, with invariants on both runs.
 fn run_case(case: &Case) -> Result<RunReport, String> {
@@ -392,21 +317,10 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
     let job = |active| fuzz_job(case.n_tuples, case.z, case.seed, gap, case.window, active);
     let n_data = fuzz_cluster().n_data;
 
-    // Reference: the whole job executed directly against the store, and
-    // each tuple's individual contribution for outcome reconciliation.
+    // Reference: the whole job executed directly against the store, with
+    // each tuple's own contribution for outcome reconciliation.
     let (spec, ref_store, udfs, tuples) = job(n_data);
-    let reference = reference_run(&ref_store, &udfs, &spec.plan, &tuples);
-    let per_tuple: HashMap<u64, u64> = tuples
-        .iter()
-        .map(|t| {
-            let one = reference_run(&ref_store, &udfs, &spec.plan, std::slice::from_ref(t));
-            (t.seq, one.fingerprint)
-        })
-        .collect();
-    let xor_all = per_tuple.values().fold(0u64, |acc, fp| acc ^ fp);
-    if xor_all != reference.fingerprint {
-        return Err("per-tuple reference contributions do not XOR to the full reference".into());
-    }
+    let expected = Expected::new(&ref_store, &udfs, &spec.plan, &tuples);
 
     // Fault-free calibration: its duration scales the fault and churn
     // timelines and the retry timeouts, its p99 anchors the deadline
@@ -414,21 +328,17 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
     let (mut spec, store, udfs, tuples) = job(n_data);
     spec.overload = Some(OverloadConfig::permissive());
     let healthy = run_job(&spec, store, udfs, tuples, vec![]);
-    if healthy.completed != case.n_tuples || healthy.shed != 0 || healthy.gave_up != 0 {
+    expected
+        .check(&healthy)
+        .map_err(|e| format!("healthy run: {e}"))?;
+    if !healthy.outcomes.is_empty() {
         return Err(format!(
-            "healthy run: completed {} shed {} gave_up {} (want {} / 0 / 0)",
-            healthy.completed, healthy.shed, healthy.gave_up, case.n_tuples
-        ));
-    }
-    if healthy.fingerprint != reference.fingerprint {
-        return Err(format!(
-            "healthy fingerprint {:#x} != reference {:#x}",
-            healthy.fingerprint, reference.fingerprint
+            "healthy run shed or gave up: {:?}",
+            healthy.outcomes
         ));
     }
 
     let overload = overload_for(case, healthy.p99_latency);
-    let data_cap = overload.data_queue_cap;
     let faults = case
         .faults
         .then(|| fault_plan(case, &spec.cluster, healthy.duration));
@@ -447,7 +357,18 @@ fn run_case(case: &Case) -> Result<RunReport, String> {
     spec.overload = Some(overload);
     spec.membership = membership;
     let r = run_job(&spec, store, udfs, tuples, vec![]);
-    check(&r, &per_tuple, data_cap, case.churn)?;
+    expected.check(&r)?;
+    // A draining node accepts its migration handoff past the cap by
+    // design, so churn trades the queue bound for a liveness check.
+    if !case.churn && r.peak_queue_depth > overload.data_queue_cap {
+        return Err(format!(
+            "peak data queue depth {} exceeds cap {}",
+            r.peak_queue_depth, overload.data_queue_cap
+        ));
+    }
+    if case.churn && r.migrations + r.migrations_aborted == 0 {
+        return Err("churn case never attempted a migration".into());
+    }
     Ok(r)
 }
 
@@ -633,6 +554,7 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn parse_strs(args: &[&str]) -> Result<Args, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();

@@ -23,7 +23,7 @@ pub mod output;
 pub mod serve;
 
 pub use experiments::{
-    ablation_inputs, bench_cell, chaos_fault_plan, chaos_retry, check_elastic_invariants,
+    ablation_inputs, bench_cell, chaos_fault_plan, check_elastic_invariants,
     check_overload_invariants, digest_udfs, fig11, fig5, fig6, fig7, fig8, fig9, fig_chaos,
     fig_elastic, fig_overload, fuzz_spec, overload_bounded_config, pace, run_chaos_report,
     run_elastic_stream, run_grid, run_overload_stream, scaled, traced_chaos_run, ElasticCell,

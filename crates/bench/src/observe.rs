@@ -18,6 +18,7 @@ use std::sync::{Arc, Mutex};
 use jl_simkit::fault::FaultKind;
 use jl_simkit::probe::SimProbe;
 use jl_simkit::time::{SimDuration, SimTime};
+use jl_telemetry::json::json_string;
 use jl_telemetry::{
     chrome_trace_json, flight, ExpoBuilder, MetricsRegistry, TelemetryHandle, WindowSnapshot,
     WindowedCounter, WindowedHistogram,
@@ -256,20 +257,6 @@ pub fn render_metrics(live: &ServeLive, tel: Option<&TelemetryHandle>, now: SimT
     b.render()
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the JSON stats snapshot: serve counters, windowed quantiles,
 /// per-node live queue/pipeline state, and run-report deltas — one
 /// object, schema `jl-serve-stats/v1`. Parseable by
@@ -323,9 +310,9 @@ pub fn stats_json(live: &ServeLive, tel: Option<&TelemetryHandle>, now: SimTime)
                 };
                 let down = *state == Some("standby");
                 out.push_str(&format!(
-                    "{{\"node\":{id},\"name\":\"{}\",\"queue_depth\":{depth},\"pressured\":{pressured},\
+                    "{{\"node\":{id},\"name\":{},\"queue_depth\":{depth},\"pressured\":{pressured},\
                      \"state\":{state_json},\"down\":{down}}}",
-                    json_escape(name)
+                    json_string(name)
                 ));
             }
             out.push_str("],\"compute_nodes\":[");
@@ -334,9 +321,9 @@ pub fn stats_json(live: &ServeLive, tel: Option<&TelemetryHandle>, now: SimTime)
                     out.push(',');
                 }
                 out.push_str(&format!(
-                    "{{\"node\":{id},\"name\":\"{}\",\"outstanding\":{outstanding},\
+                    "{{\"node\":{id},\"name\":{},\"outstanding\":{outstanding},\
                      \"pressured_dests\":{pressured}}}",
-                    json_escape(name)
+                    json_string(name)
                 ));
             }
             out.push(']');

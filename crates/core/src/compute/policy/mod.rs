@@ -23,6 +23,7 @@ pub use skirental::SkiRentalPolicy;
 use std::hash::Hash;
 
 use jl_costmodel::{RentBuyCosts, SizeProfile};
+use jl_simkit::time::SimTime;
 
 use crate::config::{OptimizerConfig, Strategy};
 use crate::types::{CostInfo, NodeHealth};
@@ -118,6 +119,8 @@ pub trait PlacementPolicy<K> {
 /// One placement decision, as offered to a [`DecisionSink`].
 #[derive(Debug, Clone, Copy)]
 pub struct DecisionEvent<'a, K> {
+    /// When the decision was taken (the `now` of the input it decides).
+    pub at: SimTime,
     /// The tuple's join key.
     pub key: &'a K,
     /// Destination data node owning the key.
@@ -181,6 +184,7 @@ mod fn_sink_tests {
     #[test]
     fn fn_sink_forwards_events() {
         let ev = DecisionEvent {
+            at: SimTime::ZERO,
             key: &42u64,
             dest: 3,
             placement: Placement::Rent,

@@ -307,6 +307,7 @@ where
         let placement = self.policy.decide(&key, &ctx);
         if let Some(sink) = self.sink.as_mut() {
             sink.on_decision(&DecisionEvent {
+                at: now,
                 key: &key,
                 dest,
                 placement,

@@ -129,11 +129,6 @@ pub struct ComputeNode {
     outcomes: Vec<(u64, TupleFate)>,
     /// This node's tracing handle (inert on untraced runs).
     trace: NodeTrace,
-    /// Staging buffer between this node and its staged decision sink,
-    /// installed for every traced run (see
-    /// [`decision_tee_staged`](crate::telemetry::decision_tee_staged)).
-    /// Drained right after every optimizer call that can decide.
-    decision_stage: Option<std::rc::Rc<crate::telemetry::DecisionStage>>,
     /// In-pipeline tuple count over time, tracked locally per sample and
     /// adopted into the metrics registry at snapshot (traced runs only).
     outstanding_gauge: Option<jl_simkit::stats::TimeWeightedGauge>,
@@ -216,7 +211,6 @@ impl ComputeNode {
             n_pressured: 0,
             outcomes: Vec::new(),
             trace: NodeTrace::default(),
-            decision_stage: None,
             outstanding_gauge: None,
             on_complete: None,
             overrides: FxHashMap::default(),
@@ -252,27 +246,10 @@ impl ComputeNode {
         self.on_complete = Some(hook);
     }
 
-    /// Attach a telemetry recorder and the staging buffer shared with this
-    /// node's staged decision sink. `node` is this node's sim id, used as
+    /// Attach a telemetry recorder. `node` is this node's sim id, used as
     /// the trace process id. Call before the simulation starts.
-    pub(crate) fn set_telemetry(
-        &mut self,
-        tel: TelemetryHandle,
-        node: u32,
-        stage: std::rc::Rc<crate::telemetry::DecisionStage>,
-    ) {
+    pub(crate) fn set_telemetry(&mut self, tel: TelemetryHandle, node: u32) {
         self.trace.attach(tel, node);
-        self.decision_stage = Some(stage);
-    }
-
-    /// Record the decisions the staged sink captured since the last drain
-    /// (traced runs only; the stage is absent elsewhere). Must run right
-    /// after any `self.rt` call that can fire the sink, *before* this node
-    /// records anything else, so each decision lands at its trace position.
-    fn drain_decisions<C: RuntimeCtx<Msg>>(&self, ctx: &mut C) {
-        if let Some(stage) = &self.decision_stage {
-            stage.drain(&self.trace, ctx.now());
-        }
     }
 
     /// Track the in-pipeline tuple count as a time-weighted gauge. The
@@ -435,7 +412,6 @@ impl ComputeNode {
                 if self.is_batch() && !self.flushed_input {
                     self.flushed_input = true;
                     let actions = self.rt.flush_all();
-                    self.drain_decisions(ctx);
                     self.handle_actions(actions, ctx);
                 }
                 break;
@@ -480,7 +456,6 @@ impl ComputeNode {
         let actions = self
             .rt
             .on_input(ctx.now(), key, params, key_size, params_size, server);
-        self.drain_decisions(ctx);
         self.handle_actions(actions, ctx);
     }
 
@@ -596,7 +571,6 @@ impl ComputeNode {
     /// *early*, before more CPU/NIC is burnt on doomed work.
     fn shed_request<C: RuntimeCtx<Msg>>(&mut self, f: Flying, why: &'static str, ctx: &mut C) {
         self.rt.abandon(f.req_id);
-        self.drain_decisions(ctx);
         self.reqs.shed(f.seq);
         self.note_shed(f.seq, why, ctx);
         self.tel_outstanding(ctx);
@@ -663,7 +637,6 @@ impl ComputeNode {
         let attempt = self.reqs.get(f.seq).map_or(0, |r| r.attempt);
         let flip = v == Verdict::Reissue { flip: true };
         let reissued = self.rt.reissue(f.req_id, f.dest, flip);
-        self.drain_decisions(ctx);
         let Some((_, action)) = reissued else {
             return;
         };
@@ -683,7 +656,6 @@ impl ComputeNode {
     /// with no output.
     fn give_up<C: RuntimeCtx<Msg>>(&mut self, f: Flying, ctx: &mut C) {
         self.rt.abandon(f.req_id);
-        self.drain_decisions(ctx);
         self.report.gave_up += 1;
         self.trace.instant(Track::Fault, "gave-up", ctx.now(), || {
             [("req", f.req_id.into())]
@@ -841,7 +813,6 @@ impl ComputeNode {
                     }
                 }
                 let actions = self.rt.on_batch_response(from_data, items);
-                self.drain_decisions(ctx);
                 self.handle_actions(actions, ctx);
             }
             // The destination's ingest queue refused the batch: a Degraded
@@ -866,7 +837,6 @@ impl ComputeNode {
             }
             Msg::Invalidate { key } => {
                 self.rt.on_update_notice(&key);
-                self.drain_decisions(ctx);
             }
             Msg::HealthUpdate { node, health } => {
                 // Controller-driven membership health: sticky until the
@@ -914,7 +884,6 @@ impl ComputeNode {
         let seq = match Timer::decode(tag) {
             Timer::Flush => {
                 let actions = self.rt.poll(ctx.now());
-                self.drain_decisions(ctx);
                 self.handle_actions(actions, ctx);
                 return;
             }
@@ -931,7 +900,6 @@ impl ComputeNode {
         let out = udf.apply(&key.1, &params, &value.0);
         self.rt
             .on_local_done(req_id, value.0.udf_cpu().as_secs_f64());
-        self.drain_decisions(ctx);
         self.stage_finished(seq, stage, Some(&out), ctx);
     }
 }

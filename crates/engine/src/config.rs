@@ -129,6 +129,21 @@ impl RetryConfig {
     }
 }
 
+/// Retry knobs scaled to a run whose fault-free duration is `baseline`:
+/// the per-request timeout is ~1% of it (floored well above healthy
+/// round-trip latency so healthy traffic never times out spuriously),
+/// backoff caps at 8× that, and a timed-out node is avoided for 4
+/// timeouts before being probed. The chaos scenarios share it.
+pub fn chaos_retry(baseline: SimDuration) -> RetryConfig {
+    let t = (baseline.as_secs_f64() * 0.01).clamp(0.05, 1.0);
+    RetryConfig {
+        timeout: SimDuration::from_secs_f64(t),
+        backoff_cap: SimDuration::from_secs_f64(t * 8.0),
+        max_retries: 8,
+        down_cooldown: SimDuration::from_secs_f64(t * 4.0),
+    }
+}
+
 /// Overload protection: bounded queues, wire backpressure, deadline
 /// budgets, and load shedding. `None` in
 /// [`JobSpec`](crate::runner::JobSpec) disables the machinery entirely —

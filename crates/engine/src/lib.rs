@@ -48,8 +48,8 @@ pub use baselines::{run_reduce_side, BaselineReport, ReduceSideKind};
 pub use cluster::{ClusterNode, ClusterSim, EKey, Msg, Val};
 pub use compute_node::{CompletionHook, TupleFate};
 pub use config::{
-    AutoscaleConfig, ClusterSpec, FeedMode, MembershipConfig, MembershipEvent, NotifyMode,
-    OverloadConfig, RetryConfig,
+    chaos_retry, AutoscaleConfig, ClusterSpec, FeedMode, MembershipConfig, MembershipEvent,
+    NotifyMode, OverloadConfig, RetryConfig,
 };
 pub use plan::{JobPlan, JobTuple, StageSpec};
 pub use runner::{
@@ -60,4 +60,4 @@ pub use runner::{
 };
 pub use shuffle::run_shuffle_multijoin;
 pub use telemetry::EngineProbe;
-pub use verify::{reference_run, Reference};
+pub use verify::{reference_run, Expected, Reference};

@@ -3,7 +3,6 @@
 //! (the deterministic oracle) or the wall clock — over the same
 //! construction, loading and gathering code.
 
-use std::rc::Rc;
 use std::sync::Arc;
 
 use rustc_hash::FxHashMap;
@@ -207,8 +206,9 @@ pub struct RunReport {
     /// [`OverloadConfig::permissive`] to measure without bounding).
     pub peak_queue_depth: u64,
     /// Per-tuple `(seq, Shed | GaveUp)` for every tuple that shed or gave
-    /// up, sorted by seq: the per-tuple accounting surface the chaos
-    /// fuzzer reconciles the output fingerprint against.
+    /// up, sorted by seq: the per-tuple accounting surface
+    /// [`Expected::check`](crate::verify::Expected::check) reconciles the
+    /// output fingerprint against.
     pub outcomes: Vec<(u64, TupleFate)>,
     /// Live region migrations completed (0 without a
     /// [`MembershipConfig`]).
@@ -463,14 +463,11 @@ pub fn build_cluster(
         let node_seed = jl_simkit::rng::derive_seed(spec.seed, "compute") ^ i as u64;
         let policy = spec.policy.as_ref().map(|f| f(&spec.optimizer, node_seed));
         let mut sink = spec.decision_sink.as_ref().map(|f| f(i));
-        let mut stage = None;
-        if tel.is_some() {
-            // Traced runs observe the decision plane through a staged tee:
-            // the sink (which has no clock) buffers each decision, and the
-            // node records the buffer right after the optimizer call.
-            let s: Rc<crate::telemetry::DecisionStage> = Default::default();
-            sink = Some(crate::telemetry::decision_tee_staged(Rc::clone(&s), sink));
-            stage = Some(s);
+        if let Some(t) = &tel {
+            // Traced runs observe the decision plane through a tee that
+            // records each decision at its own time.
+            let node = cluster.compute_id(i) as u32;
+            sink = Some(crate::telemetry::decision_tee(t.clone(), node, sink));
         }
         let shed = spec.overload.map(|ov| match &spec.shed_policy {
             Some(f) => f(i),
@@ -501,8 +498,8 @@ pub fn build_cluster(
             // horizon. jl-serve passes no tuples here and stays open.
             node.set_stream_expected(stream_counts[i]);
         }
-        if let (Some(t), Some(s)) = (&tel, stage) {
-            node.set_telemetry(t.clone(), cluster.compute_id(i) as u32, s);
+        if let Some(t) = &tel {
+            node.set_telemetry(t.clone(), cluster.compute_id(i) as u32);
         }
         nodes.push(ClusterNode::Compute(node));
     }
@@ -947,9 +944,10 @@ fn snapshot_resources(reg: &mut MetricsRegistry, node: u32, res: &NodeResources,
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::verify::reference_run;
+    use crate::config::chaos_retry;
+    use crate::verify::Expected;
     use jl_core::Strategy;
     use jl_simkit::time::SimDuration;
     use jl_store::{DigestUdf, RowKey, StoredValue, UdfRegistry};
@@ -969,7 +967,12 @@ mod tests {
         }
     }
 
-    fn setup(strategy: Strategy, z: f64) -> (JobSpec, StoreCluster, UdfRegistry, Vec<JobTuple>) {
+    /// A small healthy batch job: 2,000 single-key tuples over 500 keys at
+    /// skew `z` on a 3+3 cluster.
+    pub(crate) fn setup(
+        strategy: Strategy,
+        z: f64,
+    ) -> (JobSpec, StoreCluster, UdfRegistry, Vec<JobTuple>) {
         let spec = tiny_spec();
         let cluster = ClusterSpec {
             n_compute: 3,
@@ -1069,29 +1072,15 @@ mod tests {
     #[test]
     fn every_strategy_reproduces_the_reference_join() {
         let (job0, store0, udfs0, tuples) = setup(Strategy::Full, 1.0);
-        let reference = reference_run(&store0, &udfs0, &job0.plan, &tuples);
-        assert!(reference.outputs > 0);
+        let expected = Expected::new(&store0, &udfs0, &job0.plan, &tuples);
         for strategy in Strategy::all() {
             let (job, store, udfs, tuples) = setup(strategy, 1.0);
             let report = run_job(&job, store, udfs, tuples, vec![]);
-            assert_eq!(
-                report.completed,
-                job0_completed_expect(&reference),
-                "{} lost tuples",
-                strategy.label()
-            );
-            assert_eq!(
-                report.fingerprint,
-                reference.fingerprint,
-                "{} produced wrong join output",
-                strategy.label()
-            );
-            assert!(report.duration > SimDuration::ZERO, "{}", strategy.label());
+            let label = strategy.label();
+            expected.check(&report).expect(label);
+            assert!(report.outcomes.is_empty(), "{label}");
+            assert!(report.duration > SimDuration::ZERO, "{label}");
         }
-    }
-
-    fn job0_completed_expect(r: &crate::verify::Reference) -> u64 {
-        r.completed
     }
 
     /// Every family the runner's metrics snapshot can produce must be in
@@ -1232,40 +1221,21 @@ mod tests {
                 .straggle(job.cluster.data_id(1), (at(0.1), at(0.7)), 4.0)
                 .drop_link(None, Some(job.cluster.data_id(2)), (at(0.3), at(0.5)), 0.05),
         );
-        job.retry = Some(chaos_retry(d));
+        job.retry = Some(chaos_retry(healthy.duration));
         (job, store, udfs, tuples)
-    }
-
-    /// Retries for a run whose healthy duration is `d` seconds: a
-    /// timeout at 1 % of it (50 ms to 1 s), up to eight re-issues.
-    fn chaos_retry(d: f64) -> RetryConfig {
-        let t = (d * 0.01).clamp(0.05, 1.0);
-        RetryConfig {
-            timeout: SimDuration::from_secs_f64(t),
-            backoff_cap: SimDuration::from_secs_f64(8.0 * t),
-            max_retries: 8,
-            down_cooldown: SimDuration::from_secs_f64(4.0 * t),
-        }
     }
 
     #[test]
     fn chaos_run_completes_every_tuple_exactly_once() {
         let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let expected = Expected::new(&store, &udfs, &job.plan, &tuples);
         let healthy = run_job(&job, store, udfs, tuples, vec![]);
         let (job, store, udfs, tuples) = chaos_job(&healthy, Strategy::Full);
         let chaos = run_job(&job, store, udfs, tuples, vec![]);
-        // Exactly-once: every tuple completes, none twice, and the join
-        // output is byte-identical to the fault-free run — timeouts may
-        // duplicate work, never completions.
-        assert_eq!(
-            chaos.completed, healthy.completed,
-            "tuples lost or duplicated"
-        );
-        assert_eq!(
-            chaos.fingerprint, healthy.fingerprint,
-            "join output changed under faults"
-        );
-        assert_eq!(chaos.gave_up, 0, "no request should exhaust its retries");
+        // Exactly-once: timeouts may duplicate work, never completions,
+        // and no request exhausts its retries.
+        expected.check(&chaos).unwrap();
+        assert!(chaos.outcomes.is_empty(), "{:?}", chaos.outcomes);
         // The machinery actually engaged: requests timed out and were
         // re-issued, batches rerouted to the replica, messages were lost.
         assert!(chaos.retries > 0, "crash produced no re-issues");
@@ -1293,15 +1263,18 @@ mod tests {
     /// The completion hook and the outcome log tell one story. Retries
     /// are armed with no second attempt, data node 0 crashes mid-run, and
     /// a deadline budget sheds what stalls past it: every offered tuple
-    /// reaches the hook exactly once, completed + shed covers the input,
-    /// and the hook's `GaveUp` and `Shed` seqs are exactly the log's.
+    /// reaches the hook exactly once, the run reconciles against the
+    /// reference join, and the hook's `GaveUp` and `Shed` seqs are exactly
+    /// the log's.
     #[test]
     fn completion_hook_and_outcome_log_agree() {
         use jl_simkit::fault::FaultPlan;
         use std::cell::RefCell;
+        use std::rc::Rc;
         let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
         let healthy = run_job(&job, store, udfs, tuples, vec![]);
         let (mut job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let expected = Expected::new(&store, &udfs, &job.plan, &tuples);
         let offered = tuples.len() as u64;
         let d = healthy.duration.as_secs_f64();
         let at = |f: f64| SimTime::ZERO + SimDuration::from_secs_f64(d * f);
@@ -1341,7 +1314,7 @@ mod tests {
         seen.sort_unstable_by_key(|&(seq, _)| seq);
         let seqs: Vec<u64> = seen.iter().map(|&(seq, _)| seq).collect();
         assert_eq!(seqs, (0..offered).collect::<Vec<_>>(), "each seq once");
-        assert_eq!(r.completed + r.shed, offered);
+        expected.check(&r).unwrap();
         assert!(
             r.gave_up > 0 && r.shed > 0,
             "gave_up {} shed {}",
@@ -1350,9 +1323,6 @@ mod tests {
         );
         seen.retain(|&(_, fate)| fate != TupleFate::Done);
         assert_eq!(seen, r.outcomes, "hook fates vs outcome log");
-        let gave_up = seen.iter().filter(|&&(_, f)| f == TupleFate::GaveUp);
-        let logged = (gave_up.count() as u64, seen.len() as u64);
-        assert_eq!(logged, (r.gave_up, r.gave_up + r.shed), "log vs counters");
         // No request outlives its tuple: every compute node ends holding
         // nothing in flight, no pending local run and no live tuple.
         for i in 0..job.cluster.n_compute {
@@ -1395,7 +1365,7 @@ mod tests {
         let d = healthy.duration.as_secs_f64();
         let crash_at = SimTime::ZERO + SimDuration::from_secs_f64(d * 0.3);
         job.faults = Some(FaultPlan::new(3).crash(job.cluster.data_id(0), crash_at, None));
-        job.retry = Some(chaos_retry(d));
+        job.retry = Some(chaos_retry(healthy.duration));
         job.overload = Some(OverloadConfig::permissive());
         job.telemetry = Some(TelemetryConfig::default());
         let tel = job.telemetry.map(jl_telemetry::shared);
@@ -1439,12 +1409,13 @@ mod tests {
     /// Backend × telemetry as rows: the chaos scenario (so a trace carries
     /// fault instants, retry/timeout spans, failovers and decision replays
     /// — every journaled-effect path at once) on every backend, untraced
-    /// and traced. Join output and outcome accounting agree everywhere;
-    /// the simulated backends also agree on the full report and, traced,
-    /// on the Chrome-trace and metrics bytes.
+    /// and traced. Every run reconciles against the reference join with no
+    /// tuple shed or given up; the simulated backends also agree on the
+    /// full report and, traced, on the Chrome-trace and metrics bytes.
     #[test]
     fn every_backend_agrees_traced_and_untraced() {
         let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let expected = Expected::new(&store, &udfs, &job.plan, &tuples);
         let healthy = run_job(&job, store, udfs, tuples, vec![]);
         let run = |backend: Backend, traced: bool| {
             let (mut job, store, udfs, tuples) = chaos_job(&healthy, Strategy::Full);
@@ -1478,13 +1449,8 @@ mod tests {
                 let at = format!("{backend:?} traced={traced}");
                 let (report, tel) = run(backend, traced);
                 assert_eq!(tel.is_some(), traced, "{at}");
-                assert_eq!(report.fingerprint, oracle.fingerprint, "{at}");
-                assert_eq!(report.completed, oracle.completed, "{at}");
-                assert_eq!(
-                    (report.gave_up, report.shed, &report.outcomes),
-                    (oracle.gave_up, oracle.shed, &oracle.outcomes),
-                    "{at}"
-                );
+                expected.check(&report).expect(&at);
+                assert!(report.outcomes.is_empty(), "{at}");
                 if backend == Backend::Sim {
                     // Observation must not perturb the simulation.
                     assert_eq!(format!("{report:?}"), format!("{oracle:?}"), "{at}");
@@ -1504,12 +1470,12 @@ mod tests {
     }
 
     /// Plane inertness as a table: against the all-`None` run, arm each
-    /// plane's do-nothing value one at a time. The join output is
-    /// identical for all of them; the last column is what the plane's
-    /// docs promise about the rest of the report — `None` makes no promise
-    /// (retry arms a timer per request), `Some(f)` promises the exact seed
-    /// event stream once `f` has cleared the one field the plane exists
-    /// to measure.
+    /// plane's do-nothing value one at a time. Every armed run reconciles
+    /// against the reference join, nothing shed or given up; the last
+    /// column is what the plane's docs promise about the rest of the
+    /// report — `None` makes no promise (retry arms a timer per request),
+    /// `Some(f)` promises the exact seed event stream once `f` has cleared
+    /// the one field the plane exists to measure.
     #[test]
     fn each_planes_do_nothing_value_is_inert() {
         type Arm = fn(&mut JobSpec);
@@ -1538,15 +1504,15 @@ mod tests {
             ),
         ];
         let (job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
+        let expected = Expected::new(&store, &udfs, &job.plan, &tuples);
         let seed = run_job(&job, store, udfs, tuples, vec![]);
         assert_eq!(seed.peak_queue_depth, 0, "the seed's queues are unmeasured");
         for (plane, arm, promise) in table {
             let (mut job, store, udfs, tuples) = setup(Strategy::Full, 1.0);
             arm(&mut job);
             let mut armed = run_job(&job, store, udfs, tuples, vec![]);
-            assert_eq!(armed.fingerprint, seed.fingerprint, "{plane}: join output");
-            assert_eq!(armed.completed, seed.completed, "{plane}: completions");
-            assert_eq!((armed.gave_up, armed.shed), (0, 0), "{plane}");
+            expected.check(&armed).expect(plane);
+            assert!(armed.outcomes.is_empty(), "{plane}");
             if let Some(measures) = promise {
                 measures(&mut armed);
                 assert_eq!(

@@ -14,9 +14,6 @@
 //! [`DataNode`](crate::data_node::DataNode) and the controller, each
 //! through its `NodeTrace`.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use jl_core::{DecisionEvent, DecisionSink, FnSink, Placement};
 use jl_simkit::prelude::*;
 use jl_telemetry::{Arg, ArgVal, TelemetryHandle, Track};
@@ -177,58 +174,13 @@ impl SimProbe for EngineProbe {
     }
 }
 
-/// One decision captured by the staged tee, pending its drain. Carries
-/// the event fields minus the timestamp: decisions are stamped with the
-/// callback's sim time when the node drains the stage — which is the
-/// callback time the old clock-publishing tee used, since sim time never
-/// advances mid-callback.
-pub(crate) struct StagedDecision {
-    name: &'static str,
-    dest: u64,
-    rent_eff: f64,
-    buy: f64,
-    freq: u64,
-}
-
-/// Staging buffer between one compute node and its decision sink: the
-/// sink pushes, and the node drains right after every optimizer call that
-/// can decide.
-#[derive(Default)]
-pub(crate) struct DecisionStage(RefCell<Vec<StagedDecision>>);
-
-impl DecisionStage {
-    /// Record everything staged into `trace`'s recorder, stamped `now`,
-    /// reusing the buffer: per decision, an instant on the decision track
-    /// plus the per-node decision counter. Nothing staged (the common
-    /// case) costs one empty check.
-    pub(crate) fn drain(&self, trace: &NodeTrace, now: SimTime) {
-        let Some(tel) = &trace.tel else { return };
-        let mut staged = self.0.borrow_mut();
-        if staged.is_empty() {
-            return;
-        }
-        let mut t = tel.borrow_mut();
-        for d in staged.drain(..) {
-            let args = [
-                ("dest", ArgVal::U64(d.dest)),
-                ("rent_eff", ArgVal::F64(d.rent_eff)),
-                ("buy", ArgVal::F64(d.buy)),
-                ("freq", ArgVal::U64(d.freq)),
-            ];
-            t.record_parts(trace.node, Track::Decision, d.name, now, None, &args);
-            t.registry.counter_add(trace.node, "decision", d.name, 1);
-        }
-    }
-}
-
 /// Build the decision sink for one compute node of a traced run: every
-/// [`DecisionEvent`] is staged (the sink lives inside the compute runtime,
-/// which has no clock), then flows on to the user's sink, if any. The
-/// node drains the stage after each optimizer call, so each decision is
-/// recorded at its callback's time — this is how tracing observes the
-/// decision plane without changing its golden-tested event shape.
-pub(crate) fn decision_tee_staged(
-    stage: Rc<DecisionStage>,
+/// [`DecisionEvent`] is recorded at its own time on trace process `node`
+/// — an instant on the decision track plus the per-node decision counter
+/// — then flows on to the user's sink, if any.
+pub(crate) fn decision_tee(
+    tel: TelemetryHandle,
+    node: u32,
     mut user: Option<Box<dyn DecisionSink<EKey>>>,
 ) -> Box<dyn DecisionSink<EKey>> {
     Box::new(FnSink(move |ev: &DecisionEvent<'_, EKey>| {
@@ -236,13 +188,16 @@ pub(crate) fn decision_tee_staged(
             Placement::Rent => "rent",
             Placement::Buy(_) => "buy",
         };
-        stage.0.borrow_mut().push(StagedDecision {
-            name,
-            dest: ev.dest as u64,
-            rent_eff: ev.rent_eff,
-            buy: ev.buy,
-            freq: ev.freq_count,
-        });
+        let args = [
+            ("dest", ArgVal::U64(ev.dest as u64)),
+            ("rent_eff", ArgVal::F64(ev.rent_eff)),
+            ("buy", ArgVal::F64(ev.buy)),
+            ("freq", ArgVal::U64(ev.freq_count)),
+        ];
+        let mut t = tel.borrow_mut();
+        t.record_parts(node, Track::Decision, name, ev.at, None, &args);
+        t.registry.counter_add(node, "decision", name, 1);
+        drop(t);
         if let Some(u) = user.as_mut() {
             u.on_decision(ev);
         }

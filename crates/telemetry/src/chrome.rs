@@ -14,6 +14,7 @@
 use std::collections::BTreeSet;
 
 use crate::event::{ArgVal, EventLog, Track};
+use crate::json::json_string;
 
 /// All tracks, in tid order, for metadata emission.
 const ALL_TRACKS: [Track; 9] = [
@@ -122,25 +123,6 @@ fn arg_json(v: &ArgVal) -> String {
         ArgVal::F64(x) => crate::registry::jf(*x),
         ArgVal::Str(s) => json_string(s),
     }
-}
-
-/// Escape a string for JSON.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Minimal JSON parser and Chrome-trace schema checker.
+//! Minimal JSON parser, Chrome-trace schema checker and the workspace's
+//! one string escaper ([`json_string`]).
 //!
 //! The workspace deliberately carries no serialization dependency, so trace
 //! validation (used by the CI `telemetry-smoke` job and `trace_check`) is
@@ -6,6 +7,26 @@
 //! good enough to validate our own exporters and to reject malformed output.
 
 use std::collections::BTreeMap;
+
+/// `s` as a JSON string literal, quotes included: the one escaper every
+/// exporter in the workspace writes strings with.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

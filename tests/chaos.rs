@@ -6,47 +6,33 @@ use jl_bench::{bench_cell, run_chaos_report, SyntheticCell, CHAOS_STRATEGIES};
 use jl_core::Strategy;
 use jl_engine::RunReport;
 
-/// `(healthy, chaos)` reports of the DH cell at 5% scale — the same regime
-/// as the synthetic figures: block cache off so every request pays the
-/// data node's disk, as in the paper's 200 GB store.
-fn chaos(strategy: Strategy) -> (RunReport, RunReport) {
+/// The chaos report of the DH cell at 5% scale — the same regime as the
+/// synthetic figures: block cache off so every request pays the data
+/// node's disk, as in the paper's 200 GB store.
+fn chaos(strategy: Strategy) -> RunReport {
     let cell = SyntheticCell {
         strategy,
         ..bench_cell("DH", 0.05, 42)
     };
-    let (healthy, chaos, _) = run_chaos_report(&cell, false);
-    (healthy, chaos)
+    run_chaos_report(&cell, false).1
 }
 
+/// `run_chaos_report` reconciles both runs against the reference join;
+/// here no request may exhaust its retries, and the faults must bite.
 #[test]
 fn every_strategy_survives_chaos_exactly_once() {
     for strategy in CHAOS_STRATEGIES {
-        let (healthy, chaos) = chaos(strategy);
-        assert_eq!(
-            chaos.completed,
-            healthy.completed,
-            "{} lost or duplicated tuples under faults",
-            strategy.label()
-        );
-        assert_eq!(
-            chaos.fingerprint,
-            healthy.fingerprint,
-            "{} changed the join output under faults",
-            strategy.label()
-        );
-        assert_eq!(chaos.gave_up, 0, "{} exhausted retries", strategy.label());
-        assert!(chaos.retries > 0, "{} never re-issued", strategy.label());
-        assert!(
-            chaos.dropped_messages > 0,
-            "{} saw no injected loss",
-            strategy.label()
-        );
+        let chaos = chaos(strategy);
+        let label = strategy.label();
+        assert!(chaos.outcomes.is_empty(), "{label}: {:?}", chaos.outcomes);
+        assert!(chaos.retries > 0, "{label} never re-issued");
+        assert!(chaos.dropped_messages > 0, "{label} saw no injected loss");
     }
 }
 
 #[test]
 fn full_optimizer_still_wins_under_chaos() {
-    let chaos_time = |s: Strategy| chaos(s).1.duration;
+    let chaos_time = |s: Strategy| chaos(s).duration;
     let no = chaos_time(Strategy::NoOpt);
     let fc = chaos_time(Strategy::ComputeSide);
     let fo = chaos_time(Strategy::Full);
@@ -56,7 +42,7 @@ fn full_optimizer_still_wins_under_chaos() {
 
 #[test]
 fn chaos_reports_are_reproducible() {
-    let (_, a) = chaos(Strategy::Full);
-    let (_, b) = chaos(Strategy::Full);
+    let a = chaos(Strategy::Full);
+    let b = chaos(Strategy::Full);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }

@@ -9,7 +9,7 @@ use jl_core::{OptimizerConfig, Strategy};
 use jl_engine::baselines::{run_reduce_side, ReduceSideKind};
 use jl_engine::plan::{JobPlan, JobTuple, StageSpec};
 use jl_engine::shuffle::run_shuffle_multijoin;
-use jl_engine::{build_store, reference_run, run_job, ClusterSpec, FeedMode, JobSpec};
+use jl_engine::{build_store, reference_run, run_job, ClusterSpec, Expected, FeedMode, JobSpec};
 use jl_simkit::rng::stream_rng;
 use jl_simkit::time::{SimDuration, SimTime};
 use jl_store::{DigestUdf, RowKey, StoredValue, UdfRegistry};
@@ -64,7 +64,8 @@ fn all_strategies_and_baselines_agree_with_reference() {
     let plan = JobPlan::single(0, 0);
     let ts = tuples(3000, 400, 1.0);
     let store = build_store(&cluster, vec![("t".into(), table_rows.clone())]);
-    let reference = reference_run(&store, &udfs(), &plan, &ts);
+    let expected = Expected::new(&store, &udfs(), &plan, &ts);
+    let reference = expected.reference();
     assert!(reference.outputs > 0);
 
     // Framework strategies.
@@ -82,8 +83,8 @@ fn all_strategies_and_baselines_agree_with_reference() {
             0.002,
         );
         let r = run_job(&job, store, udfs(), ts.clone(), vec![]);
-        assert_eq!(r.completed, ts.len() as u64, "{}", strategy.label());
-        assert_eq!(r.fingerprint, reference.fingerprint, "{}", strategy.label());
+        let label = strategy.label();
+        expected.check(&r).expect(label);
     }
 
     // Reduce-side baselines.
@@ -134,7 +135,7 @@ fn multi_join_pipeline_matches_reference_and_shuffle() {
         &cluster,
         vec![("d0".into(), dim0.clone()), ("d1".into(), dim1.clone())],
     );
-    let reference = reference_run(&store, &udfs(), &plan, &ts);
+    let expected = Expected::new(&store, &udfs(), &plan, &ts);
 
     // Our framework.
     let store = build_store(
@@ -150,14 +151,14 @@ fn multi_join_pipeline_matches_reference_and_shuffle() {
         0.001,
     );
     let ours = run_job(&job, store, udfs(), ts.clone(), vec![]);
-    assert_eq!(ours.fingerprint, reference.fingerprint, "framework");
-    assert_eq!(ours.completed, 2000);
+    expected.check(&ours).expect("framework");
 
     // Shuffle baseline computes the same join.
     let m0: HashMap<RowKey, StoredValue> = dim0.into_iter().collect();
     let m1: HashMap<RowKey, StoredValue> = dim1.into_iter().collect();
     let spark = run_shuffle_multijoin(&cluster, &[&m0, &m1], &udfs(), &plan, &ts, 96);
-    assert_eq!(spark.fingerprint, reference.fingerprint, "shuffle");
+    let reference = expected.reference().fingerprint;
+    assert_eq!(spark.fingerprint, reference, "shuffle");
 }
 
 #[test]
@@ -167,7 +168,7 @@ fn streaming_and_batch_compute_the_same_join() {
     let plan = JobPlan::single(0, 0);
     let mut ts = tuples(2000, 200, 1.2);
     let store = build_store(&cluster, vec![("t".into(), table_rows.clone())]);
-    let reference = reference_run(&store, &udfs(), &plan, &ts);
+    let expected = Expected::new(&store, &udfs(), &plan, &ts);
 
     let gap = SimDuration::from_micros(500);
     let mut at = SimTime::ZERO;
@@ -188,8 +189,7 @@ fn streaming_and_batch_compute_the_same_join() {
         0.002,
     );
     let r = run_job(&job, store, udfs(), ts, vec![]);
-    assert_eq!(r.completed, 2000, "stream did not drain");
-    assert_eq!(r.fingerprint, reference.fingerprint);
+    expected.check(&r).expect("stream");
 }
 
 #[test]

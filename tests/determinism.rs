@@ -18,14 +18,14 @@ use std::collections::BTreeSet;
 
 use jl_bench::experiments::fig6_stream_report;
 use jl_bench::{
-    bench_cell, chaos_retry, fig8, fig_chaos, fig_elastic, fig_overload, overload_bounded_config,
-    pace, run_chaos_report, scaled, traced_chaos_run, SyntheticCell,
+    bench_cell, fig8, fig_chaos, fig_elastic, fig_overload, overload_bounded_config, pace,
+    run_chaos_report, scaled, traced_chaos_run, SyntheticCell,
 };
 use jl_core::{AutoscaleMode, Strategy};
 use jl_engine::runner::UpdateEvent;
 use jl_engine::{
-    run_job_on, AutoscaleConfig, Backend, ClusterSpec, FeedMode, JobPlan, JobSpec, JobTuple,
-    MembershipConfig, MembershipEvent, OverloadConfig, RunReport, StageSpec,
+    chaos_retry, run_job_on, AutoscaleConfig, Backend, ClusterSpec, FeedMode, JobPlan, JobSpec,
+    JobTuple, MembershipConfig, MembershipEvent, OverloadConfig, RunReport, StageSpec,
 };
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::time::{SimDuration, SimTime};

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use jl_core::{OptimizerConfig, Strategy};
 use jl_engine::plan::{JobPlan, JobTuple};
 use jl_engine::{
-    build_store_active, reference_run, run_job, run_job_on, Backend, ClusterSpec, FeedMode,
-    JobSpec, MembershipConfig, MembershipEvent, RetryConfig,
+    build_store_active, run_job, run_job_on, Backend, ClusterSpec, Expected, FeedMode, JobSpec,
+    MembershipConfig, MembershipEvent, RetryConfig, RunReport,
 };
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::rng::stream_rng;
@@ -92,10 +92,13 @@ fn job(cluster: &ClusterSpec, membership: MembershipConfig) -> JobSpec {
     }
 }
 
-fn reference_fingerprint() -> u64 {
+/// Every tuple completes exactly once with the sequential reference's
+/// output, none shed and none given up.
+fn assert_exactly_once(r: &RunReport) {
     let c = cluster(4);
-    let s = store(&c, 4);
-    reference_run(&s, &udfs(), &JobPlan::single(0, 0), &tuples()).fingerprint
+    let expected = Expected::new(&store(&c, 4), &udfs(), &JobPlan::single(0, 0), &tuples());
+    expected.check(r).unwrap();
+    assert!(r.outcomes.is_empty(), "{:?}", r.outcomes);
 }
 
 fn ms(n: u64) -> SimDuration {
@@ -115,13 +118,7 @@ fn nominal_churn_preserves_the_join_exactly_once() {
         (ms(40), MembershipEvent::Decommission(0)),
     ];
     let r = run_job(&job(&c, m), store(&c, 2), udfs(), tuples(), vec![]);
-    assert_eq!(r.completed, N_TUPLES, "lost or duplicated tuples");
-    assert_eq!(
-        r.fingerprint,
-        reference_fingerprint(),
-        "join output changed"
-    );
-    assert_eq!(r.gave_up, 0);
+    assert_exactly_once(&r);
     assert!(r.migrations > 0, "no region ever migrated");
     assert!(r.migrated_bytes > 0);
     assert_eq!(r.migrations_aborted, 0, "healthy handoffs must not abort");
@@ -155,13 +152,7 @@ fn source_crash_mid_handoff_falls_back_to_replica() {
     ));
     j.retry = Some(retry());
     let r = run_job(&j, store(&c, 2), udfs(), tuples(), vec![]);
-    assert_eq!(r.completed, N_TUPLES, "lost or duplicated tuples");
-    assert_eq!(
-        r.fingerprint,
-        reference_fingerprint(),
-        "join output changed"
-    );
-    assert_eq!(r.gave_up, 0, "replica fallback exhausted retries");
+    assert_exactly_once(&r);
     assert!(
         r.migrations_aborted >= 1,
         "the stranded handoff never aborted"
@@ -189,13 +180,7 @@ fn target_crash_mid_handoff_aborts_cleanly() {
     ));
     j.retry = Some(retry());
     let r = run_job(&j, store(&c, 2), udfs(), tuples(), vec![]);
-    assert_eq!(r.completed, N_TUPLES, "lost or duplicated tuples");
-    assert_eq!(
-        r.fingerprint,
-        reference_fingerprint(),
-        "join output changed"
-    );
-    assert_eq!(r.gave_up, 0);
+    assert_exactly_once(&r);
     assert!(r.migrations_aborted >= 1, "no handoff aborted");
     assert_eq!(
         r.migrations, 0,
@@ -220,12 +205,7 @@ fn drain_that_starts_mid_join_still_completes() {
         ),
     ];
     let r = run_job(&job(&c, m), store(&c, 3), udfs(), tuples(), vec![]);
-    assert_eq!(r.completed, N_TUPLES, "lost or duplicated tuples");
-    assert_eq!(
-        r.fingerprint,
-        reference_fingerprint(),
-        "join output changed"
-    );
+    assert_exactly_once(&r);
     assert_eq!(r.drained_nodes, 1, "the mid-join drain never finished");
 }
 
@@ -262,13 +242,7 @@ fn churn_job() -> (JobSpec, StoreCluster) {
 fn seeded_churn_plan_reconciles_exactly_once() {
     let (j, s) = churn_job();
     let r = run_job(&j, s, udfs(), tuples(), vec![]);
-    assert_eq!(r.completed, N_TUPLES, "lost or duplicated tuples");
-    assert_eq!(
-        r.fingerprint,
-        reference_fingerprint(),
-        "join output changed"
-    );
-    assert_eq!(r.gave_up, 0);
+    assert_exactly_once(&r);
     assert!(r.migrations >= 4, "got {} migrations", r.migrations);
     assert!(
         r.migrations_aborted >= 1,
@@ -289,9 +263,9 @@ fn churn_replays_bit_identically() {
     assert_eq!(run(), run(), "membership run differs between replays");
 }
 
-/// Backend parity: a join + drain cycle on the wall-clock runtime
-/// produces the same join output and tuple accounting as the simulator
-/// (durations differ; correctness must not).
+/// Backend parity: a join cycle on the wall-clock runtime reconciles
+/// against the reference join exactly as the simulator does (durations
+/// differ; correctness must not).
 #[test]
 fn elastic_run_matches_sim_and_real() {
     // A lighter cell so the wall-clock run stays fast: tiny UDF cost,
@@ -310,11 +284,12 @@ fn elastic_run_matches_sim_and_real() {
     m.events = vec![(ms(5), MembershipEvent::Join(2))];
     let j = job(&c, m);
     let build = || build_store_active(&c, vec![("t".into(), light_rows.clone())], 2);
+    let expected = Expected::new(&build(), &udfs(), &j.plan, &light_tuples);
     let sim = run_job(&j, build(), udfs(), light_tuples.clone(), vec![]);
-    assert_eq!(sim.completed, 900);
     assert!(sim.migrations > 0, "sim run never migrated");
     let real = run_job_on(&j, Backend::Real, build(), udfs(), light_tuples, vec![]).0;
-    assert_eq!(real.completed, sim.completed, "tuple accounting diverged");
-    assert_eq!(real.fingerprint, sim.fingerprint, "join output diverged");
-    assert_eq!(real.gave_up, 0);
+    for (backend, r) in [("sim", &sim), ("real", &real)] {
+        expected.check(r).expect(backend);
+        assert!(r.outcomes.is_empty(), "{backend}: {:?}", r.outcomes);
+    }
 }
