@@ -85,6 +85,7 @@ fn all_strategies_and_baselines_agree_with_reference() {
         let r = run_job(&job, store, udfs(), ts.clone(), vec![]);
         let label = strategy.label();
         expected.check(&r).expect(label);
+        assert!(r.outcomes.is_empty(), "{label}: {:?}", r.outcomes);
     }
 
     // Reduce-side baselines.
@@ -152,6 +153,7 @@ fn multi_join_pipeline_matches_reference_and_shuffle() {
     );
     let ours = run_job(&job, store, udfs(), ts.clone(), vec![]);
     expected.check(&ours).expect("framework");
+    assert!(ours.outcomes.is_empty(), "framework: {:?}", ours.outcomes);
 
     // Shuffle baseline computes the same join.
     let m0: HashMap<RowKey, StoredValue> = dim0.into_iter().collect();
@@ -190,6 +192,7 @@ fn streaming_and_batch_compute_the_same_join() {
     );
     let r = run_job(&job, store, udfs(), ts, vec![]);
     expected.check(&r).expect("stream");
+    assert!(r.outcomes.is_empty(), "stream: {:?}", r.outcomes);
 }
 
 #[test]
