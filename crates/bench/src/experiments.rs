@@ -831,6 +831,13 @@ pub fn run_overload_stream(
     run_job(&job, store, udfs, tuples, vec![])
 }
 
+/// Fewest tuples an overload cell runs (the `--scale 0.05` size). Below
+/// ~2,500 the 2.0× bounded cells may never fill the 256-deep data queue
+/// or age a tuple past the deadline, so protection never engages and the
+/// figure's invariants cannot hold; the generic 1,000-tuple floor of
+/// [`scaled`] is too small for this figure.
+const OVERLOAD_MIN_TUPLES: u64 = 3_000;
+
 /// The overload figure: offered load (0.5× and 2.0× the measured drain
 /// capacity) × skew (z = 0.0 and 1.2), naive unbounded queues (the seed
 /// behavior, instrumented via [`OverloadConfig::permissive`]) vs bounded
@@ -839,9 +846,13 @@ pub fn run_overload_stream(
 /// cells keep peak depth ≤ cap and p99 near the deadline budget, shedding
 /// the excess instead of stalling everything.
 pub fn fig_overload(tuple_scale: f64, seed: u64) -> (FigTable, Vec<OverloadCell>) {
-    let cell_at = |z: f64| SyntheticCell {
-        z,
-        ..bench_cell("DH", tuple_scale, seed)
+    let cell_at = |z: f64| {
+        let mut cell = SyntheticCell {
+            z,
+            ..bench_cell("DH", tuple_scale, seed)
+        };
+        cell.spec.n_tuples = cell.spec.n_tuples.max(OVERLOAD_MIN_TUPLES);
+        cell
     };
     let uniform = cell_at(0.0);
     let n_tuples = uniform.spec.n_tuples;

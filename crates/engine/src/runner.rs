@@ -386,20 +386,25 @@ pub fn run_job_parallel(
 }
 
 /// A cluster built for either backend: nodes in sim-id order (computes,
-/// then data nodes, then the controller) plus the pre-run feed posts.
+/// then data nodes, then the controller) plus the external input that
+/// [`load_host`] hands to the kernel as feeds.
 pub struct BuiltCluster {
     /// Nodes in id order; add them to a backend in this order.
     pub nodes: Vec<ClusterNode>,
-    /// External injections `(at, to, msg, bytes)` in post order.
-    pub posts: Vec<(SimTime, usize, Msg, u64)>,
+    /// A streaming job's arrivals in input order: tuple `i` goes to
+    /// compute node `i % n_compute`. Empty for a batch job, whose input
+    /// the compute nodes already hold.
+    pub stream: Vec<JobTuple>,
+    /// Mid-run store updates, in the caller's order.
+    pub updates: Vec<UpdateEvent>,
     /// The shared catalog (e.g. for locating mid-run puts).
     pub catalog: Arc<Catalog>,
 }
 
 /// Build every node of a job's cluster, backend-agnostically: failover
-/// replica layout, round-robin input split, per-node seeds/policies/sinks,
-/// telemetry attachment, and the pre-run feed (streaming arrivals + store
-/// updates) as a post list.
+/// replica layout, round-robin input split, per-node seeds/policies/sinks
+/// and telemetry attachment. Streaming arrivals and store updates stay
+/// as they came, for [`load_host`] to feed.
 pub fn build_cluster(
     spec: &JobSpec,
     store: StoreCluster,
@@ -443,20 +448,18 @@ pub fn build_cluster(
     let backups = Arc::new(backups);
 
     // Round-robin the input across compute nodes (§3.1: the framework
-    // assumes balanced input distribution).
+    // assumes balanced input distribution): tuple `i` goes to node
+    // `i % n_compute`, held by the node (batch) or fed to it (stream).
     let mut per_node: Vec<Vec<JobTuple>> = (0..cluster.n_compute).map(|_| Vec::new()).collect();
     let streaming = matches!(spec.feed, FeedMode::Stream { .. });
-    let mut stream_feed: Vec<(SimTime, usize, JobTuple)> = Vec::new();
-    let mut stream_counts = vec![0u64; cluster.n_compute];
-    for (i, t) in tuples.into_iter().enumerate() {
-        let node = i % cluster.n_compute;
-        if streaming {
-            stream_counts[node] += 1;
-            stream_feed.push((t.arrival, node, t));
-        } else {
-            per_node[node].push(t);
+    let stream = if streaming {
+        tuples
+    } else {
+        for (i, t) in tuples.into_iter().enumerate() {
+            per_node[i % cluster.n_compute].push(t);
         }
-    }
+        Vec::new()
+    };
 
     let mut nodes: Vec<ClusterNode> = Vec::with_capacity(cluster.n_compute + cluster.n_data + 1);
     for (i, input) in per_node.iter_mut().enumerate() {
@@ -496,7 +499,9 @@ pub fn build_cluster(
             // last arrival resolves, so the run stops at the busy span
             // even when membership timers would otherwise idle to the
             // horizon. jl-serve passes no tuples here and stays open.
-            node.set_stream_expected(stream_counts[i]);
+            let n = cluster.n_compute;
+            let share = stream.len() / n + usize::from(i < stream.len() % n);
+            node.set_stream_expected(share as u64);
         }
         if let Some(t) = &tel {
             node.set_telemetry(t.clone(), cluster.compute_id(i) as u32);
@@ -555,42 +560,21 @@ pub fn build_cluster(
     }
     nodes.push(ClusterNode::Controller(controller));
 
-    // Streaming arrivals, then store updates — post order is part of the
-    // deterministic event order and must match on both backends.
-    let mut posts: Vec<(SimTime, usize, Msg, u64)> =
-        Vec::with_capacity(stream_feed.len() + updates.len());
-    for (at, node, t) in stream_feed {
-        let bytes = t.params_size as u64 + 64;
-        posts.push((at, cluster.compute_id(node), Msg::Tuple(t), bytes));
-    }
-    for (at, table, key, value) in updates {
-        let (_, server) = catalog.locate(table, &key);
-        let bytes = value.size() + 64;
-        posts.push((
-            at,
-            cluster.data_id(server),
-            Msg::Put {
-                table,
-                key,
-                value: Box::new(value),
-            },
-            bytes,
-        ));
-    }
-
     BuiltCluster {
         nodes,
-        posts,
+        stream,
+        updates,
         catalog,
     }
 }
 
 /// Load a built cluster into a fresh kernel: nodes in id order, fault
-/// plan, probe, and the pre-run feed. The feed volume is known up front,
-/// so one reserve call keeps the event queue from reallocating as it
-/// posts. Every backend runs what this returns; it is exposed (with
-/// [`build_cluster`]) so a serving layer can attach completion hooks and
-/// its own probe before handing the kernel to a pacer.
+/// plan, probe, and the external input as two feeds
+/// ([`Sim::feed`](jl_simkit::sim::Sim::feed)), so each message is built
+/// and queued only when it is due. Every backend runs what this returns;
+/// it is exposed (with [`build_cluster`]) so a serving layer can attach
+/// completion hooks and its own probe before handing the kernel to a
+/// pacer.
 pub fn load_host(spec: &JobSpec, built: BuiltCluster, tel: &Option<TelemetryHandle>) -> ClusterSim {
     let cluster = &spec.cluster;
     let mut sim = Sim::new(spec.seed, cluster.net);
@@ -603,10 +587,38 @@ pub fn load_host(spec: &JobSpec, built: BuiltCluster, tel: &Option<TelemetryHand
     if let Some(t) = tel {
         sim.set_probe(Box::new(EngineProbe::new(t.clone())));
     }
-    sim.reserve_events(built.posts.len());
-    for (at, to, msg, bytes) in built.posts {
-        sim.post(at, to, msg, bytes);
-    }
+    // Streaming arrivals, then store updates: the two feeds reserve their
+    // seqs in that order, and each is stably sorted by time, so same-time
+    // ties run stream first, then in input order, on every backend.
+    let ids = cluster.clone();
+    let stream = built.stream;
+    let indexed: Box<dyn ExactSizeIterator<Item = (usize, JobTuple)>> =
+        if stream.is_sorted_by_key(|t| t.arrival) {
+            Box::new(stream.into_iter().enumerate())
+        } else {
+            let mut indexed: Vec<(usize, JobTuple)> = stream.into_iter().enumerate().collect();
+            indexed.sort_by_key(|(_, t)| t.arrival);
+            Box::new(indexed.into_iter())
+        };
+    sim.feed(indexed.map(move |(i, t)| {
+        let bytes = t.params_size as u64 + 64;
+        let to = ids.compute_id(i % ids.n_compute);
+        (t.arrival, to, Msg::Tuple(t), bytes)
+    }));
+    let (ids, catalog) = (cluster.clone(), built.catalog);
+    let mut updates = built.updates;
+    updates.sort_by_key(|u| u.0);
+    sim.feed(updates.into_iter().map(move |(at, table, key, value)| {
+        let (_, server) = catalog.locate(table, &key);
+        let bytes = value.size() + 64;
+        let value = Box::new(value);
+        (
+            at,
+            ids.data_id(server),
+            Msg::Put { table, key, value },
+            bytes,
+        )
+    }));
     sim
 }
 
@@ -1572,6 +1584,41 @@ pub(crate) mod tests {
         assert!(
             report.duration >= SimDuration::from_secs(2),
             "arrivals span 2s"
+        );
+    }
+
+    /// A stream whose input order is the reverse of its arrival order is
+    /// fed in arrival order, each tuple still routed by its input index
+    /// (pairs share an instant, so ties keep input order): it reconciles
+    /// exactly once, repeats byte for byte, and both backends agree.
+    #[test]
+    fn a_stream_out_of_index_order_reconciles_on_every_backend() {
+        let (mut job, store, udfs, mut tuples) = setup(Strategy::Full, 1.0);
+        let n = tuples.len() as u64;
+        for (i, t) in tuples.iter_mut().enumerate() {
+            let pair = (n - i as u64).div_ceil(2);
+            t.arrival = jl_simkit::time::SimTime::ZERO + SimDuration::from_micros(250 * pair);
+        }
+        assert!(!tuples.is_sorted_by_key(|t| t.arrival));
+        job.feed = FeedMode::Stream {
+            horizon: SimDuration::from_secs(30),
+            window: 64,
+        };
+        let expected = Expected::new(&store, &udfs, &job.plan, &tuples);
+        let run = |backend: Backend| {
+            let (_, store, udfs, _) = setup(Strategy::Full, 1.0);
+            run_job_on(&job, backend, store, udfs, tuples.clone(), vec![]).0
+        };
+        let sim = run(Backend::Sim);
+        expected.check(&sim).expect("Sim");
+        assert!(sim.outcomes.is_empty());
+        assert_eq!(format!("{:?}", run(Backend::Sim)), format!("{sim:?}"));
+        let real = run(Backend::Real);
+        expected.check(&real).expect("Real");
+        assert!(real.outcomes.is_empty());
+        assert_eq!(
+            (real.completed, real.fingerprint),
+            (sim.completed, sim.fingerprint)
         );
     }
 

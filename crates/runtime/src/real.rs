@@ -55,8 +55,8 @@ enum Inbound<M> {
 
 /// Cloneable ingress handle for driver threads: inject messages, read the
 /// run clock, request a stop. Dropping every handle (and finishing the
-/// pre-posted feed) ends a [`RealRuntime::run`] once the event queue
-/// drains.
+/// kernel's posted or fed input) ends a [`RealRuntime::run`] once the
+/// event queue drains.
 pub struct RealHandle<M> {
     tx: Sender<Inbound<M>>,
     clock: Arc<ClockShared>,
@@ -103,8 +103,8 @@ struct Sampler<N: RuntimeNode> {
 /// A wall-clock run over nodes of type `N`: a [`Sim`] plus the pacing
 /// state around it.
 ///
-/// Either configure a kernel first (nodes, fault plan, probe, pre-posted
-/// feed) and hand it to [`pace`](RealRuntime::pace), or start from
+/// Either configure a kernel first (nodes, fault plan, probe, posted or
+/// fed input) and hand it to [`pace`](RealRuntime::pace), or start from
 /// [`new`](RealRuntime::new) and [`add_node`](RealRuntime::add_node); then
 /// [`run`](RealRuntime::run) on the thread that owns it while driver
 /// threads feed it through [`handle`](RealRuntime::handle)s. Everything

@@ -25,9 +25,10 @@
 //! Payloads live in a slab (`slots` + freelist): tier entries are 24-byte
 //! `(time, seq, slot)` triples, so sorting and sifting never move the
 //! payload, and a payload is written once at push and moved out once at
-//! pop. [`CalendarQueue::reserve`] pre-sizes the slab, which is how
-//! `Sim::reserve_events` honors a known feed volume. A slot is as large as
-//! the payload type, so a payload enum should box its rare large variants
+//! pop. The slab grows with the events pending at once; an external input
+//! handed over with `Sim::feed` enters the queue only when it is due, so
+//! it never fills the slab ahead of time. A slot is as large as the
+//! payload type, so a payload enum should box its rare large variants
 //! (the engine's `Msg` does) rather than size every pending event by them.
 //!
 //! Ordering is exact regardless of bucket geometry — the tiers partition
@@ -133,17 +134,6 @@ impl<T> CalendarQueue<T> {
         self.len == 0
     }
 
-    /// Reserve slab capacity for at least `additional` more pending events
-    /// (free slots count toward it). Only the slab grows: the freelist and
-    /// the tiers are not pre-sized.
-    pub fn reserve(&mut self, additional: usize) {
-        let live = self.slots.len() - self.free.len();
-        let need = live + additional;
-        if need > self.slots.len() {
-            self.slots.reserve(need - self.slots.len());
-        }
-    }
-
     #[inline]
     fn alloc(&mut self, v: T) -> u32 {
         if let Some(i) = self.free.pop() {
@@ -216,13 +206,15 @@ impl<T> CalendarQueue<T> {
         let span = self.far_max.saturating_sub(t.0).max(1);
         // Target ~4 events per bucket so an advance sorts short runs — but
         // never widen past the default. The far tier only sees the events
-        // scheduled ahead of time (pre-posted feeds, horizon timers), and
-        // the runtime cascade each of those triggers is orders of magnitude
-        // denser; widening to the *static* density turns the sorted near
-        // vector into an O(n)-memmove insertion list for every cascade
-        // event that lands inside the current bucket. Narrow buckets are
-        // cheap in comparison: crossing a quiet gap is one retune jump, and
-        // walking the ring costs at most sim-duration / width increments.
+        // scheduled well ahead of time (horizon timers, fault transitions,
+        // posted messages), and the runtime cascade each of those triggers
+        // is orders of magnitude denser; widening to the *static* density
+        // turns the sorted near vector into an O(n)-memmove insertion list
+        // for every cascade event that lands inside the current bucket.
+        // (A fed input is not in the far tier: `Sim::feed` queues each
+        // item only once it is due.) Narrow buckets are cheap in
+        // comparison: crossing a quiet gap is one retune jump, and walking
+        // the ring costs at most sim-duration / width increments.
         let width = (span / n).saturating_mul(4).max(1);
         self.shift = (63 - width.leading_zeros()).clamp(MIN_SHIFT, DEFAULT_SHIFT);
         self.cursor = t.0 >> self.shift;

@@ -132,6 +132,19 @@ pub struct NetTotals {
     pub delayed: u64,
 }
 
+/// One external item: `(at, to, msg, bytes)`, as [`Sim::post`] takes it.
+type FeedItem<M> = (SimTime, NodeId, M, u64);
+
+/// A feed handed over by [`Sim::feed`]: items not yet queued, and the
+/// next of the seqs reserved for them when the feed was handed over.
+struct Feed<M> {
+    items: std::iter::Peekable<Box<dyn Iterator<Item = FeedItem<M>>>>,
+    next_seq: u64,
+    end_seq: u64,
+    /// Time of the last item queued; a feed must not go back in time.
+    last: SimTime,
+}
+
 /// Everything in the simulation except the nodes themselves; nodes interact
 /// with it through [`Ctx`].
 struct SimInner<M> {
@@ -343,6 +356,8 @@ pub struct Sim<N: Node> {
     /// Hardware specs, retained so a fault-plan restart can rebuild a
     /// node's resources from scratch.
     specs: Vec<NodeSpec>,
+    /// Handed-over feeds with items still to queue, in hand-over order.
+    feeds: Vec<Feed<N::Msg>>,
 }
 
 impl<N: Node> Sim<N> {
@@ -354,8 +369,10 @@ impl<N: Node> Sim<N> {
             inner: SimInner {
                 time: SimTime::ZERO,
                 seq: 0,
-                // Pre-sized so small simulations never reallocate mid-run;
-                // big feeds call `reserve_events` with their real volume.
+                // Pre-sized so small simulations never reallocate mid-run.
+                // A big external feed goes through `feed`, which queues
+                // each item only once it is due, so the queue holds the
+                // events pending now, not the whole input.
                 queue: CalendarQueue::with_capacity(1024),
                 resources: Vec::new(),
                 rngs: Vec::new(),
@@ -371,6 +388,7 @@ impl<N: Node> Sim<N> {
             started: false,
             seed,
             specs: Vec::new(),
+            feeds: Vec::new(),
         }
     }
 
@@ -411,26 +429,85 @@ impl<N: Node> Sim<N> {
         self.nodes.len()
     }
 
-    /// Grow the event arena to hold at least `additional` more events
-    /// without reallocating. Callers that post a known feed volume (e.g.
-    /// an input stream) use this to avoid repeated slab growth mid-run;
-    /// the calendar queue's payload arena honors the hint exactly.
-    pub fn reserve_events(&mut self, additional: usize) {
-        self.inner.queue.reserve(additional);
-    }
-
     /// Inject a message from outside the simulation, entering the network
-    /// at `at` and delivered through the receiver's inbound NIC.
+    /// at `at` and delivered through the receiver's inbound NIC. The
+    /// message waits in the event queue until then; a large input goes
+    /// through [`Sim::feed`] instead, which keeps it out of the queue
+    /// until it is due.
     ///
     /// The NIC charge happens when simulated time *reaches* `at`, not when
     /// `post` is called: the inbound NIC is a FIFO station, and charging a
-    /// whole pre-posted arrival stream up front would reserve it through
-    /// the last arrival's timestamp, head-of-line blocking every message
-    /// sent to that node during the run (replies would all be pushed past
-    /// the end of the feed — a non-work-conserving artifact, not queueing).
+    /// whole arrival stream up front would reserve it through the last
+    /// arrival's timestamp, head-of-line blocking every message sent to
+    /// that node during the run (replies would all be pushed past the end
+    /// of the stream — a non-work-conserving artifact, not queueing).
     pub fn post(&mut self, at: SimTime, to: NodeId, msg: N::Msg, bytes: u64) {
         let at = at.max(self.inner.time);
         self.inner.push(at, EventKind::Inject { to, msg, bytes });
+    }
+
+    /// Hand over a whole external input: `(at, to, msg, bytes)` items in
+    /// non-decreasing `at` order, each delivered exactly as a [`Sim::post`]
+    /// of it made now would be. The call reserves one seq per item, as
+    /// that loop of posts would, but an item enters the event queue only
+    /// once it is due no later than the queue's minimum, so the queue
+    /// holds the events pending now rather than the whole input, and the
+    /// iterator produces each item only when it is queued. Every item is
+    /// queued before anything that could pop after it, so the event order
+    /// is the posts' to the event. Feeds may be handed over one after
+    /// another; each reserves its seqs at its own call.
+    ///
+    /// Panics if an item is earlier than the one before it, or if the
+    /// iterator yields more items than its `len`.
+    pub fn feed<I>(&mut self, items: I)
+    where
+        I: ExactSizeIterator<Item = FeedItem<N::Msg>> + 'static,
+    {
+        let next_seq = self.inner.seq;
+        self.inner.seq += items.len() as u64;
+        // Clamped to now, as `post` clamps at its call.
+        let now = self.inner.time;
+        let items: Box<dyn Iterator<Item = FeedItem<N::Msg>>> =
+            Box::new(items.map(move |(at, to, msg, bytes)| (at.max(now), to, msg, bytes)));
+        self.feeds.push(Feed {
+            items: items.peekable(),
+            next_seq,
+            end_seq: self.inner.seq,
+            last: now,
+        });
+    }
+
+    /// Queue every fed item due no later than the queue's minimum (the
+    /// next item of a feed, if the queue is empty). Called before anything
+    /// is popped or the next event time is read: an item is then in the
+    /// queue before any event that orders after it can pop.
+    #[inline]
+    fn queue_due_feed(&mut self) {
+        if self.feeds.is_empty() {
+            return;
+        }
+        let queue = &mut self.inner.queue;
+        for feed in &mut self.feeds {
+            while let Some(&(at, ..)) = feed.items.peek() {
+                if queue.next_time().is_some_and(|min| at > min) {
+                    break;
+                }
+                let (at, to, msg, bytes) = feed.items.next().expect("peeked");
+                assert!(
+                    at >= feed.last,
+                    "feed goes back in time: {at} after {}",
+                    feed.last
+                );
+                assert!(
+                    feed.next_seq < feed.end_seq,
+                    "feed yields more items than its len"
+                );
+                queue.push(at, feed.next_seq, EventKind::Inject { to, msg, bytes });
+                feed.next_seq += 1;
+                feed.last = at;
+            }
+        }
+        self.feeds.retain_mut(|f| f.items.peek().is_some());
     }
 
     /// Run all `on_start` callbacks once (idempotent). Every run entry
@@ -518,6 +595,7 @@ impl<N: Node> Sim<N> {
         // the queue's ordering structure again.
         let mut batch: Vec<(SimTime, u64, EventKind<N::Msg>)> = Vec::new();
         while !self.inner.stopped {
+            self.queue_due_feed();
             let Some(t) = self.inner.queue.next_time() else {
                 break;
             };
@@ -556,8 +634,9 @@ impl<N: Node> Sim<N> {
     // backend in `jl-runtime`) needs to drive this kernel one event at a
     // time against a clock of its own. The loop above never calls these.
 
-    /// Timestamp of the earliest pending event, if any.
+    /// Timestamp of the earliest pending event, if any (fed items count).
     pub fn next_time(&mut self) -> Option<SimTime> {
+        self.queue_due_feed();
         self.inner.queue.next_time()
     }
 
@@ -577,6 +656,7 @@ impl<N: Node> Sim<N> {
         if self.inner.stopped {
             return false;
         }
+        self.queue_due_feed();
         let Some((time, _, kind)) = self.inner.queue.pop() else {
             return false;
         };
@@ -1282,5 +1362,211 @@ mod tests {
         );
         let seen = |sim: &Sim<Counter>| sim.nodes().map(|n| n.seen).collect::<Vec<_>>();
         assert_eq!(seen(&stepped), seen(&ran));
+    }
+}
+
+#[cfg(test)]
+mod feed_proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Grid every scheduled instant sits on, so feed items, start timers,
+    /// fault transitions and one-hop cascade deliveries collide.
+    const TICK: u64 = 10_000;
+
+    /// One dispatch: `(time, node, what)`. Messages log their payload;
+    /// timers and faults are tagged above any item index.
+    type Dispatch = (u64, NodeId, u64);
+    type Log = Rc<RefCell<Vec<Dispatch>>>;
+
+    /// Logs every dispatch to a log shared by all nodes (so the global
+    /// order is observed, ties included) and turns some external messages
+    /// into a cascade: a one-hop forward or a timer, both landing on grid
+    /// instants the feed also uses.
+    struct Rec {
+        log: Log,
+        peers: usize,
+    }
+
+    impl Node for Rec {
+        type Msg = u64;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
+            let id = ctx.self_id() as u64;
+            for k in 0..3 {
+                ctx.set_timer(SimTime((id + 2 * k) * TICK), 1 << 40 | k);
+            }
+        }
+        fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+            let me = ctx.self_id();
+            self.log.borrow_mut().push((ctx.now().0, me, msg));
+            if from != EXTERNAL {
+                return;
+            }
+            match msg % 3 {
+                0 => {
+                    ctx.send((me + 1) % self.peers, msg | 1 << 32, 0);
+                }
+                1 => ctx.set_timer_after(SimDuration(TICK), msg),
+                _ => {}
+            }
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, u64>) {
+            let me = ctx.self_id();
+            self.log.borrow_mut().push((ctx.now().0, me, tag | 1 << 48));
+        }
+        fn on_fault(&mut self, kind: FaultKind, ctx: &mut Ctx<'_, u64>) {
+            let me = ctx.self_id();
+            let tag = u64::from(kind == FaultKind::Restart) | 1 << 56;
+            self.log.borrow_mut().push((ctx.now().0, me, tag));
+        }
+    }
+
+    /// Everything one case varies. `items` are `(tick, to, bytes)`; their
+    /// index is the message. The first `split` items are one feed, the
+    /// rest a second, each sorted by time as `feed` requires.
+    struct Case {
+        items: Vec<(u64, NodeId, u64)>,
+        split: usize,
+        crash: Option<(NodeId, u64, u64)>,
+        faults_first: bool,
+        horizon: Option<u64>,
+        stepped: bool,
+    }
+
+    const NODES: usize = 3;
+
+    /// The case's two feeds, each in time order (stable: ties keep index
+    /// order), as `(at, to, msg, bytes)` items.
+    fn feeds(case: &Case) -> [Vec<FeedItem<u64>>; 2] {
+        let part = |range: std::ops::Range<usize>| {
+            let mut v: Vec<FeedItem<u64>> = range
+                .map(|i| {
+                    let (tick, to, bytes) = case.items[i];
+                    (SimTime(tick * TICK), to, i as u64, bytes)
+                })
+                .collect();
+            v.sort_by_key(|it| it.0);
+            v
+        };
+        [part(0..case.split), part(case.split..case.items.len())]
+    }
+
+    /// Build the case's simulation, handing the input over per item with
+    /// `post` or whole with `feed`.
+    fn load(case: &Case, fed: bool) -> (Sim<Rec>, Log) {
+        let log: Log = Rc::default();
+        let net = NetConfig {
+            latency: SimDuration(TICK),
+        };
+        let mut sim: Sim<Rec> = Sim::new(5, net);
+        for _ in 0..NODES {
+            let node = Rec {
+                log: Rc::clone(&log),
+                peers: NODES,
+            };
+            sim.add_node(node, NodeSpec::default());
+        }
+        let plan = case.crash.map(|(node, at, back)| {
+            FaultPlan::new(3).crash(node, SimTime(at * TICK), Some(SimTime(back * TICK)))
+        });
+        if case.faults_first {
+            if let Some(p) = plan.clone() {
+                sim.set_fault_plan(p);
+            }
+        }
+        for feed in feeds(case) {
+            if fed {
+                sim.feed(feed.into_iter());
+            } else {
+                for (at, to, msg, bytes) in feed {
+                    sim.post(at, to, msg, bytes);
+                }
+            }
+        }
+        if !case.faults_first {
+            if let Some(p) = plan {
+                sim.set_fault_plan(p);
+            }
+        }
+        (sim, log)
+    }
+
+    /// Run to `horizon` with the kernel's loop or by stepping the way a
+    /// pacer does (`next_time`, then `step` while due).
+    fn drive(sim: &mut Sim<Rec>, horizon: SimTime, stepped: bool) {
+        if !stepped {
+            sim.run_until(horizon);
+            return;
+        }
+        sim.run_starts();
+        while sim.next_time().is_some_and(|t| t <= horizon) {
+            sim.step();
+        }
+    }
+
+    /// Everything observable after a drive.
+    fn observe(sim: &Sim<Rec>, log: &Log) -> (Vec<Dispatch>, SimTime, [u64; 3]) {
+        let t = sim.net_totals();
+        let counts = [sim.events_processed(), t.messages, t.dropped];
+        (log.borrow().clone(), sim.time(), counts)
+    }
+
+    proptest! {
+        /// A feed is the loop of posts it replaces, event for event: same
+        /// dispatch log, event count, final time and network totals, under
+        /// the run loop and under stepping, cut at a horizon and resumed.
+        #[test]
+        fn feed_matches_per_item_posts(
+            items in proptest::collection::vec(
+                (0u64..30, 0..NODES, prop_oneof![Just(0u64), Just(1250u64)]),
+                0..120,
+            ),
+            split in any::<usize>(),
+            crash in prop_oneof![
+                Just(None),
+                (0..NODES, 0u64..30, 1u64..10).prop_map(|(n, at, len)| Some((n, at, at + len))),
+            ],
+            faults_first in any::<bool>(),
+            horizon in prop_oneof![Just(None), (0u64..40).prop_map(Some)],
+            stepped in any::<bool>(),
+        ) {
+            let split = split % (items.len() + 1);
+            let case = Case { items, split, crash, faults_first, horizon, stepped };
+            let (mut posted, post_log) = load(&case, false);
+            let (mut fed, feed_log) = load(&case, true);
+            if let Some(h) = case.horizon {
+                let h = SimTime(h * TICK);
+                drive(&mut posted, h, case.stepped);
+                drive(&mut fed, h, case.stepped);
+                prop_assert_eq!(observe(&fed, &feed_log), observe(&posted, &post_log));
+            }
+            drive(&mut posted, SimTime::MAX, case.stepped);
+            drive(&mut fed, SimTime::MAX, case.stepped);
+            let all = observe(&posted, &post_log);
+            let fed_items = all.0.iter().filter(|e| e.2 < case.items.len() as u64).count();
+            prop_assert_eq!(observe(&fed, &feed_log), all);
+            // Every item reached the network (a crash may eat it there).
+            prop_assert!(fed_items as u64 + fed.net_totals().dropped >= case.items.len() as u64);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "feed goes back in time")]
+    fn an_unsorted_feed_is_rejected() {
+        let (mut sim, _) = load(
+            &Case {
+                items: vec![],
+                split: 0,
+                crash: None,
+                faults_first: true,
+                horizon: None,
+                stepped: false,
+            },
+            true,
+        );
+        sim.feed(vec![(SimTime(2 * TICK), 0, 0, 0), (SimTime(TICK), 0, 1, 0)].into_iter());
+        sim.run();
     }
 }
